@@ -213,7 +213,17 @@ def _lattice_target_sup(source, target: Lattice) -> SupDistance:
         if side == -1 and _reaches(source, 1):
             return _INF
     if _has_arbitrarily_long_runs(source):
-        return SupDistance("value", cap)
+        # long runs far out reach step/2; a half lattice adds its lead gap,
+        # seen from the source's infimum (supremum) on the open side
+        if target.half == "plus":
+            lead = target.offset - next(
+                setmodels.components(source, -setmodels.INF))[0]
+        elif target.half == "minus":
+            lead = next(setmodels.components(
+                source, setmodels.INF, -1))[1] - target.offset
+        else:
+            lead = ZERO
+        return SupDistance("value", max(cap, lead))
     if isinstance(source, Lattice):
         period = _lcm_fraction(source.step, target.step)
         count = int(period / source.step)

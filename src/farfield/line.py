@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .errors import (InputError, InternalInvariantError,
                      UnsupportedGeometryError, WindowTooSmallError)
-from .rationals import fmt, ipow_floor_log, rat
+from .rationals import fmt, rat
 from .setmodels import (
     FiniteModification,
     FiniteUnion,
@@ -35,6 +35,8 @@ from .setmodels import (
     Reflected,
     ambient_dim,
     contains,
+    distance_to_set,
+    first_point,
     scale_model,
     window_structure,
 )
@@ -45,14 +47,6 @@ DEFAULT_K_SAMPLES = (Fraction(2), Fraction(3), Fraction(1, 2),
                      Fraction(5, 4), Fraction(7, 3))
 
 MAX_MAP_CANDIDATES = 4096
-
-
-def _ceil_int(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor_int(x: Fraction) -> int:
-    return x.numerator // x.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -97,168 +91,16 @@ def required_window(model) -> Fraction:
 
 def next_point_ge(model, x, excluded=frozenset()):
     """Smallest set point >= x, or None when there is none on that side."""
-    x = rat(x)
-    if isinstance(model, Lattice):
-        k = _ceil_int((x - model.offset) / model.step)
-        if model.half == "plus":
-            k = max(k, 0)
-        for _ in range(len(excluded) + 1):
-            if model.half == "minus" and k > 0:
-                return None
-            p = model.point(k)
-            if p not in excluded:
-                return p
-            k += 1
-        return None
-    if isinstance(model, Ray):
-        if model.direction == 1:
-            return max(x, model.origin)
-        return x if x <= model.origin else None
-    if isinstance(model, FullLine):
-        return x
-    if isinstance(model, GeometricPoints):
-        if x <= model.point(model.n0):
-            n = model.n0
-        else:
-            n = ipow_floor_log(model.q, x / model.c)
-            if model.point(n) < x:
-                n += 1
-            n = max(n, model.n0)
-        for _ in range(len(excluded) + 1):
-            p = model.point(n)
-            if p not in excluded:
-                return p
-            n += 1
-        return None
-    if isinstance(model, GeometricBlocks):
-        if x <= 0:
-            return None  # blocks accumulate at 0: no smallest point
-        n = ipow_floor_log(model.q, x / model.a)
-        if x <= model.b * model.q**n:
-            return max(x, model.a * model.q**n)
-        return model.a * model.q ** (n + 1)
-    if isinstance(model, PeriodicBlocks):
-        k = max(0, _floor_int((x - model.offset) / model.period))
-        steps = len(excluded) + 2
-        while steps > 0:
-            base = model.offset + model.period * k
-            for lo, hi in model.blocks:
-                if base + hi < x:
-                    continue
-                cand = max(x, base + lo)
-                if lo < hi or cand not in excluded:
-                    return cand
-                steps -= 1
-                if steps == 0:
-                    return None
-                x = cand + _pattern_gap_floor(model) / 2
-            k += 1
-        return None
-    if isinstance(model, FiniteUnion):
-        cands = [next_point_ge(p, x, excluded) for p in model.parts]
-        cands = [c for c in cands if c is not None]
-        return min(cands) if cands else None
-    if isinstance(model, FiniteModification):
-        cands = [a for a in model.added
-                 if a >= x and a not in model.removed and a not in excluded]
-        base = next_point_ge(model.base, x,
-                             excluded | frozenset(model.removed))
-        if base is not None:
-            cands.append(base)
-        return min(cands) if cands else None
-    if isinstance(model, Reflected):
-        got = prev_point_le(model.base, -x, frozenset(-e for e in excluded))
-        return None if got is None else -got
-    raise UnsupportedGeometryError(
-        f"no point search for {type(model).__name__}")
+    if excluded:
+        model = FiniteModification(model, (), tuple(excluded))
+    return first_point(model, rat(x), 1)
 
 
 def prev_point_le(model, x, excluded=frozenset()):
     """Largest set point <= x, or None when there is none on that side."""
-    x = rat(x)
-    if isinstance(model, Lattice):
-        k = _floor_int((x - model.offset) / model.step)
-        if model.half == "minus":
-            k = min(k, 0)
-        for _ in range(len(excluded) + 1):
-            if model.half == "plus" and k < 0:
-                return None
-            p = model.point(k)
-            if p not in excluded:
-                return p
-            k -= 1
-        return None
-    if isinstance(model, Ray):
-        if model.direction == -1:
-            return min(x, model.origin)
-        return x if x >= model.origin else None
-    if isinstance(model, FullLine):
-        return x
-    if isinstance(model, GeometricPoints):
-        if x < model.point(model.n0):
-            return None
-        n = ipow_floor_log(model.q, x / model.c)
-        for _ in range(len(excluded) + 1):
-            if n < model.n0:
-                return None
-            p = model.point(n)
-            if p not in excluded:
-                return p
-            n -= 1
-        return None
-    if isinstance(model, GeometricBlocks):
-        if x <= 0:
-            return None
-        n = ipow_floor_log(model.q, x / model.a)
-        if x >= model.a * model.q**n:
-            return min(x, model.b * model.q**n)
-        return model.b * model.q ** (n - 1)
-    if isinstance(model, PeriodicBlocks):
-        first = model.offset + model.blocks[0][0]
-        if x < first:
-            return None
-        k = _floor_int((x - model.offset) / model.period)
-        steps = len(excluded) + 2
-        while steps > 0 and k >= 0:
-            base = model.offset + model.period * k
-            for lo, hi in reversed(model.blocks):
-                if base + lo > x:
-                    continue
-                cand = min(x, base + hi)
-                if cand < first:
-                    return None
-                if lo < hi or cand not in excluded:
-                    return cand
-                steps -= 1
-                if steps == 0:
-                    return None
-                x = cand - _pattern_gap_floor(model) / 2
-            k -= 1
-        return None
-    if isinstance(model, FiniteUnion):
-        cands = [prev_point_le(p, x, excluded) for p in model.parts]
-        cands = [c for c in cands if c is not None]
-        return max(cands) if cands else None
-    if isinstance(model, FiniteModification):
-        cands = [a for a in model.added
-                 if a <= x and a not in model.removed and a not in excluded]
-        base = prev_point_le(model.base, x,
-                             excluded | frozenset(model.removed))
-        if base is not None:
-            cands.append(base)
-        return max(cands) if cands else None
-    if isinstance(model, Reflected):
-        got = next_point_ge(model.base, -x, frozenset(-e for e in excluded))
-        return None if got is None else -got
-    raise UnsupportedGeometryError(
-        f"no point search for {type(model).__name__}")
-
-
-def _pattern_gap_floor(model: PeriodicBlocks) -> Fraction:
-    gaps = [l2 - h1 for (_, h1), (l2, _) in zip(model.blocks,
-                                                model.blocks[1:])]
-    gaps.append(model.period - model.blocks[-1][1] + model.blocks[0][0])
-    return min(gaps)
+    if excluded:
+        model = FiniteModification(model, (), tuple(excluded))
+    return first_point(model, rat(x), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -289,24 +131,14 @@ class ComponentReport:
         return tuple(sorted(hi - lo for lo, hi in self.bounded))
 
 
-def _puncture_candidates(model, lo, hi):
-    out = []
+def _removed_points(model):
     if isinstance(model, FiniteModification):
-        for r in model.removed:
-            if not (lo <= r <= hi):
-                continue
-            ws = window_structure(model.base, r - 1, r + 1)
-            for ilo, ihi in ws.intervals:
-                if ilo <= r <= ihi and ilo < ihi:
-                    out.append(r)
-                    break
-        out.extend(_puncture_candidates(model.base, lo, hi))
-    elif isinstance(model, FiniteUnion):
-        for part in model.parts:
-            out.extend(_puncture_candidates(part, lo, hi))
-    elif isinstance(model, Reflected):
-        out.extend(-p for p in _puncture_candidates(model.base, -hi, -lo))
-    return out
+        return list(model.removed) + _removed_points(model.base)
+    if isinstance(model, FiniteUnion):
+        return [r for part in model.parts for r in _removed_points(part)]
+    if isinstance(model, Reflected):
+        return [-r for r in _removed_points(model.base)]
+    return []
 
 
 def complement_components(model, window) -> ComponentReport:
@@ -372,8 +204,9 @@ def complement_components(model, window) -> ComponentReport:
         bounded = [g for g in bounded
                    if not (g[0] < trunc and g[1] > -trunc)]
 
-    punctures = {p for p in _puncture_candidates(model, -h, h)
-                 if not contains(model, p)}
+    # a removed point still in the closure of the set punctures a run
+    punctures = {p for p in _removed_points(model) if -h <= p <= h
+                 and distance_to_set(model, p) == 0 and not contains(model, p)}
     if trunc is not None:
         punctures = {p for p in punctures if abs(p) >= trunc}
     unbounded = tuple(t for t in (left_tail, right_tail) if t is not None)

@@ -9,14 +9,38 @@ q**200 stay exact on bigint rationals.
 GeometricBlocks spans all integer scales (it is exactly self-similar under
 its base), so it accumulates at 0; window decompositions that would have to
 list infinitely many tiny components report a truncation scale instead.
+
+Every 1-D query is derived from one component cursor per model kind:
+`components(model, x, +1)` yields the components with hi >= x in
+increasing order of lo, `components(model, x, -1)` those with lo <= x in
+decreasing order of hi. The contract:
+
+- A component is a closed hull (lo, hi), lo == hi for a point; a ray's
+  open end is +-inf (a float). Components of different union parts may
+  overlap; window decompositions coalesce them.
+- A finite modification drops a removed point only where it is an isolated
+  component. A removed point inside or at the end of an interval leaves
+  the hull as it is, which is what distances and complement endpoints see;
+  membership keeps the removed-point test.
+- GeometricBlocks accumulates at 0 from above. Ascending from x <= 0 it
+  yields the marker (ZERO_ABOVE, ZERO_ABOVE) and nothing after it;
+  descending from x > 0 it never reaches 0. ZERO_ABOVE computes as 0 but
+  orders strictly between 0 and every positive number, so in a union the
+  marker follows every component with lo <= 0 and precedes every other.
+  Reflection turns it into ZERO_BELOW.
+- From x = -inf ascending (+inf descending), a side that is unbounded
+  yields (x, x) first, so the first component answers min/max questions.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import InputError, UnsupportedGeometryError
 from .rationals import fmt, ipow_floor_log, rat
@@ -24,6 +48,7 @@ from .rationals import fmt, ipow_floor_log, rat
 WINDOW_CAP = 200_000
 
 ZERO = Fraction(0)
+INF = math.inf
 
 
 def as_rat_point(value):
@@ -106,6 +131,10 @@ class GeometricPoints:
 
     def point(self, n: int) -> Fraction:
         return self.c * self.q**n
+
+    @cached_property
+    def first(self) -> Fraction:
+        return self.point(self.n0)
 
 
 @dataclass(frozen=True)
@@ -233,6 +262,230 @@ def ambient_dim(model) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Component cursors (1-D)
+
+
+def _order(value):
+    return (0, value.side) if type(value) is _ZeroSide else (value, 0)
+
+
+class _ZeroSide(Fraction):
+    """0 approached from one side (+1: from above), where GeometricBlocks
+    accumulates. Arithmetic treats it as 0; comparisons place it strictly
+    between 0 and the numbers on its side."""
+
+    def __new__(cls, side):
+        self = super().__new__(cls, 0)
+        self.side = side
+        return self
+
+    __hash__ = Fraction.__hash__
+
+    def __eq__(self, other):
+        return other is self
+
+    def __lt__(self, other):
+        return _order(self) < _order(other)
+
+    def __le__(self, other):
+        return _order(self) <= _order(other)
+
+    def __gt__(self, other):
+        return _order(self) > _order(other)
+
+    def __ge__(self, other):
+        return _order(self) >= _order(other)
+
+    def __neg__(self):
+        return ZERO_BELOW if self.side > 0 else ZERO_ABOVE
+
+
+ZERO_ABOVE = _ZeroSide(1)
+ZERO_BELOW = _ZeroSide(-1)
+_MIRROR_HALF = {"full": "full", "plus": "minus", "minus": "plus"}
+
+
+def _lattice_up(m: Lattice, x):
+    if type(x) is float:  # from -inf
+        if m.half != "plus":
+            yield (x, x)
+            return
+        k = 0
+    else:
+        k = math.ceil((x - m.offset) / m.step)
+        if m.half == "plus":
+            k = max(k, 0)
+    p = m.point(k)
+    while k <= 0 or m.half != "minus":
+        yield (p, p)
+        p += m.step
+        k += 1
+
+
+def _lattice_down(m: Lattice, x):
+    mirror = Lattice(m.step, -m.offset, _MIRROR_HALF[m.half])
+    return _negated(_lattice_up(mirror, -x))
+
+
+def _ray_up(m: Ray, x):
+    if m.direction == 1:
+        yield (m.origin, INF)
+    elif x <= m.origin:
+        yield (-INF, m.origin)
+
+
+def _ray_down(m: Ray, x):
+    return _negated(_ray_up(Ray(-m.origin, -m.direction), -x))
+
+
+def _full_line(m: FullLine, x):
+    yield (-INF, INF)
+
+
+def _geometric_points_up(m: GeometricPoints, x):
+    p = m.first
+    if x > p:
+        p = m.point(ipow_floor_log(m.q, x / m.c))
+        if p < x:
+            p *= m.q
+    while True:
+        yield (p, p)
+        p *= m.q
+
+
+def _geometric_points_down(m: GeometricPoints, x):
+    if type(x) is float:  # from +inf
+        yield (x, x)
+        return
+    if x <= 0:
+        return
+    n = ipow_floor_log(m.q, x / m.c)
+    p = m.point(n)
+    for _ in range(n - m.n0 + 1):
+        yield (p, p)
+        p /= m.q
+
+
+def _geometric_blocks_up(m: GeometricBlocks, x):
+    if x <= 0:
+        yield (ZERO_ABOVE, ZERO_ABOVE)
+        return
+    scale = m.q ** ipow_floor_log(m.q, x / m.a)
+    lo, hi = m.a * scale, m.b * scale
+    if hi < x:
+        lo, hi = lo * m.q, hi * m.q
+    elif lo == x and m.gap_seed == 0:  # the block below touches x too
+        lo, hi = lo / m.q, hi / m.q
+    while True:
+        yield (lo, hi)
+        lo, hi = lo * m.q, hi * m.q
+
+
+def _geometric_blocks_down(m: GeometricBlocks, x):
+    if type(x) is float:  # from +inf
+        yield (x, x)
+        return
+    if x <= 0:
+        return
+    scale = m.q ** ipow_floor_log(m.q, x / m.a)
+    lo, hi = m.a * scale, m.b * scale
+    while True:
+        yield (lo, hi)
+        lo, hi = lo / m.q, hi / m.q
+
+
+def _periodic_up(m: PeriodicBlocks, x):
+    k = 0 if x <= m.offset else (x - m.offset) // m.period
+    base = m.offset + m.period * k
+    while True:
+        for lo, hi in m.blocks:
+            if base + hi >= x:
+                yield (base + lo, base + hi)
+        base += m.period
+
+
+def _periodic_down(m: PeriodicBlocks, x):
+    if type(x) is float:  # from +inf
+        yield (x, x)
+        return
+    if x < m.offset:
+        return
+    base = m.offset + m.period * ((x - m.offset) // m.period)
+    while base >= m.offset:
+        for lo, hi in reversed(m.blocks):
+            if base + lo <= x:
+                yield (base + lo, base + hi)
+        base -= m.period
+
+
+def _merged(streams, direction):
+    if direction == 1:
+        return heapq.merge(*streams)
+    # the mirror image of the ascending order by (lo, hi)
+    return heapq.merge(*streams, key=itemgetter(1, 0), reverse=True)
+
+
+def _union(m: FiniteUnion, x, direction):
+    return _merged([components(p, x, direction) for p in m.parts], direction)
+
+
+def _modification(m: FiniteModification, x, direction):
+    kept = (c for c in components(m.base, x, direction)
+            if c[0] != c[1] or c[0] not in m.removed)
+    added = sorted((a for a in m.added
+                    if a not in m.removed and direction * (a - x) >= 0),
+                   reverse=direction == -1)
+    if not added:
+        return kept
+    return _merged([kept, [(a, a) for a in added]], direction)
+
+
+def _negated(comps):
+    return ((-hi, -lo) for lo, hi in comps)
+
+
+def _reflected(m: Reflected, x, direction):
+    return _negated(components(m.base, -x, -direction))
+
+
+_CURSORS = {
+    Lattice: (_lattice_up, _lattice_down),
+    Ray: (_ray_up, _ray_down),
+    FullLine: (_full_line, _full_line),
+    GeometricPoints: (_geometric_points_up, _geometric_points_down),
+    GeometricBlocks: (_geometric_blocks_up, _geometric_blocks_down),
+    PeriodicBlocks: (_periodic_up, _periodic_down),
+}
+_COMBINATORS = {FiniteUnion: _union, FiniteModification: _modification,
+                Reflected: _reflected}
+
+
+def components(model, x, direction: int = 1):
+    """The component cursor of a 1-D model from x (a Fraction, or -inf
+    ascending / +inf descending): direction +1 yields the components with
+    hi >= x in increasing order of lo, -1 those with lo <= x in decreasing
+    order of hi. See the module docstring for the contract."""
+    kind = type(model)
+    if kind in _COMBINATORS:
+        return _COMBINATORS[kind](model, x, direction)
+    if kind not in _CURSORS:
+        raise UnsupportedGeometryError(
+            f"{kind.__name__} has no 1-D component cursor")
+    return _CURSORS[kind][direction == -1](model, x)
+
+
+def first_point(model, x, direction: int = 1):
+    """The set point nearest to x on one side (direction +1: at or after x,
+    -1: at or before), x itself when x lies in a component's hull. None
+    when that side is empty or ends at infinity or at an accumulation."""
+    c = next(components(model, x, direction), None)
+    if c is None:
+        return None
+    end = max(x, c[0]) if direction == 1 else min(x, c[1])
+    return None if isinstance(end, (float, _ZeroSide)) else end
+
+
+# ---------------------------------------------------------------------------
 # Membership
 
 
@@ -240,37 +493,18 @@ def contains(model, point) -> bool:
     point = as_rat_point(point)
     if point_dim(point) != ambient_dim(model):
         raise InputError("point dimension does not match model")
-    if isinstance(model, Lattice):
-        t = (point - model.offset) / model.step
-        return t.denominator == 1 and model.k_range_ok(t.numerator)
-    if isinstance(model, Ray):
-        return point >= model.origin if model.direction == 1 else point <= model.origin
-    if isinstance(model, FullLine):
-        return True
-    if isinstance(model, GeometricPoints):
-        if point <= 0:
-            return False
-        ratio = point / model.c
-        n = ipow_floor_log(model.q, ratio)
-        return n >= model.n0 and model.q**n == ratio
-    if isinstance(model, GeometricBlocks):
-        if point <= 0:
-            return False
-        n = ipow_floor_log(model.q, point / model.a)
-        return point <= model.b * model.q**n
-    if isinstance(model, PeriodicBlocks):
-        if point < model.offset:
-            return False
-        y = (point - model.offset) % model.period
-        return any(lo <= y <= hi for lo, hi in model.blocks)
-    if isinstance(model, FiniteUnion):
-        return any(contains(p, point) for p in model.parts)
+    return _member(model, point)
+
+
+def _member(model, point) -> bool:
     if isinstance(model, FiniteModification):
         if point in model.removed:
             return False
-        return point in model.added or contains(model.base, point)
+        return point in model.added or _member(model.base, point)
+    if isinstance(model, FiniteUnion):
+        return any(_member(p, point) for p in model.parts)
     if isinstance(model, Reflected):
-        return contains(model.base, -point)
+        return _member(model.base, -point)
     if isinstance(model, HalfPlaneStrip):
         u, v = point
         return u >= 0 and model.c1 <= v <= model.c2
@@ -278,8 +512,9 @@ def contains(model, point) -> bool:
         u, v = point
         return v == 0 and u >= 0
     if isinstance(model, Product2D):
-        return contains(model.x, point[0]) and contains(model.y, point[1])
-    raise InputError(f"not a set model: {model!r}")
+        return _member(model.x, point[0]) and _member(model.y, point[1])
+    c = next(components(model, point), None)
+    return c is not None and c[0] <= point
 
 
 # ---------------------------------------------------------------------------
@@ -292,45 +527,13 @@ def distance_to_set(model, point) -> Fraction:
     Raises UnsupportedGeometryError when the exact value is irrational
     (possible only for 2-D corner configurations).
     """
-    return _distance_excluding(model, as_rat_point(point), frozenset())
-
-
-def _distance_excluding(model, point, removed: frozenset) -> Fraction:
+    point = as_rat_point(point)
     if point_dim(point) != ambient_dim(model):
         raise InputError("point dimension does not match model")
-    if isinstance(model, Lattice):
-        return _lattice_distance(model, point, removed)
-    if isinstance(model, Ray):
-        # removing isolated points from a ray never changes the infimum
-        if model.direction == 1:
-            return max(ZERO, model.origin - point)
-        return max(ZERO, point - model.origin)
-    if isinstance(model, FullLine):
-        return ZERO
-    if isinstance(model, GeometricPoints):
-        return _geometric_points_distance(model, point, removed)
-    if isinstance(model, GeometricBlocks):
-        if point <= 0:
-            return -point  # blocks accumulate at 0; infimum, not attained
-        n = ipow_floor_log(model.q, point / model.a)
-        if point <= model.b * model.q**n:
-            return ZERO
-        return min(point - model.b * model.q**n,
-                   model.a * model.q ** (n + 1) - point)
-    if isinstance(model, PeriodicBlocks):
-        return _periodic_distance(model, point, removed)
+    if point_dim(point) == 1:
+        return _distance_1d(model, point)
     if isinstance(model, FiniteUnion):
-        return min(_distance_excluding(p, point, removed) for p in model.parts)
-    if isinstance(model, FiniteModification):
-        removed_all = removed | frozenset(model.removed)
-        best = _distance_excluding(model.base, point, removed_all)
-        for a in model.added:
-            if a not in removed_all:
-                best = min(best, abs(point - a))
-        return best
-    if isinstance(model, Reflected):
-        return _distance_excluding(model.base, -point,
-                                   frozenset(-r for r in removed))
+        return min(distance_to_set(p, point) for p in model.parts)
     if isinstance(model, HalfPlaneStrip):
         u, v = point
         dv = max(ZERO, v - model.c2, model.c1 - v)
@@ -347,14 +550,27 @@ def _distance_excluding(model, point, removed: frozenset) -> Fraction:
             return -u
         return _pythagoras(-u, abs(v))
     if isinstance(model, Product2D):
-        dx = _distance_excluding(model.x, point[0], frozenset())
-        dy = _distance_excluding(model.y, point[1], frozenset())
+        dx = _distance_1d(model.x, point[0])
+        dy = _distance_1d(model.y, point[1])
         if dx == 0:
             return dy
         if dy == 0:
             return dx
         return _pythagoras(dx, dy)
     raise InputError(f"not a set model: {model!r}")
+
+
+def _distance_1d(model, x) -> Fraction:
+    # the first component on each side is the nearest one; a hull that
+    # holds x (even at a removed point) gives the infimum 0
+    after = next(components(model, x), None)
+    if after is not None and after[0] <= x:
+        return ZERO
+    gaps = [] if after is None else [after[0] - x]
+    before = next(components(model, x, -1), None)
+    if before is not None:
+        gaps.append(x - before[1])
+    return min(gaps)
 
 
 def _pythagoras(dx: Fraction, dy: Fraction) -> Fraction:
@@ -364,75 +580,6 @@ def _pythagoras(dx: Fraction, dy: Fraction) -> Fraction:
             "exact distance is irrational for this corner configuration"
         )
     return root
-
-
-def _lattice_distance(model: Lattice, point, removed) -> Fraction:
-    spread = len(removed) + 2
-    k_mid = math.floor((point - model.offset) / model.step)
-    best = None
-    for k in range(k_mid - spread, k_mid + spread + 1):
-        if not model.k_range_ok(k):
-            continue
-        p = model.point(k)
-        if p in removed:
-            continue
-        d = abs(point - p)
-        if best is None or d < best:
-            best = d
-    if best is None:
-        # all nearby points removed or clamped; fall back to range edge
-        edge = model.point(0)
-        k = 0
-        step_dir = 1 if model.half == "plus" else -1
-        while edge in removed:
-            k += step_dir
-            edge = model.point(k)
-        best = abs(point - edge)
-    return best
-
-
-def _geometric_points_distance(model: GeometricPoints, point, removed):
-    spread = len(removed) + 2
-    first = model.point(model.n0)
-    if point <= first:
-        n_mid = model.n0
-    else:
-        n_mid = ipow_floor_log(model.q, point / model.c)
-    best = None
-    for n in range(max(model.n0, n_mid - spread), n_mid + spread + 1):
-        p = model.point(n)
-        if p in removed:
-            continue
-        d = abs(point - p)
-        if best is None or d < best:
-            best = d
-    if best is None:
-        n = n_mid + spread + 1
-        while model.point(n) in removed:
-            n += 1
-        best = abs(point - model.point(n))
-    return best
-
-
-def _periodic_distance(model: PeriodicBlocks, point, removed) -> Fraction:
-    spread = len(removed) + 2
-    k_mid = math.floor((point - model.offset) / model.period)
-    best = None
-    for k in range(max(0, k_mid - spread), max(0, k_mid) + spread + 1):
-        base = model.offset + model.period * k
-        for lo, hi in model.blocks:
-            if lo == hi:
-                p = base + lo
-                if p in removed:
-                    continue
-                d = abs(point - p)
-            else:
-                # a continuum: removals cannot change the infimum
-                clamped = min(max(point, base + lo), base + hi)
-                d = abs(point - clamped)
-            if best is None or d < best:
-                best = d
-    return best
 
 
 def nearest_point(model, point, eps: Fraction = ZERO):
@@ -576,145 +723,79 @@ class WindowStructure:
     truncated_below: object = None
 
 
-def _merge_intervals(items):
-    items = sorted(items)
+def _coalesce(items):
+    """Merge overlapping closed intervals, given in increasing order of lo."""
     out = []
     for lo, hi in items:
         if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
         else:
             out.append((lo, hi))
     return out
 
 
-def window_structure(model, lo, hi, resolution=None) -> WindowStructure:
+def window_structure(model, lo, hi) -> WindowStructure:
     """Exact interval decomposition of E cap [lo, hi].
 
-    resolution only matters for models accumulating at 0 (GeometricBlocks
-    scales below it are summarized by truncated_below).
+    Where the set accumulates at 0 inside the window, the components below
+    the scale (window end)/2**20 are summarized by truncated_below.
     """
     lo, hi = rat(lo), rat(hi)
     if hi < lo:
         raise InputError("empty window")
     if ambient_dim(model) != 1:
         raise UnsupportedGeometryError("window decomposition is 1-D only")
-    intervals, trunc = _window_parts(model, lo, hi, resolution)
-    merged = tuple(_merge_intervals(intervals))
-    if len(merged) > WINDOW_CAP:
-        raise UnsupportedGeometryError("window structure too rich")
-    return WindowStructure(merged, trunc)
+    items, truncs, start = [], [], lo
+    if lo < 0 <= hi and _accumulates_below_zero(model):
+        # ascending from lo would never reach 0: read that side mirrored,
+        # where the accumulation is approached from above
+        got, trunc = _window(Reflected(model), ZERO, -lo)
+        items = sorted((-b, -a) for a, b in got)
+        truncs, start = [trunc], ZERO
+    got, trunc = _window(model, start, hi)
+    truncs = [t for t in truncs + [trunc] if t is not None]
+    merged = _coalesce(items + got)
+    # coalesced hulls are disjoint, so only the outer two can stick out
+    if merged:
+        merged[0] = (max(merged[0][0], lo), merged[0][1])
+        merged[-1] = (merged[-1][0], min(merged[-1][1], hi))
+    return WindowStructure(tuple(merged), max(truncs) if truncs else None)
 
 
-def _window_parts(model, lo, hi, resolution):
-    if isinstance(model, Lattice):
-        ks = []
-        k_lo = math.ceil((lo - model.offset) / model.step)
-        k_hi = math.floor((hi - model.offset) / model.step)
-        if k_hi - k_lo > WINDOW_CAP:
+def _accumulates_below_zero(model) -> bool:
+    for c in components(model, ZERO, -1):
+        if c[1] < 0:
+            return c[1] is ZERO_BELOW
+    return False
+
+
+def _window(model, lo, hi):
+    """Components meeting [lo, hi] in increasing order of lo, unclipped,
+    and the truncation scale (None when nothing was summarized)."""
+    out, trunc = [], None
+    if _take(components(model, lo), hi, out):
+        # accumulation at 0 from above: list exactly from the lowest
+        # positive component reaching the scale; the rest is in (0, trunc]
+        below = components(model, hi / 2**20, -1)
+        start = next(c for c in below if c[0] > 0)[0]
+        trunc = next(c for c in below if c[1] < start)[1]
+        _take((c for c in components(model, start) if c[0] > 0), hi, out)
+    return out, trunc
+
+
+def _take(comps, hi, out) -> bool:
+    """Append components up to hi; True when the accumulation marker
+    stopped the listing."""
+    for c in comps:
+        if c[0] > hi:
+            return False
+        if c[0] is ZERO_ABOVE:
+            return True
+        out.append(c)
+        if len(out) > WINDOW_CAP:
             raise UnsupportedGeometryError("window structure too rich")
-        for k in range(k_lo, k_hi + 1):
-            if model.k_range_ok(k):
-                p = model.point(k)
-                ks.append((p, p))
-        return ks, None
-    if isinstance(model, Ray):
-        if model.direction == 1:
-            if model.origin > hi:
-                return [], None
-            return [(max(lo, model.origin), hi)], None
-        if model.origin < lo:
-            return [], None
-        return [(lo, min(hi, model.origin))], None
-    if isinstance(model, FullLine):
-        return [(lo, hi)], None
-    if isinstance(model, GeometricPoints):
-        out = []
-        if hi >= model.point(model.n0) and hi > 0:
-            n_hi = ipow_floor_log(model.q, hi / model.c)
-            n_lo = model.n0
-            if lo > 0:
-                n_lo = max(n_lo, ipow_floor_log(model.q, lo / model.c))
-            if n_hi - n_lo > WINDOW_CAP:
-                raise UnsupportedGeometryError("window structure too rich")
-            for n in range(n_lo, n_hi + 1):
-                p = model.point(n)
-                if lo <= p <= hi:
-                    out.append((p, p))
-        return out, None
-    if isinstance(model, GeometricBlocks):
-        if hi <= 0:
-            return [], None
-        n_hi = ipow_floor_log(model.q, hi / model.a)
-        trunc = None
-        if lo > 0:
-            n_lo = ipow_floor_log(model.q, lo / model.b)
-            if model.b * model.q**n_lo < lo:
-                n_lo += 1
-            n_lo = min(n_lo, n_hi)
-        else:
-            scale = resolution if resolution is not None else hi / 2**20
-            n_lo = ipow_floor_log(model.q, scale / model.a)
-            trunc = model.b * model.q ** (n_lo - 1)
-        if n_hi - n_lo > WINDOW_CAP:
-            raise UnsupportedGeometryError("window structure too rich")
-        out = []
-        for n in range(n_lo, n_hi + 1):
-            blo, bhi = model.block(n)
-            blo, bhi = max(blo, lo), min(bhi, hi)
-            if blo <= bhi:
-                out.append((blo, bhi))
-        return out, trunc
-    if isinstance(model, PeriodicBlocks):
-        out = []
-        k_lo = max(0, math.floor((lo - model.offset) / model.period) - 1)
-        k_hi = math.floor((hi - model.offset) / model.period) + 1
-        if k_hi - k_lo > WINDOW_CAP:
-            raise UnsupportedGeometryError("window structure too rich")
-        for k in range(k_lo, k_hi + 1):
-            base = model.offset + model.period * k
-            for blo, bhi in model.blocks:
-                clo, chi = max(base + blo, lo), min(base + bhi, hi)
-                if clo <= chi:
-                    out.append((clo, chi))
-        return out, None
-    if isinstance(model, FiniteUnion):
-        out, trunc = [], None
-        for part in model.parts:
-            ivs, tr = _window_parts(part, lo, hi, resolution)
-            out.extend(ivs)
-            if tr is not None:
-                trunc = tr if trunc is None else max(trunc, tr)
-        return out, trunc
-    if isinstance(model, FiniteModification):
-        ivs, trunc = _window_parts(model.base, lo, hi, resolution)
-        for a in model.added:
-            if lo <= a <= hi:
-                ivs.append((a, a))
-        ivs = _merge_intervals(ivs)
-        for r in model.removed:
-            if not (lo <= r <= hi):
-                continue
-            nxt = []
-            for ilo, ihi in ivs:
-                if r < ilo or r > ihi:
-                    nxt.append((ilo, ihi))
-                elif ilo == ihi:  # drop the isolated point
-                    continue
-                elif r == ilo or r == ihi:
-                    # open end: the open-gap lengths are unchanged, keep the
-                    # closed hull for gap work (membership stays exact)
-                    nxt.append((ilo, ihi))
-                else:
-                    nxt.append((ilo, ihi))
-            ivs = nxt
-        return ivs, trunc
-    if isinstance(model, Reflected):
-        ivs, trunc = _window_parts(model.base, -hi, -lo, resolution)
-        out = [(-b, -a) for a, b in ivs]
-        # the truncation marker is a scale about 0, so it carries over to
-        # the mirrored side unchanged: |x| < trunc is unresolved
-        return out, trunc
-    raise UnsupportedGeometryError("window decomposition unsupported")
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -722,22 +803,8 @@ def _window_parts(model, lo, hi, resolution):
 
 
 def is_nonnegative_model(model) -> bool:
-    """Structural check that the set sits in [0, inf)."""
-    if isinstance(model, Lattice):
-        return model.half == "plus" and model.offset >= 0
-    if isinstance(model, Ray):
-        return model.direction == 1 and model.origin >= 0
-    if isinstance(model, (GeometricPoints, GeometricBlocks)):
-        return True
-    if isinstance(model, PeriodicBlocks):
-        return model.offset >= 0
-    if isinstance(model, FiniteUnion):
-        return all(is_nonnegative_model(p) for p in model.parts)
-    if isinstance(model, FiniteModification):
-        return is_nonnegative_model(model.base) and all(
-            a >= 0 for a in model.added
-        )
-    return False
+    """Whether the set sits in [0, inf), read off its lowest component."""
+    return ambient_dim(model) == 1 and next(components(model, -INF))[0] >= 0
 
 
 def gap_bound(model):
@@ -806,10 +873,11 @@ def longest_gap(model, h) -> Fraction:
     # unions and modifications: merge exact window structures
     ws = window_structure(model, ZERO, h)
     best = ZERO
-    prev_hi = ZERO
+    # below a truncation the gaps start at the top of the omitted part
+    prev_hi = ZERO if ws.truncated_below is None else ws.truncated_below
     for lo, hi in ws.intervals:
         best = max(best, lo - prev_hi)
-        prev_hi = hi
+        prev_hi = max(prev_hi, hi)
     best = max(best, h - prev_hi)
     if ws.truncated_below is not None and best < ws.truncated_below:
         raise UnsupportedGeometryError(
@@ -922,90 +990,16 @@ def asymptotic_covering_bound(model, direction: int):
     return None
 
 
-def _ascending_candidates(model, count: int):
-    """First few elements of a bounded-below discrete-or-ray model, ascending.
-
-    Returns None when the minimum side is a continuum edge or unbounded.
-    """
-    if isinstance(model, Lattice) and model.half == "plus":
-        return [model.point(k) for k in range(count)]
-    if isinstance(model, GeometricPoints):
-        return [model.point(model.n0 + k) for k in range(count)]
-    if isinstance(model, PeriodicBlocks):
-        if any(lo < hi for lo, hi in model.blocks):
-            return None
-        out = []
-        k = 0
-        while len(out) < count:
-            base = model.offset + model.period * k
-            for lo, _ in model.blocks:
-                out.append(base + lo)
-            k += 1
-        return out[:count]
-    return None
-
-
 def min_element(model):
     """The set's minimum, or None when absent (unbounded below, or an
     infimum that is not attained)."""
-    if isinstance(model, Lattice):
-        return model.offset if model.half == "plus" else None
-    if isinstance(model, Ray):
-        return model.origin if model.direction == 1 else None
-    if isinstance(model, FullLine):
-        return None
-    if isinstance(model, GeometricPoints):
-        return model.point(model.n0)
-    if isinstance(model, GeometricBlocks):
-        return None  # accumulates at 0, infimum not attained
-    if isinstance(model, PeriodicBlocks):
-        return model.offset + model.blocks[0][0]
-    if isinstance(model, FiniteUnion):
-        mins = [min_element(p) for p in model.parts]
-        if any(m is None for m in mins):
-            return None
-        return min(mins)
-    if isinstance(model, FiniteModification):
-        base_min = min_element(model.base)
-        if base_min is None:
-            return None
-        cands = [a for a in model.added if a not in model.removed]
-        if base_min not in model.removed:
-            cands.append(base_min)
-        else:
-            asc = _ascending_candidates(model.base, len(model.removed) + 2)
-            if asc is None:
-                return None  # removed the closed edge of a continuum
-            cands.extend(p for p in asc if p not in model.removed)
-        return min(cands) if cands else None
-    if isinstance(model, Reflected):
-        top = max_element(model.base)
-        return None if top is None else -top
-    return None
+    low = first_point(model, -INF)
+    return low if low is not None and _member(model, low) else None
 
 
 def max_element(model):
-    if isinstance(model, Lattice):
-        return model.offset if model.half == "minus" else None
-    if isinstance(model, Ray):
-        return model.origin if model.direction == -1 else None
-    if isinstance(model, Reflected):
-        bottom = min_element(model.base)
-        return None if bottom is None else -bottom
-    if isinstance(model, FiniteUnion):
-        tops = [max_element(p) for p in model.parts]
-        if any(t is None for t in tops):
-            return None
-        return max(tops)
-    if isinstance(model, FiniteModification):
-        reflected = FiniteModification(
-            Reflected(model.base),
-            tuple(-a for a in model.added),
-            tuple(-r for r in model.removed),
-        )
-        bottom = min_element(reflected)
-        return None if bottom is None else -bottom
-    return None
+    top = first_point(model, INF, -1)
+    return top if top is not None and _member(model, top) else None
 
 
 # ---------------------------------------------------------------------------
@@ -1017,128 +1011,29 @@ def intersects_open_interval(model, lo, hi) -> bool:
     lo, hi = rat(lo), rat(hi)
     if hi <= lo:
         return False
-    if isinstance(model, Lattice):
-        k = math.floor((lo - model.offset) / model.step) + 1
-        if model.half == "plus":
-            k = max(k, 0)
-        elif model.half == "minus":
-            k_top = math.ceil((hi - model.offset) / model.step) - 1
-            return k <= min(k_top, 0) and model.point(min(k_top, 0)) > lo
-        return model.point(k) < hi
-    if isinstance(model, Ray):
-        if model.direction == 1:
-            return hi > max(lo, model.origin)
-        return lo < min(hi, model.origin) or (lo < model.origin < hi)
-    if isinstance(model, FullLine):
-        return True
-    if isinstance(model, GeometricPoints):
-        if hi <= 0:
+    for c in components(model, lo):
+        if c[0] >= hi:
             return False
-        n = model.n0
-        if lo > 0 and lo / model.c >= model.q**model.n0:
-            n = max(n, ipow_floor_log(model.q, lo / model.c) + 1)
-        return model.point(n) > lo and model.point(n) < hi
-    if isinstance(model, GeometricBlocks):
-        if hi <= 0:
-            return False
-        n = ipow_floor_log(model.q, hi / model.a)
-        if model.a * model.q**n == hi:
-            n -= 1  # block must start strictly before hi
-        return model.b * model.q**n > lo
-    if isinstance(model, PeriodicBlocks):
-        if hi <= model.offset:
-            return False
-        if hi - lo > 2 * model.period:
+        if c[1] > lo:
             return True
-        k_lo = max(0, math.floor((lo - model.offset) / model.period) - 1)
-        k_hi = math.floor((hi - model.offset) / model.period) + 1
-        for k in range(k_lo, k_hi + 1):
-            base = model.offset + model.period * k
-            for blo, bhi in model.blocks:
-                if base + blo < hi and base + bhi > lo:
-                    return True
-        return False
-    if isinstance(model, FiniteUnion):
-        return any(intersects_open_interval(p, lo, hi) for p in model.parts)
-    if isinstance(model, FiniteModification):
-        if any(lo < a < hi and a not in model.removed for a in model.added):
-            return True
-        if not intersects_open_interval(model.base, lo, hi):
-            return False
-        if not model.removed:
-            return True
-        pts = points_in_open_interval(
-            model.base, lo, hi, limit=len(model.removed) + 1
-        )
-        if pts is None:  # a continuum chunk: removals cannot empty it
-            return True
-        return any(p not in model.removed for p in pts)
-    if isinstance(model, Reflected):
-        return intersects_open_interval(model.base, -hi, -lo)
-    raise UnsupportedGeometryError("interval intersection is 1-D only")
+    return False
 
 
 def points_in_open_interval(model, lo, hi, limit: int):
-    """Up to limit set points inside (lo, hi) for discrete models, or None
-    when the intersection contains a continuum."""
+    """The first `limit` set points inside (lo, hi) in increasing order, or
+    None when a continuum of E meets (lo, hi) before `limit` points do."""
     lo, hi = rat(lo), rat(hi)
-    if isinstance(model, Lattice):
-        out = []
-        k = math.floor((lo - model.offset) / model.step) + 1
-        while model.point(k) < hi and len(out) < limit:
-            if model.k_range_ok(k):
-                out.append(model.point(k))
-            k += 1
-            if model.half == "minus" and k > 0:
-                break
-        return out
-    if isinstance(model, GeometricPoints):
-        out = []
-        n = model.n0
-        if lo > 0 and lo / model.c >= model.q**model.n0:
-            n = max(n, ipow_floor_log(model.q, lo / model.c) + 1)
-        while model.point(n) < hi and len(out) < limit:
-            if model.point(n) > lo:
-                out.append(model.point(n))
-            n += 1
-        return out
-    if isinstance(model, (Ray, FullLine, GeometricBlocks)):
-        return None if intersects_open_interval(model, lo, hi) else []
-    if isinstance(model, PeriodicBlocks):
-        if any(blo < bhi for blo, bhi in model.blocks):
-            return None if intersects_open_interval(model, lo, hi) else []
-        out = []
-        k = max(0, math.floor((lo - model.offset) / model.period))
-        while len(out) < limit:
-            base = model.offset + model.period * k
-            if base > hi:
-                break
-            for blo, _ in model.blocks:
-                if lo < base + blo < hi and len(out) < limit:
-                    out.append(base + blo)
-            k += 1
-        return out
-    if isinstance(model, FiniteUnion):
-        out = []
-        for part in model.parts:
-            got = points_in_open_interval(part, lo, hi, limit)
-            if got is None:
-                return None
-            out.extend(got)
-        return sorted(set(out))[:limit]
-    if isinstance(model, FiniteModification):
-        got = points_in_open_interval(model.base, lo, hi,
-                                      limit + len(model.removed))
-        if got is None:
+    out = []
+    for c in components(model, lo):
+        if c[0] >= hi or len(out) >= limit:
+            break
+        if c[1] <= lo:
+            continue
+        if c[0] != c[1] or c[0] is ZERO_ABOVE:
             return None
-        pts = [p for p in got if p not in model.removed]
-        pts += [a for a in model.added
-                if lo < a < hi and a not in model.removed]
-        return sorted(set(pts))[:limit]
-    if isinstance(model, Reflected):
-        got = points_in_open_interval(model.base, -hi, -lo, limit)
-        return None if got is None else sorted(-p for p in got)[:limit]
-    raise UnsupportedGeometryError("point listing unsupported")
+        if not out or out[-1] != c[0]:
+            out.append(c[0])
+    return out
 
 
 # ---------------------------------------------------------------------------

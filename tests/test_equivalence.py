@@ -5,6 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from farfield import (
+    FiniteModification,
+    FiniteUnion,
     FullLine,
     GeometricBlocks,
     GeometricPoints,
@@ -13,6 +15,7 @@ from farfield import (
     PeriodicBlocks,
     PlanarRay,
     Ray,
+    Reflected,
     build_nearest_point_maps,
     check_eps_net,
     conditional_hausdorff,
@@ -167,6 +170,27 @@ def test_sup_distance_known_values():
         got = sup_distance(source, target)
         assert got.kind == "value"
         assert got.value == expected
+
+
+HALF_LATTICE_2_5_8 = Lattice(F(3), F(2), "plus")
+
+
+@pytest.mark.parametrize("source, expected", [
+    (Ray(F(0), 1), F(2)),
+    (FiniteModification(Ray(F(0), 1), removed=(F(0),)), F(2)),
+    (GB412, F(2)),
+    (FiniteUnion((Ray(F(5), 1), GeometricPoints(F(2), F(1, 8), 0))),
+     F(15, 8)),
+])
+def test_sup_distance_counts_the_half_lattice_lead_gap(source, expected):
+    # long runs reach step/2 = 3/2 far out, but the points near the
+    # source's infimum sit up to 2 - inf from the lattice end point 2
+    got = sup_distance(source, HALF_LATTICE_2_5_8)
+    assert got.kind == "value"
+    assert got.value == expected
+    mirrored = sup_distance(Reflected(source), Lattice(F(3), F(-2), "minus"))
+    assert mirrored.kind == "value"
+    assert mirrored.value == expected
 
 
 def test_sup_distance_infinite_cases():

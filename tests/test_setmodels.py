@@ -352,7 +352,7 @@ def test_window_drops_removed_isolated_point():
 
 def test_window_truncation_marker_for_accumulating_blocks():
     gb = GeometricBlocks(F(4), F(1), F(2))
-    ws = window_structure(gb, F(0), F(8), resolution=F(1, 100))
+    ws = window_structure(gb, F(0), F(8))
     assert ws.truncated_below is not None
     assert ws.truncated_below <= F(1, 25)
     # everything reported sits above the marker
@@ -361,8 +361,7 @@ def test_window_truncation_marker_for_accumulating_blocks():
 
 def test_window_intervals_sorted_disjoint():
     for model in SAMPLE_MODELS:
-        res = F(1, 64) if isinstance(model, GeometricBlocks) else None
-        ws = window_structure(model, F(-4), F(10), resolution=res)
+        ws = window_structure(model, F(-4), F(10))
         for (a1, b1), (a2, b2) in zip(ws.intervals, ws.intervals[1:]):
             assert a1 <= b1 < a2 <= b2
 
@@ -407,6 +406,23 @@ def test_min_max_elements():
         == F(9, 2)
     assert min_element(FullLine()) is None
     assert max_element(Ray(F(0), 1)) is None
+
+
+def test_min_max_after_removing_the_minimum():
+    # the minimum is found past removed points of any base, nested or not
+    nested = FiniteModification(
+        FiniteModification(GeometricPoints(F(2), F(1), 0)),
+        added=(F(55, 2), F(20, 3)), removed=(F(4), F(1)))
+    union = FiniteModification(
+        FiniteUnion((GeometricPoints(F(2), F(1), 0),
+                     Lattice(F(3), F(1), "plus"))), removed=(F(1),))
+    assert min_element(nested) == 2
+    assert min_element(union) == 2
+    assert max_element(Reflected(nested)) == -2
+    # an infimum at a removed point or at an accumulation is not attained
+    assert min_element(FiniteModification(Ray(F(0), 1),
+                                          removed=(F(0),))) is None
+    assert min_element(GeometricBlocks(F(4), F(1), F(2))) is None
 
 
 def test_sphere_slice_line_cases():
