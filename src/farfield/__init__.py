@@ -61,6 +61,7 @@ from .setmodels import (
     model_to_dict,
     model_to_json,
     nearest_point,
+    required_window,
     scale_model,
     sphere_slice,
     window_structure,
@@ -142,7 +143,6 @@ from .line import (
     line_isometry_test,
     next_point_ge,
     prev_point_le,
-    required_window,
     scaling_self_similarity,
 )
 

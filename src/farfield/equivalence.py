@@ -10,6 +10,25 @@ Everything the decision procedure certifies is exact rational arithmetic:
 covering-style bounds give `equivalent_exact`, self-similar gap families
 give `not_equivalent` with a diverging witness, and only the explicitly
 non-certified `equivalent_numerical` rests on finite probing.
+
+The covering bound is sup_{z in Z} d(z, Y), taken both ways. Against a
+ray, a lattice or a periodic pattern it is read off the source's component
+cursor, by the first rule that applies:
+1. a source reaching a side of the line that the target does not gives
+   "infinite";
+2. against a ray the distance is monotone, so the sup is the larger
+   distance at the source's finite ends (its first components from -inf
+   and +inf, the accumulation of GeometricBlocks at 0 included);
+3. a source with arbitrarily long runs meets the target's widest gap far
+   out: the sup is the larger of half that gap and the end distances;
+4. a periodic source is walked over both prefixes plus one common period
+   on each side: a point gives its distance, an interval its end
+   distances and half of every target gap centred inside it;
+5. any other source splits into finite points and leaves, each with the
+   points removed above it: periodic leaves go by rule 4, powers c*q^n
+   with integer q against a lattice by their residue orbit, anything
+   else is "unknown".
+A union or modification target is exact only when the sup is 0.
 """
 
 from __future__ import annotations
@@ -41,7 +60,6 @@ from .setmodels import (
 )
 
 ZERO = Fraction(0)
-HALF = Fraction(1, 2)
 
 DEFAULT_GROWTH = Fraction(2)
 DEFAULT_HORIZON = 32
@@ -88,12 +106,9 @@ def is_structural_subset(a, b) -> bool:
         if (is_structural_subset(a.base, b)
                 and all(contains(b, pt) for pt in a.added)):
             return True
-    if isinstance(a, Ray) and isinstance(b, Ray):
-        if a.direction == b.direction:
-            if a.direction == 1:
-                return a.origin >= b.origin
-            return a.origin <= b.origin
-        return False
+    if isinstance(b, Ray):
+        # inside a ray exactly when the end on its open side is past it
+        return b.direction * (_end(a, -b.direction) - b.origin) >= 0
     if isinstance(a, Lattice) and isinstance(b, Lattice):
         ratio = a.step / b.step
         if ratio.denominator != 1:
@@ -107,17 +122,6 @@ def is_structural_subset(a, b) -> bool:
         if a.half == "plus":
             return a.offset >= b.offset
         return a.offset <= b.offset
-    if isinstance(a, Lattice) and isinstance(b, Ray):
-        if b.direction == 1:
-            return a.half == "plus" and a.offset >= b.origin
-        return a.half == "minus" and a.offset <= b.origin
-    if isinstance(a, GeometricPoints) and isinstance(b, Ray):
-        return b.direction == 1 and a.point(a.n0) >= b.origin
-    if isinstance(a, GeometricBlocks) and isinstance(b, Ray):
-        return b.direction == 1 and b.origin <= 0
-    if isinstance(a, PeriodicBlocks) and isinstance(b, Ray):
-        first = a.offset + a.blocks[0][0]
-        return b.direction == 1 and first >= b.origin
     if isinstance(a, GeometricPoints) and isinstance(b, GeometricPoints):
         k = ipow_floor_log(b.q, a.q)
         if k < 1 or b.q ** k != a.q:
@@ -163,27 +167,19 @@ _INF = SupDistance("infinite")
 _UNKNOWN = SupDistance("unknown")
 
 
+def _end(model, side: int):
+    """The infimum (side -1) or supremum (+1) of a 1-D set: the outer end
+    of its first component from that side, side*inf when the set reaches
+    it. The accumulation marker of GeometricBlocks computes as 0."""
+    first = next(setmodels.components(model, side * setmodels.INF, -side))
+    return first[1] if side == 1 else first[0]
+
+
 def _reaches(model, direction: int) -> bool:
     """Whether the set has points arbitrarily far toward direction*inf."""
     if ambient_dim(model) != 1:
         return direction == 1  # planar variants extend along +u only
-    if isinstance(model, FullLine):
-        return True
-    if isinstance(model, Ray):
-        return model.direction == direction
-    if isinstance(model, Lattice):
-        if model.half == "full":
-            return True
-        return (model.half == "plus") == (direction == 1)
-    if isinstance(model, (GeometricPoints, GeometricBlocks, PeriodicBlocks)):
-        return direction == 1
-    if isinstance(model, FiniteUnion):
-        return any(_reaches(p, direction) for p in model.parts)
-    if isinstance(model, FiniteModification):
-        return _reaches(model.base, direction)
-    if isinstance(model, setmodels.Reflected):
-        return _reaches(model.base, -direction)
-    return True  # conservative for unknown variants
+    return _end(model, direction) == direction * setmodels.INF
 
 
 def _has_arbitrarily_long_runs(model) -> bool:
@@ -203,133 +199,126 @@ def _has_arbitrarily_long_runs(model) -> bool:
     return False
 
 
-def _lattice_target_sup(source, target: Lattice) -> SupDistance:
-    """sup over source points of the distance to a lattice."""
-    cap = target.step / 2
-    if target.half != "full":
-        side = 1 if target.half == "plus" else -1
-        if side == 1 and _reaches(source, -1):
-            return _INF
-        if side == -1 and _reaches(source, 1):
-            return _INF
-    if _has_arbitrarily_long_runs(source):
-        # long runs far out reach step/2; a half lattice adds its lead gap,
-        # seen from the source's infimum (supremum) on the open side
-        if target.half == "plus":
-            lead = target.offset - next(
-                setmodels.components(source, -setmodels.INF))[0]
-        elif target.half == "minus":
-            lead = next(setmodels.components(
-                source, setmodels.INF, -1))[1] - target.offset
+def _leaf_target_sup(source, target) -> SupDistance:
+    """sup over the source of the distance to a Ray, Lattice or
+    PeriodicBlocks target, by the rules in the module docstring."""
+    ends = {side: _end(source, side) for side in (-1, 1)}
+    reached = [side for side, end in ends.items()
+               if end == side * setmodels.INF]
+    if not all(_reaches(target, side) for side in reached):
+        return _INF
+    if isinstance(target, Ray) or _has_arbitrarily_long_runs(source):
+        # far out, a ray is at distance 0 and long runs meet the widest gap
+        caps = [setmodels.asymptotic_covering_bound(target, side)
+                for side in reached]
+        return SupDistance("value", max(caps + [
+            distance_to_set(target, Fraction(end))
+            for side, end in ends.items() if side not in reached]))
+    if setmodels.period(source) is not None:
+        best = _periodic_sup(source, target)
+    else:
+        best = _flattened_sup(source, target)
+    return _UNKNOWN if best is None else SupDistance("value", best)
+
+
+def _periodic_sup(source, target):
+    """sup of the distance to the target over a periodic source, or None
+    when the window holds more than WINDOW_CAP components.
+
+    Outside the window of both prefixes (required_window), the source and
+    the distance to the target both repeat with the common period. So every
+    source point has a translate at the same distance within one common
+    period beyond the window on its side, and walking the components that
+    meet the widened window sees the sup.
+    """
+    both = FiniteUnion((source, target))
+    reach = setmodels.required_window(both) + setmodels.period(both)
+    best = ZERO
+    for count, (lo, hi) in enumerate(setmodels.components(source, -reach)):
+        if lo > reach:
+            break
+        if count > setmodels.WINDOW_CAP:
+            return None
+        best = max(best, distance_to_set(target, lo))
+        if hi > lo:
+            best = max(best, distance_to_set(target, hi),
+                       _widest_half_gap(target, lo, hi))
+    return best
+
+
+def _widest_half_gap(target, lo, hi):
+    """The largest half-length of a target gap whose midpoint lies in
+    [lo, hi]: inside an interval the distance peaks only there."""
+    best = ZERO
+    prev = next(setmodels.components(target, lo, -1), None)
+    for c in setmodels.components(target, lo):
+        if prev is not None and c[0] > prev[1] \
+                and lo <= (prev[1] + c[0]) / 2 <= hi:
+            best = max(best, (c[0] - prev[1]) / 2)
+        if c[0] >= hi:
+            break
+        prev = c
+    return best
+
+
+def _flattened_sup(source, target):
+    """sup over a source with a geometric part, leaf by leaf, or None."""
+    points, leaves = set(), []
+    _flatten(source, frozenset(), points, leaves)
+    best = max((distance_to_set(target, pt) for pt in points), default=ZERO)
+    for leaf, removed in leaves:
+        if setmodels.period(leaf) is not None:
+            got = _periodic_sup(
+                FiniteModification(leaf, (), tuple(removed)), target)
+        elif isinstance(leaf, GeometricPoints) and isinstance(target, Lattice):
+            got = _geometric_mod_sup(leaf, target, removed)
         else:
-            lead = ZERO
-        return SupDistance("value", max(cap, lead))
-    if isinstance(source, Lattice):
-        period = _lcm_fraction(source.step, target.step)
-        count = int(period / source.step)
-        # scan whole residue cycles plus any affine boundary stretch of a
-        # half target, so both regimes contribute their exact maxima
-        extra = 0
-        if target.half != "full" and source.half != "full":
-            span = abs(target.offset - source.offset) / source.step
-            if span > 100000:
-                return _UNKNOWN
-            extra = int(span) + 1
-        sign = -1 if source.half == "minus" else 1
-        best = max(distance_to_set(target, source.point(sign * k))
-                   for k in range(2 * count + extra))
-        return SupDistance("value", best)
-    if isinstance(source, GeometricPoints):
-        return _geometric_mod_sup(source, target)
-    if isinstance(source, PeriodicBlocks):
-        if any(lo < hi for lo, hi in source.blocks):
-            # positive-length blocks: sup is reached inside some block or
-            # at its edges; enumerate one common period exactly
-            period = _lcm_fraction(source.period, target.step)
-            reps = int(period / source.period)
-            best = ZERO
-            for k in range(reps):
-                base = source.offset + source.period * k
-                for lo, hi in source.blocks:
-                    best = max(best, _interval_to_lattice_sup(
-                        base + lo, base + hi, target))
-            return SupDistance("value", best)
-        period = _lcm_fraction(source.period, target.step)
-        reps = int(period / source.period)
-        best = max(
-            distance_to_set(target,
-                            source.offset + source.period * k + lo)
-            for k in range(reps) for lo, _ in source.blocks)
-        return SupDistance("value", best)
-    if isinstance(source, FiniteUnion):
-        parts = [_lattice_target_sup(p, target) for p in source.parts]
-        return _combine_sups(parts)
-    if isinstance(source, FiniteModification):
-        inner = _lattice_target_sup(source.base, target)
-        extra = [distance_to_set(target, pt) for pt in source.added]
-        if not inner.finite:
-            return inner
-        best = max([inner.value] + extra)
-        return SupDistance("value", best)
-    return _UNKNOWN
+            return None
+        if got is None:
+            return None
+        best = max(best, got)
+    return best
 
 
-def _interval_to_lattice_sup(lo, hi, target: Lattice):
-    """Exact sup of distance-to-lattice over a closed interval."""
-    if target.half == "full":
-        if hi - lo >= target.step:
-            return target.step / 2
-        cands = [distance_to_set(target, lo), distance_to_set(target, hi)]
-        # interior extremum at the midpoint between two lattice points
-        k = (lo - target.offset) / target.step
-        mid = target.offset + (Fraction(int(k)) + HALF) * target.step
-        while mid < lo:
-            mid += target.step
-        if lo <= mid <= hi:
-            cands.append(target.step / 2)
-        return max(cands)
-    # half lattice: beyond the boundary the distance is affine
-    side = 1 if target.half == "plus" else -1
-    if side == 1 and lo < target.offset:
-        edge = target.offset - lo
-        inner = _interval_to_lattice_sup(max(lo, target.offset), hi,
-                                         Lattice(target.step, target.offset)) \
-            if hi >= target.offset else ZERO
-        return max(edge, inner)
-    if side == -1 and hi > target.offset:
-        edge = hi - target.offset
-        inner = _interval_to_lattice_sup(lo, min(hi, target.offset),
-                                         Lattice(target.step, target.offset)) \
-            if lo <= target.offset else ZERO
-        return max(edge, inner)
-    return _interval_to_lattice_sup(lo, hi,
-                                    Lattice(target.step, target.offset))
+def _flatten(model, removed, points, leaves):
+    """Collect the finite points that modifications add and survive, and
+    the leaves (anything but a union or modification), each with the points
+    removed above it."""
+    if isinstance(model, FiniteUnion):
+        for part in model.parts:
+            _flatten(part, removed, points, leaves)
+    elif isinstance(model, FiniteModification):
+        removed = removed | frozenset(model.removed)
+        points.update(a for a in model.added if a not in removed)
+        _flatten(model.base, removed, points, leaves)
+    else:
+        leaves.append((model, removed))
 
 
-def _geometric_mod_sup(source: GeometricPoints, target: Lattice):
-    """sup over c*q^n of distance to a lattice, via exact residue cycling.
+def _geometric_mod_sup(source: GeometricPoints, target: Lattice, removed):
+    """sup over the points c*q^n outside `removed` of the distance to a
+    lattice, via exact residue cycling, or None.
 
     Needs integer q so the residues of c*q^n modulo the lattice step form
     an eventually periodic integer orbit.
     """
     if source.q.denominator != 1:
-        return _UNKNOWN
+        return None
     q = source.q.numerator
     best = ZERO
-    # fractional-exponent points (n < 0) and any short-side boundary
-    # points are finitely many; handle them by direct evaluation
-    n_first = max(source.n0, 0)
-    for n in range(source.n0, n_first):
-        best = max(best, distance_to_set(target, source.point(n)))
-    if target.half != "full":
-        side = 1 if target.half == "plus" else -1
-        n = n_first
-        while side * (source.point(n) - target.offset) < 0:
-            best = max(best, distance_to_set(target, source.point(n)))
-            n += 1
-            if n - n_first > 256:
-                return _UNKNOWN
-        n_first = n
+    # fractional-exponent points (n < 0), points on the short side of a
+    # half target and points up to the last removed one are finitely many;
+    # evaluate them directly and start the orbit after them
+    side = {"plus": 1, "minus": -1}.get(target.half, 0)
+    last = max(removed, default=ZERO)
+    n = source.n0
+    p = source.point(n)
+    while n < 0 or p <= last or side * (p - target.offset) < 0:
+        if n - max(source.n0, 0) > 256:
+            return None
+        if p not in removed:
+            best = max(best, distance_to_set(target, p))
+        n, p = n + 1, p * q
     # scale to integers: points c*q^n against step s, offset o
     denom = (source.c.denominator * target.step.denominator
              * target.offset.denominator)
@@ -338,9 +327,9 @@ def _geometric_mod_sup(source: GeometricPoints, target: Lattice):
     o_int = target.offset * denom
     modulus = s_int.numerator
     if modulus > 100000:
-        return _UNKNOWN
+        return None
     seen = set()
-    residue = (c_int.numerator * pow(q, n_first, modulus)) % modulus
+    residue = (c_int.numerator * pow(q, n, modulus)) % modulus
     # walk the orbit r -> r*q mod s; once a value repeats the orbit can
     # only revisit seen values, so the max over `seen` is the exact sup
     while residue not in seen:
@@ -349,22 +338,7 @@ def _geometric_mod_sup(source: GeometricPoints, target: Lattice):
         dist = min(shifted, modulus - shifted)
         best = max(best, Fraction(dist, denom))
         residue = (residue * q) % modulus
-    return SupDistance("value", best)
-
-
-def _lcm_fraction(a: Fraction, b: Fraction) -> Fraction:
-    import math as _m
-    num = _m.lcm(a.numerator, b.numerator)
-    den = _m.gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
-
-
-def _combine_sups(parts):
-    if any(p.kind == "infinite" for p in parts):
-        return _INF
-    if any(p.kind == "unknown" for p in parts):
-        return _UNKNOWN
-    return SupDistance("value", max(p.value for p in parts))
+    return best
 
 
 def sup_distance(source, target) -> SupDistance:
@@ -379,10 +353,8 @@ def sup_distance(source, target) -> SupDistance:
         return _sup_distance_2d(source, target)
     if isinstance(target, FullLine):
         return _VALUE0
-    if isinstance(target, Ray):
-        return _ray_target_sup(source, target)
-    if isinstance(target, Lattice):
-        return _lattice_target_sup(source, target)
+    if isinstance(target, (Ray, Lattice, PeriodicBlocks)):
+        return _leaf_target_sup(source, target)
     if isinstance(target, (GeometricPoints, GeometricBlocks)):
         # gaps scale up geometrically; any source reaching far enough on
         # the positive side meets ever-larger gaps, and anything reaching
@@ -390,8 +362,6 @@ def sup_distance(source, target) -> SupDistance:
         if _reaches(source, 1) or _reaches(source, -1):
             return _INF
         return _UNKNOWN
-    if isinstance(target, PeriodicBlocks):
-        return _periodic_target_sup(source, target)
     if isinstance(target, FiniteUnion):
         # distance to a union is <= distance to any part, so only the
         # zero case transfers exactly; anything else would overstate
@@ -406,48 +376,6 @@ def sup_distance(source, target) -> SupDistance:
             if inner.finite:
                 return inner if inner.value == 0 else _UNKNOWN
         return _UNKNOWN
-    return _UNKNOWN
-
-
-def _ray_target_sup(source, target: Ray) -> SupDistance:
-    off_side = -target.direction
-    if _reaches(source, off_side):
-        return _INF
-    # distance is zero past the origin and affine before it; the sup sits
-    # at the source point deepest on the short side
-    if target.direction == 1:
-        bottom = setmodels.min_element(source)
-        if bottom is None:
-            if isinstance(source, GeometricBlocks):
-                # infimum of the source is 0 (not attained); sup of
-                # distance approaches the origin value
-                return SupDistance("value", max(ZERO, target.origin))
-            return _UNKNOWN
-        return SupDistance("value", max(ZERO, target.origin - bottom))
-    top = setmodels.max_element(source)
-    if top is None:
-        return _UNKNOWN
-    return SupDistance("value", max(ZERO, top - target.origin))
-
-
-def _periodic_target_sup(source, target: PeriodicBlocks) -> SupDistance:
-    if _reaches(source, -1):
-        return _INF
-    gaps = [l2 - h1 for (_, h1), (l2, _) in zip(target.blocks,
-                                                target.blocks[1:])]
-    gaps.append(target.period - target.blocks[-1][1] + target.blocks[0][0])
-    cap = max(gaps) / 2
-    if _has_arbitrarily_long_runs(source):
-        bottom = setmodels.min_element(source)
-        if bottom is not None:
-            lead = max(ZERO, distance_to_set(target, bottom))
-        elif isinstance(source, GeometricBlocks):
-            # source accumulates at 0; the sup approaches the distance
-            # from 0 even though no point attains it
-            lead = distance_to_set(target, ZERO)
-        else:
-            return _UNKNOWN
-        return SupDistance("value", max(cap, lead))
     return _UNKNOWN
 
 
@@ -830,30 +758,23 @@ def _find_far_point(source, target, epsilon, budget):
             if d > epsilon:
                 return z, d
         return None
+    # probe ever further out on the side a ray or half lattice leaves empty
     if isinstance(target, Ray):
-        probe = target.origin - target.direction * (epsilon + 1)
-        for m in range(budget):
-            try:
-                z = nearest_point(source, probe, eps=Fraction(1, 10 ** 9))
-            except InputError:
-                return None
-            d = distance_to_set(target, z)
-            if d > epsilon:
-                return z, d
-            probe -= target.direction * (epsilon + 1) * 2 ** m
+        edge, side = target.origin, -target.direction
+    elif isinstance(target, Lattice) and target.half != "full":
+        edge, side = target.offset, -1 if target.half == "plus" else 1
+    else:
         return None
-    if isinstance(target, Lattice) and target.half != "full":
-        side = -1 if target.half == "plus" else 1
-        probe = target.offset + side * (epsilon + 1)
-        for m in range(budget):
-            try:
-                z = nearest_point(source, probe, eps=Fraction(1, 10 ** 9))
-            except InputError:
-                return None
-            d = distance_to_set(target, z)
-            if d > epsilon:
-                return z, d
-            probe += side * (epsilon + 1) * 2 ** m
+    probe = edge + side * (epsilon + 1)
+    for m in range(budget):
+        try:
+            z = nearest_point(source, probe, eps=Fraction(1, 10 ** 9))
+        except InputError:
+            return None
+        d = distance_to_set(target, z)
+        if d > epsilon:
+            return z, d
+        probe += side * (epsilon + 1) * 2 ** m
     return None
 
 

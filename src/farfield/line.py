@@ -26,17 +26,12 @@ from .rationals import fmt, rat
 from .setmodels import (
     FiniteModification,
     FiniteUnion,
-    FullLine,
-    GeometricBlocks,
-    GeometricPoints,
-    Lattice,
-    PeriodicBlocks,
-    Ray,
     Reflected,
     ambient_dim,
     contains,
     distance_to_set,
     first_point,
+    required_window,
     scale_model,
     window_structure,
 )
@@ -47,37 +42,6 @@ DEFAULT_K_SAMPLES = (Fraction(2), Fraction(3), Fraction(1, 2),
                      Fraction(5, 4), Fraction(7, 3))
 
 MAX_MAP_CANDIDATES = 4096
-
-
-# ---------------------------------------------------------------------------
-# Structural window requirements
-
-
-def required_window(model) -> Fraction:
-    """Smallest half-width at which the model's aperiodic prefix plus two
-    repetitions of its regular part are visible, so tails beyond the window
-    are structurally determined."""
-    if isinstance(model, Lattice):
-        return abs(model.offset) + 2 * model.step
-    if isinstance(model, Ray):
-        return abs(model.origin) + 1
-    if isinstance(model, FullLine):
-        return Fraction(1)
-    if isinstance(model, GeometricPoints):
-        return abs(model.point(model.n0 + 1)) + 1
-    if isinstance(model, GeometricBlocks):
-        return model.b * model.q
-    if isinstance(model, PeriodicBlocks):
-        return abs(model.offset) + 2 * model.period
-    if isinstance(model, FiniteUnion):
-        return max(required_window(p) for p in model.parts)
-    if isinstance(model, FiniteModification):
-        extra = [abs(x) + 1 for x in model.added + model.removed]
-        return max([required_window(model.base)] + extra)
-    if isinstance(model, Reflected):
-        return required_window(model.base)
-    raise UnsupportedGeometryError(
-        f"no window law for {type(model).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ the hundreds) stay exact because Fraction sits on Python bigints.
 from __future__ import annotations
 
 import math
+from decimal import Context, Decimal
 from fractions import Fraction
 
 from .errors import InputError
@@ -24,15 +25,15 @@ def rat(value) -> Fraction:
         raise InputError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, float):
+        # a float stands for its shortest repr, as written in a config:
+        # 0.1 is 1/10 and 1e-13 is 1/10**13; nan and inf are rejected below
+        value = repr(value)
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational: {value!r}") from exc
-    if isinstance(value, float):
-        # Floats are accepted only when they are exact (CLI configs should
-        # use strings); the repr round-trip guards against silent noise.
-        return Fraction(value).limit_denominator(10**12)
     raise InputError(f"not a rational: {value!r}")
 
 
@@ -43,7 +44,14 @@ def fmt(value: Fraction) -> str:
 
 def dec(value: Fraction) -> str:
     """Decimal approximation, 12 significant digits, deterministic."""
-    return format(float(Fraction(value)), ".12g")
+    value = Fraction(value)
+    try:
+        return format(float(value), ".12g")
+    except OverflowError:
+        # beyond the float range: round the exact quotient to 12 digits
+        ctx = Context(prec=12)
+        digits = ctx.divide(value.numerator, Decimal(value.denominator))
+        return format(digits.normalize(ctx), ".12g")
 
 
 def flog(value: Fraction) -> float:

@@ -34,6 +34,7 @@ decreasing order of hi. The contract:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -925,31 +926,76 @@ def critical_gap_h_values(model, h_lo, h_hi, cap: int = 512):
     For geometric structure these are where l(h)/h peaks; injecting them
     into an estimator grid makes the probed sup exact."""
     out = set()
-    if isinstance(model, GeometricPoints):
-        if h_hi >= model.point(model.n0):
-            n_hi = ipow_floor_log(model.q, h_hi / model.c)
-            n = n_hi
-            while n >= model.n0 and len(out) < cap:
-                p = model.point(n)
-                if p < h_lo:
-                    break
-                out.add(p)
-                n -= 1
-    elif isinstance(model, GeometricBlocks):
-        n = ipow_floor_log(model.q, h_hi / model.a)
-        while len(out) < cap:
-            p = model.a * model.q**n
-            if p < h_lo:
+    if isinstance(model, (GeometricPoints, GeometricBlocks)):
+        # the points and the block starts, read downward from h_hi
+        for lo, _ in components(model, h_hi, -1):
+            if len(out) >= cap or lo < h_lo:
                 break
-            if p <= h_hi:
-                out.add(p)
-            n -= 1
+            out.add(lo)
     elif isinstance(model, FiniteUnion):
         for part in model.parts:
             out |= set(critical_gap_h_values(part, h_lo, h_hi, cap))
     elif isinstance(model, FiniteModification):
         out |= set(critical_gap_h_values(model.base, h_lo, h_hi, cap))
     return tuple(sorted(out))
+
+
+# ---------------------------------------------------------------------------
+# Structural windows and periods
+
+
+def required_window(model) -> Fraction:
+    """Smallest half-width at which the model's aperiodic prefix plus two
+    repetitions of its regular part are visible, so tails beyond the window
+    are structurally determined."""
+    if isinstance(model, Lattice):
+        return abs(model.offset) + 2 * model.step
+    if isinstance(model, Ray):
+        return abs(model.origin) + 1
+    if isinstance(model, FullLine):
+        return Fraction(1)
+    if isinstance(model, GeometricPoints):
+        return abs(model.point(model.n0 + 1)) + 1
+    if isinstance(model, GeometricBlocks):
+        return model.b * model.q
+    if isinstance(model, PeriodicBlocks):
+        return abs(model.offset) + 2 * model.period
+    if isinstance(model, FiniteUnion):
+        return max(required_window(p) for p in model.parts)
+    if isinstance(model, FiniteModification):
+        extra = [abs(x) + 1 for x in model.added + model.removed]
+        return max([required_window(model.base)] + extra)
+    if isinstance(model, Reflected):
+        return required_window(model.base)
+    raise UnsupportedGeometryError(
+        f"no window law for {type(model).__name__}")
+
+
+def period(model):
+    """A period p > 0 of the set outside [-required_window, required_window]:
+    x and x + p lie both in the set or both outside it whenever both sit on
+    one side of that window. 0 when every p > 0 is one (rays, the full
+    line), None when there is none (the geometric kinds)."""
+    if isinstance(model, (Ray, FullLine)):
+        return ZERO
+    if isinstance(model, Lattice):
+        return model.step
+    if isinstance(model, PeriodicBlocks):
+        return model.period
+    if isinstance(model, FiniteUnion):
+        periods = [period(p) for p in model.parts]
+        return None if None in periods else functools.reduce(_lcm, periods)
+    if isinstance(model, (FiniteModification, Reflected)):
+        return period(model.base)
+    return None
+
+
+def _lcm(a: Fraction, b: Fraction) -> Fraction:
+    """Least common multiple of two rationals, 0 standing for any."""
+    if not a or not b:
+        return a or b
+    return Fraction(math.lcm(a.numerator, b.numerator),
+                    math.gcd(a.denominator, b.denominator))
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,8 @@ def test_malformed_json(tmp_path):
     {},                                      # missing the model entirely
     {"model": {"kind": "no_such_model"}},    # unknown geometry
     {"model": {"kind": "lattice"}},          # lattice without a step
+    {"model": {"kind": "ray", "origin": float("inf")}},  # JSON Infinity
+    {"model": {"kind": "lattice", "step": float("nan"), "offset": "0"}},
 ])
 def test_bad_configs_exit_two(tmp_path, cfg):
     code, _ = run(tmp_path, "porosity", cfg)

@@ -1,8 +1,10 @@
 """Covering bounds, divergence witnesses, and the verdict ladder."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 from farfield import (
     FiniteModification,
@@ -29,6 +31,7 @@ from farfield import (
 )
 from farfield.errors import InputError
 from farfield.seqlab import ClosedFormSpec, GeometricScaling
+from test_setmodels_oracle import LEAVES, oracle, trees
 
 
 def eps_pair_oracle(y_model, z_model, p, t):
@@ -222,6 +225,89 @@ def test_sup_distance_dominates_sampled_points():
             if distance_to_set(target, x) == sup.value:
                 hit = True
         assert hit, "sampling never attained the reported sup"
+
+
+@pytest.mark.parametrize("source, target, expected", [
+    # the removed lattice point 0 no longer counts
+    (FiniteModification(Lattice(F(1), F(0), "plus"), removed=(F(0),)),
+     Lattice(F(1), F(10), "plus"), F(9)),
+    (FiniteModification(PeriodicBlocks(F(1), ((F(0), F(0)),)),
+                        removed=(F(0),)),
+     Lattice(F(1), F(5), "plus"), F(4)),
+    # -9/2 is added by the inner modification and removed by the outer one
+    (FiniteModification(
+        FiniteModification(Lattice(F(5, 2), F(1, 3), "plus"),
+                           added=(F(-9, 2), F(1)),
+                           removed=(F(47, 6), F(17, 6))),
+        added=(F(3, 2), F(-4)), removed=(F(1, 3), F(-9, 2))),
+     Lattice(F(6), F(4, 3), "plus"), F(16, 3)),
+    # a union holding GeometricBlocks reaches down to 0, not attained
+    (FiniteUnion((GB412, GP2)), Ray(F(1), 1), F(1)),
+    (FiniteUnion((GB412, GP2)), PeriodicBlocks(F(2), ((F(1), F(3, 2)),)),
+     F(1)),
+    # the infimum 0 of (0, inf) is not attained
+    (FiniteModification(Ray(F(0), 1), removed=(F(0),)), Ray(F(1), 1), F(1)),
+    # the block [-1, -1/2] holds the midpoint -3/4 of a lattice gap
+    (PeriodicBlocks(F(2), ((F(0), F(1, 2)), (F(1), F(1))), F(-1)),
+     Lattice(F(1), F(-1, 4)), F(1, 2)),
+])
+def test_sup_distance_regressions(source, target, expected):
+    got = sup_distance(source, target)
+    assert got.kind == "value"
+    assert got.value == expected
+
+
+SCAN = F(40)
+TARGETS = LEAVES.filter(lambda m: isinstance(m, (Lattice, Ray,
+                                                 PeriodicBlocks)))
+
+
+def has_geometric_part(model):
+    if isinstance(model, (GeometricPoints, GeometricBlocks)):
+        return True
+    if isinstance(model, FiniteUnion):
+        return any(has_geometric_part(p) for p in model.parts)
+    if isinstance(model, (FiniteModification, Reflected)):
+        return has_geometric_part(model.base)
+    return False
+
+
+def o_reaches(model, side):
+    """Whether the set has points beyond SCAN on that side. Every leaf of
+    the random trees keeps a bounded side within 12 of 0 and has a point
+    in each (r, 4r] toward an unbounded side."""
+    pieces, _ = oracle(model, 4 * SCAN)
+    return any(side * a > SCAN or side * b > SCAN for a, b in pieces)
+
+
+def scanned_sup(source, target):
+    """max of the distance to the target over the source's points in
+    [-SCAN, SCAN] on the grid Z/8, the piece ends, and 0 where the source
+    accumulates. All parameters are multiples of 1/4, so the distance
+    peaks on that grid."""
+    pieces, acc = oracle(source, SCAN)
+    xs = {F(0)} if acc else set()
+    for a, b in pieces:
+        xs |= {a, b} | {F(k, 8) for k in range(math.ceil(a * 8),
+                                                math.floor(b * 8) + 1)}
+    return max(distance_to_set(target, x) for x in xs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=trees(2), target=TARGETS)
+def test_sup_distance_matches_a_window_scan(source, target):
+    got = sup_distance(source, target)
+    runs_off = any(o_reaches(source, side) and not o_reaches(target, side)
+                   for side in (-1, 1))
+    assert (got.kind == "infinite") == runs_off
+    if runs_off:
+        return
+    scanned = scanned_sup(source, target)
+    if has_geometric_part(source):
+        assert got.kind == "unknown" or got.value >= scanned
+    else:
+        # both prefixes plus a common period (at most 6) fit in the scan
+        assert got.kind == "value" and got.value == scanned
 
 
 # -- epsilon curves --------------------------------------------------------
