@@ -22,13 +22,17 @@ cursor, by the first rule that applies:
 3. a source with arbitrarily long runs meets the target's widest gap far
    out: the sup is the larger of half that gap and the end distances;
 4. a periodic source is walked over both prefixes plus one common period
-   on each side: a point gives its distance, an interval its end
-   distances and half of every target gap centred inside it;
+   on each side, in one merged pass with the target's gaps: a component
+   meeting a gap gives the distance at its point nearest the gap's
+   midpoint;
 5. any other source splits into finite points and leaves, each with the
    points removed above it: periodic leaves go by rule 4, powers c*q^n
    with integer q against a lattice by their residue orbit, anything
    else is "unknown".
-A union or modification target is exact only when the sup is 0.
+Against a GeometricPoints or GeometricBlocks target, a source whose leaves
+lie inside it, up to finitely many points, has the largest distance of
+those points as its sup. A union or modification target is exact only
+when the sup is 0.
 """
 
 from __future__ import annotations
@@ -228,37 +232,51 @@ def _periodic_sup(source, target):
     Outside the window of both prefixes (required_window), the source and
     the distance to the target both repeat with the common period. So every
     source point has a translate at the same distance within one common
-    period beyond the window on its side, and walking the components that
-    meet the widened window sees the sup.
+    period beyond the window on its side, and one merged walk of the source
+    components that meet the widened window and the target gaps sees the
+    sup: over the part of [lo, hi] inside a gap (g1, g2) the distance peaks
+    at the point nearest the gap's midpoint.
     """
     both = FiniteUnion((source, target))
     reach = setmodels.required_window(both) + setmodels.period(both)
-    best = ZERO
+    best, gaps = ZERO, None
     for count, (lo, hi) in enumerate(setmodels.components(source, -reach)):
         if lo > reach:
             break
         if count > setmodels.WINDOW_CAP:
             return None
-        best = max(best, distance_to_set(target, lo))
-        if hi > lo:
-            best = max(best, distance_to_set(target, hi),
-                       _widest_half_gap(target, lo, hi))
+        if gaps is None:
+            gaps = _gaps(target, lo)
+            g1, g2 = next(gaps)
+        # components come in order of lo: a gap passed on an earlier one
+        # meets this one only inside the earlier one
+        while g2 <= lo:
+            g1, g2 = next(gaps)
+        while g1 < hi:  # the gap meets [lo, hi]
+            if g1 == -setmodels.INF:
+                best = max(best, g2 - lo)
+            elif g2 == setmodels.INF:
+                best = max(best, hi - g1)
+            else:
+                x = min(max((g1 + g2) / 2, lo), hi)
+                best = max(best, min(x - g1, g2 - x))
+            if g2 > hi:
+                break
+            g1, g2 = next(gaps)
     return best
 
 
-def _widest_half_gap(target, lo, hi):
-    """The largest half-length of a target gap whose midpoint lies in
-    [lo, hi]: inside an interval the distance peaks only there."""
-    best = ZERO
-    prev = next(setmodels.components(target, lo, -1), None)
-    for c in setmodels.components(target, lo):
-        if prev is not None and c[0] > prev[1] \
-                and lo <= (prev[1] + c[0]) / 2 <= hi:
-            best = max(best, (c[0] - prev[1]) / 2)
-        if c[0] >= hi:
-            break
-        prev = c
-    return best
+def _gaps(target, x):
+    """The open gaps (g1, g2) of a Lattice or PeriodicBlocks target in
+    increasing order, from the one that ends past x on; an unbounded end
+    is -inf or +inf."""
+    g1 = next((c[1] for c in setmodels.components(target, x, -1)
+               if c[1] < x), -setmodels.INF)
+    for lo, hi in setmodels.components(target, x):
+        if lo > g1:
+            yield g1, lo
+        g1 = hi
+    yield g1, setmodels.INF
 
 
 def _flattened_sup(source, target):
@@ -278,6 +296,26 @@ def _flattened_sup(source, target):
             return None
         best = max(best, got)
     return best
+
+
+def _geometric_target_sup(source, target):
+    """sup over a source that lies inside a geometric target up to
+    finitely many points, or None: every leaf must lie inside the target,
+    or be a GeometricPoints of the target's base and coefficient that does
+    once its points below the target's first are dropped. The sup is then
+    the largest distance over the finitely many points left outside."""
+    points, leaves = set(), []
+    _flatten(source, frozenset(), points, leaves)
+    for leaf, removed in leaves:
+        if is_structural_subset(leaf, target):
+            continue
+        if not (isinstance(leaf, GeometricPoints)
+                and isinstance(target, GeometricPoints)
+                and (leaf.q, leaf.c) == (target.q, target.c)):
+            return None
+        points.update(p for p in map(leaf.point, range(leaf.n0, target.n0))
+                      if p not in removed)
+    return max((distance_to_set(target, pt) for pt in points), default=ZERO)
 
 
 def _flatten(model, removed, points, leaves):
@@ -356,6 +394,9 @@ def sup_distance(source, target) -> SupDistance:
     if isinstance(target, (Ray, Lattice, PeriodicBlocks)):
         return _leaf_target_sup(source, target)
     if isinstance(target, (GeometricPoints, GeometricBlocks)):
+        best = _geometric_target_sup(source, target)
+        if best is not None:
+            return SupDistance("value", best)
         # gaps scale up geometrically; any source reaching far enough on
         # the positive side meets ever-larger gaps, and anything reaching
         # left of the set diverges outright

@@ -17,6 +17,13 @@ over a geometric h-grid (quarter-dyadic rational stand-ins) with the
 structurally critical horizons injected. The estimator reports the probed
 sup only; it never certifies nonporosity, and it is meaningful as a limsup
 proxy once the horizon dwarfs the model's structural scale.
+
+The grid is probed in one `setmodels.longest_gaps` call. A leaf answers
+each horizon by its closed form; a union or modification is walked once,
+ascending from 0 across the sorted grid with the running longest gap and
+right end. Where GeometricBlocks accumulates at 0, l(h) counts only the
+gaps above the truncation scale trunc(h) < h/2**20, and a horizon whose
+longest gap is shorter than trunc(h) raises UnsupportedGeometryError.
 """
 
 from __future__ import annotations
@@ -89,8 +96,8 @@ def _probe(model, horizon_exponent: int):
     trace = []
     best = Fraction(0)
     witness = []
-    for h in _grid(model, horizon_exponent):
-        gap = sm.longest_gap(model, h)
+    hs = _grid(model, horizon_exponent)
+    for h, gap in zip(hs, sm.longest_gaps(model, hs)):
         ratio = gap / h
         trace.append((h, gap, ratio))
         if ratio > best:

@@ -30,6 +30,14 @@ decreasing order of hi. The contract:
   Reflection turns it into ZERO_BELOW.
 - From x = -inf ascending (+inf descending), a side that is unbounded
   yields (x, x) first, so the first component answers min/max questions.
+
+The porosity probe's gap search, `longest_gaps(model, hs)`, answers an
+ascending horizon list in one ascending walk of the cursor from 0 for
+unions and modifications (leaves keep their closed forms). Where the set
+accumulates at 0, each horizon h is read as its window [0, h] is: the
+components at 0, then those above the truncation scale trunc(h) (below
+h/2**20), and the search is inconclusive when the longest gap is shorter
+than trunc(h).
 """
 
 from __future__ import annotations
@@ -776,13 +784,19 @@ def _window(model, lo, hi):
     and the truncation scale (None when nothing was summarized)."""
     out, trunc = [], None
     if _take(components(model, lo), hi, out):
-        # accumulation at 0 from above: list exactly from the lowest
-        # positive component reaching the scale; the rest is in (0, trunc]
-        below = components(model, hi / 2**20, -1)
-        start = next(c for c in below if c[0] > 0)[0]
-        trunc = next(c for c in below if c[1] < start)[1]
+        start, trunc = _truncation(model, hi)
         _take((c for c in components(model, start) if c[0] > 0), hi, out)
     return out, trunc
+
+
+def _truncation(model, hi):
+    """(start, trunc) for a window up to hi over an accumulation at 0 from
+    above: the window lists exactly the components with hi >= start, the
+    lo of the lowest positive component reaching the scale hi/2**20, and
+    every component below them lies in (0, trunc]."""
+    below = components(model, hi / 2**20, -1)
+    start = next(c for c in below if c[0] > 0)[0]
+    return start, next(c for c in below if c[1] < start)[1]
 
 
 def _take(comps, hi, out) -> bool:
@@ -871,20 +885,70 @@ def longest_gap(model, h) -> Fraction:
         return max(full_below, h - model.b * model.q**n)
     if isinstance(model, PeriodicBlocks):
         return _periodic_longest_gap(model, h)
-    # unions and modifications: merge exact window structures
-    ws = window_structure(model, ZERO, h)
-    best = ZERO
-    # below a truncation the gaps start at the top of the omitted part
-    prev_hi = ZERO if ws.truncated_below is None else ws.truncated_below
-    for lo, hi in ws.intervals:
-        best = max(best, lo - prev_hi)
-        prev_hi = max(prev_hi, hi)
-    best = max(best, h - prev_hi)
-    if ws.truncated_below is not None and best < ws.truncated_below:
-        raise UnsupportedGeometryError(
-            "gap search inconclusive below the truncation scale"
-        )
-    return best
+    return longest_gaps(model, (h,))[0]
+
+
+_GAP_LEAVES = (Ray, Lattice, GeometricPoints, GeometricBlocks, PeriodicBlocks)
+
+
+def longest_gaps(model, hs) -> list:
+    """longest_gap(model, h) for every h of an ascending horizon list.
+
+    A leaf answers each h by its closed form. Any other model is walked
+    once: its components ascending from 0, carrying the running longest
+    gap and the running right end from one horizon to the next.
+
+    Where the set accumulates at 0 from above, l(h) is read as on
+    `window_structure(model, 0, h)`: the components at 0 and those with
+    hi >= start(h), gaps counted from trunc(h) (see `_truncation`), and
+    "inconclusive" when l(h) < trunc(h). The walk starts at the start of
+    the smallest h, so for a larger h it also sees gaps below trunc(h);
+    each is shorter than trunc(h), so it cannot change an answer that
+    passes that check. The walk raises "too rich" at the first h whose
+    window would list more than WINDOW_CAP components.
+    """
+    hs = [rat(h) for h in hs]
+    if any(b < a for a, b in zip(hs, hs[1:])):
+        raise InputError("gap horizons must ascend")
+    if isinstance(model, _GAP_LEAVES) or not hs:
+        return [longest_gap(model, h) for h in hs]
+    if hs[0] <= 0:
+        raise InputError("gap horizon must be positive")
+    if not is_nonnegative_model(model):
+        raise InputError("gap search needs a model inside [0, inf)")
+    walk = components(model, ZERO)
+    at_zero, prev_hi, c = 0, ZERO, next(walk, None)
+    while c is not None and c[0] == 0:  # listed at every h
+        at_zero, prev_hi = at_zero + 1, max(prev_hi, c[1])
+        c = next(walk, None)
+    start, trunc = ZERO, None
+    if c is not None and c[0] is ZERO_ABOVE:
+        start, trunc = _truncation(model, hs[0])
+        prev_hi = max(prev_hi, trunc)
+        walk = (k for k in components(model, start) if k[0] > 0)
+        c = next(walk)
+    best, kept, out = ZERO, [], []  # kept: right ends h's window lists
+    for h in hs:
+        if trunc is not None:
+            start, trunc = _truncation(model, h)
+            while kept and kept[0] < start:
+                heapq.heappop(kept)
+        while c is not None and c[0] <= h:
+            if c[0] > prev_hi:  # prev_hi may be inf: no float arithmetic
+                best = max(best, c[0] - prev_hi)
+            prev_hi = max(prev_hi, c[1])
+            if c[1] >= start:
+                heapq.heappush(kept, c[1])
+                if at_zero + len(kept) > WINDOW_CAP:
+                    raise UnsupportedGeometryError("window structure too rich")
+            c = next(walk, None)
+        gap = max(best, h - min(prev_hi, h))
+        if trunc is not None and gap < trunc:
+            raise UnsupportedGeometryError(
+                "gap search inconclusive below the truncation scale"
+            )
+        out.append(gap)
+    return out
 
 
 def _periodic_longest_gap(model: PeriodicBlocks, h: Fraction) -> Fraction:

@@ -257,6 +257,35 @@ def test_sup_distance_regressions(source, target, expected):
     assert got.value == expected
 
 
+GP2_PLUS_3 = FiniteModification(GP2, added=(F(3),))
+
+
+@pytest.mark.parametrize("source, target, expected", [
+    # the source lies in the target up to finitely many points
+    (GP2_PLUS_3, GP2, F(1)),
+    (GeometricPoints(F(2), F(1), 0), GeometricPoints(F(2), F(1), 3), F(7)),
+    (FiniteModification(GeometricPoints(F(2), F(1), 0), removed=(F(1),)),
+     GeometricPoints(F(2), F(1), 3), F(6)),
+    (FiniteUnion((GeometricPoints(F(4), F(1), 0), FiniteModification(
+        GP2, added=(F(3, 2), F(5))))), GP2, F(1)),
+    (FiniteModification(GB412, added=(F(3),)), GB412, F(1)),
+])
+def test_sup_distance_against_a_geometric_target(source, target, expected):
+    got = sup_distance(source, target)
+    assert got.kind == "value"
+    assert got.value == expected
+
+
+def test_geometric_target_with_finitely_many_extra_points():
+    assert conditional_hausdorff(GP2_PLUS_3, GP2, GP2_PLUS_3, GP2).value \
+        == F(1)
+    verdict = decide_strong_equivalence(GP2, GP2_PLUS_3)
+    assert verdict.status == "equivalent_exact" and verdict.bound == F(1)
+    # a leaf outside the target still diverges
+    assert sup_distance(GeometricPoints(F(3), F(1), 0), GP2).kind \
+        == "infinite"
+
+
 SCAN = F(40)
 TARGETS = LEAVES.filter(lambda m: isinstance(m, (Lattice, Ray,
                                                  PeriodicBlocks)))

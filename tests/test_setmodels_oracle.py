@@ -5,7 +5,9 @@ leaves are checked against a brute-force oracle. The oracle lists each
 leaf's components by its index formula inside [-B, B] (GeometricBlocks down
 to the scale TINY, plus the side from which it accumulates at 0), applies
 the combinators to those finite lists and answers every query by scanning
-them; it never goes through the cursor.
+them; it never goes through the cursor. The porosity walk `longest_gaps` is
+also checked against per-horizon window decompositions on random
+nonnegative trees.
 """
 
 import math
@@ -25,17 +27,21 @@ from farfield import (
     PeriodicBlocks,
     Ray,
     Reflected,
+    InputError,
     UnsupportedGeometryError,
     contains,
     distance_to_set,
     longest_gap,
+    longest_gaps,
     max_element,
     min_element,
     nearest_point,
     next_point_ge,
     prev_point_le,
+    porosity_at_infinity,
     window_structure,
 )
+from farfield import setmodels
 from farfield.setmodels import (
     intersects_open_interval,
     is_nonnegative_model,
@@ -331,3 +337,168 @@ def test_derived_queries_match_the_oracle(model, xs, spans, limit):
                 assert acc, "only a truncated window may stay inconclusive"
             else:
                 assert gap == o_longest_gap(pieces, acc, hi), hi
+
+
+# ---------------------------------------------------------------------------
+# The porosity walk against per-horizon windows
+
+
+NONNEG_LEAVES = st.one_of(
+    st.builds(Lattice, st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)]),
+              fractions(0, 2, 4), st.just("plus")),
+    st.builds(Ray, fractions(0, 6, 2), st.just(1)),
+    st.builds(GeometricPoints, st.sampled_from([F(3, 2), F(2), F(3)]),
+              st.sampled_from([F(1, 4), F(1, 2), F(1), F(3, 2)]),
+              st.integers(-2, 2)),
+    st.sampled_from([GeometricBlocks(F(q), F(1), b) for q, b in (
+        (2, F(3, 2)), (2, F(2)), (3, F(5, 4)), (3, F(2)), (4, F(2)))]),
+    st.builds(PeriodicBlocks, st.sampled_from([F(2), F(3)]),
+              st.sampled_from([((F(0), F(0)),), ((F(1, 2), F(1)),),
+                               ((F(0), F(1, 2)), (F(1), F(1)))]),
+              fractions(0, 2, 2)),
+)
+# removed points aimed at block ends, geometric points and 0
+NONNEG_HITS = st.one_of(fractions(0, 8, 4), st.sampled_from(
+    [F(0), F(1, 4), F(1, 2), F(1), F(3, 2), F(2), F(9, 4), F(3), F(4)]))
+
+
+def nonneg_trees(depth):
+    if depth == 0:
+        return NONNEG_LEAVES
+    sub = nonneg_trees(depth - 1)
+    return st.one_of(
+        st.lists(sub, min_size=2, max_size=3).map(
+            lambda parts: FiniteUnion(tuple(parts))),
+        st.builds(lambda base, added, removed: FiniteModification(
+            base, tuple(added), tuple(removed)),
+            sub, st.lists(fractions(0, 20, 4), max_size=2),
+            st.lists(NONNEG_HITS, max_size=3)),
+    )
+
+
+def window_gap(model, h):
+    """l(h) read off the window decomposition of [0, h], one window per
+    horizon: gaps counted from the truncation scale, inconclusive below
+    it."""
+    ws = window_structure(model, F(0), h)
+    trunc = ws.truncated_below
+    best = F(0)
+    prev = F(0) if trunc is None else trunc
+    for lo, hi in ws.intervals:
+        best = max(best, lo - prev)
+        prev = max(prev, hi)
+    best = max(best, h - prev)
+    if trunc is not None and best < trunc:
+        raise UnsupportedGeometryError(
+            "gap search inconclusive below the truncation scale")
+    return best
+
+
+def per_horizon(model, hs):
+    """(gaps, message): window_gap up to the first horizon that raises,
+    and that error's message (None when none does)."""
+    gaps = []
+    for h in hs:
+        try:
+            gaps.append(window_gap(model, h))
+        except UnsupportedGeometryError as exc:
+            return gaps, str(exc)
+    return gaps, None
+
+
+def assert_walk_matches_windows(model, hs):
+    """The walk gives the per-horizon gaps, or raises the same error at
+    the same horizon; returns per_horizon's answer."""
+    gaps, message = per_horizon(model, hs)
+    if message is None:
+        assert longest_gaps(model, hs) == gaps
+    else:
+        with pytest.raises(UnsupportedGeometryError) as raised:
+            longest_gaps(model, hs)
+        assert str(raised.value) == message
+        assert longest_gaps(model, hs[:len(gaps)]) == gaps
+    return gaps, message
+
+
+HORIZONS = st.sets(st.integers(1, 1600), min_size=1, max_size=6).map(
+    lambda ks: [F(k, 8) for k in sorted(ks)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=nonneg_trees(3), hs=HORIZONS,
+       cap=st.sampled_from([60, setmodels.WINDOW_CAP]))
+def test_longest_gaps_walk_matches_the_windows_and_the_oracle(model, hs,
+                                                              cap):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(setmodels, "WINDOW_CAP", cap)
+        gaps, message = assert_walk_matches_windows(model, hs)
+    pieces, acc = oracle(model)
+    for h, gap in zip(hs, gaps):
+        assert gap == o_longest_gap(pieces, acc, h), h
+    if message is not None and cap > 60:
+        assert acc, "only a truncated window may stay inconclusive"
+
+
+GB2 = GeometricBlocks(F(2), F(1), F(3, 2))
+GP2 = GeometricPoints(F(2), F(1), 0)
+
+
+@pytest.mark.parametrize("model, hs, expected", [
+    # 41 lattice points up to 20, 81 up to 40
+    (FiniteUnion((Lattice(F(1, 2), F(0), "plus"), GP2)),
+     [F(1), F(10), F(20), F(40), F(80)], [F(1, 2)] * 3),
+    # the window up to 2**30 lists only the blocks above 2**10, while the
+    # walk from the scale of h = 1 has passed 20 blocks more
+    (FiniteUnion((GB2, GP2)), [F(1), F(2) ** 30], [F(1, 4), F(2) ** 28]),
+    (FiniteUnion((GB2, Lattice(F(1), F(0), "plus"))),
+     [F(1), F(16), F(32), F(64)], [F(1, 4), F(1), F(1)]),
+    (FiniteModification(FiniteUnion((GB2, GeometricPoints(F(3), F(1), 0))),
+                        added=(F(5),), removed=(F(1),)),
+     [F(1, 4), F(3), F(2) ** 20, F(2) ** 40],
+     [F(1, 16), F(1, 2), F(2) ** 18, F(252223018333)]),
+])
+def test_longest_gaps_applies_the_window_cap_as_the_windows_do(
+        monkeypatch, model, hs, expected):
+    monkeypatch.setattr(setmodels, "WINDOW_CAP", 60)
+    assert_walk_matches_windows(model, hs)
+    if len(expected) < len(hs):
+        with pytest.raises(UnsupportedGeometryError,
+                           match="window structure too rich"):
+            longest_gaps(model, hs)
+    assert longest_gaps(model, hs[:len(expected)]) == expected
+
+
+def test_longest_gaps_keeps_the_components_at_zero():
+    # [0, inf) covers every gap; without it the blocks would leave gaps
+    model = FiniteUnion((Ray(F(0), 1), GB2))
+    with pytest.raises(UnsupportedGeometryError, match="truncation"):
+        longest_gaps(model, [F(1, 8)])
+    with pytest.raises(UnsupportedGeometryError, match="truncation"):
+        longest_gap(model, F(1, 8))
+
+
+@pytest.mark.parametrize("model", [
+    GP2, FiniteUnion((GP2, Lattice(F(1), F(0), "plus")))])
+def test_longest_gaps_rejects_descending_horizons(model):
+    with pytest.raises(InputError, match="ascend"):
+        longest_gaps(model, [F(2), F(1)])
+
+
+def test_porosity_of_the_pinned_union_lists_no_window(monkeypatch):
+    calls = {"window_structure": 0, "longest_gaps": 0}
+
+    def counted(name):
+        original = getattr(setmodels, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(setmodels, name, counted(name))
+    model = FiniteUnion((GeometricPoints(F(12, 11), F(1), 0),
+                         GeometricPoints(F(12, 11), F(23, 22), 0)))
+    result = porosity_at_infinity(model, 180)
+    assert calls == {"window_structure": 0, "longest_gaps": 1}
+    assert result.value == F(1, 23) and len(result.trace) == 100
