@@ -86,6 +86,22 @@ def _normalize_point(p, dim):
 # Structural subset test (conservative: False when not certain)
 
 
+def _base_power(q, base):
+    """The k >= 1 with base**k == q, or None."""
+    k = ipow_floor_log(base, q)
+    return k if k >= 1 and base ** k == q else None
+
+
+def _points_shift(a: GeometricPoints, b: GeometricPoints):
+    """(k, j) such that point n of `a` is c*q**(j + k*n) in the progression
+    of `b` (before `b` drops its indices below b.n0), or None."""
+    k = _base_power(a.q, b.q)
+    if k is None:
+        return None
+    j = ipow_floor_log(b.q, a.c / b.c)
+    return (k, j) if b.c * b.q ** j == a.c else None
+
+
 def is_structural_subset(a, b) -> bool:
     """Whether every point of `a` provably lies in `b`.
 
@@ -127,15 +143,10 @@ def is_structural_subset(a, b) -> bool:
             return a.offset >= b.offset
         return a.offset <= b.offset
     if isinstance(a, GeometricPoints) and isinstance(b, GeometricPoints):
-        k = ipow_floor_log(b.q, a.q)
-        if k < 1 or b.q ** k != a.q:
-            return False
-        j = ipow_floor_log(b.q, a.c / b.c)
-        if b.c * b.q ** j != a.c:
-            return False
-        return j + k * a.n0 >= b.n0
+        shift = _points_shift(a, b)
+        return shift is not None and shift[1] + shift[0] * a.n0 >= b.n0
     if isinstance(a, GeometricBlocks) and isinstance(b, GeometricBlocks):
-        if a.q != b.q:
+        if _base_power(a.q, b.q) is None:
             return False
         # blocks of a sit inside blocks of b at some aligned power
         j = ipow_floor_log(b.q, a.a / b.a)
@@ -301,19 +312,24 @@ def _flattened_sup(source, target):
 def _geometric_target_sup(source, target):
     """sup over a source that lies inside a geometric target up to
     finitely many points, or None: every leaf must lie inside the target,
-    or be a GeometricPoints of the target's base and coefficient that does
-    once its points below the target's first are dropped. The sup is then
-    the largest distance over the finitely many points left outside."""
+    or be a GeometricPoints whose progression is part of the target's
+    (base target.q**k, coefficient target.c*target.q**j), which does once
+    its points below the target's first are dropped. The sup is then the
+    largest distance over the finitely many points left outside."""
     points, leaves = set(), []
     _flatten(source, frozenset(), points, leaves)
     for leaf, removed in leaves:
         if is_structural_subset(leaf, target):
             continue
-        if not (isinstance(leaf, GeometricPoints)
-                and isinstance(target, GeometricPoints)
-                and (leaf.q, leaf.c) == (target.q, target.c)):
+        shift = (_points_shift(leaf, target)
+                 if isinstance(leaf, GeometricPoints)
+                 and isinstance(target, GeometricPoints) else None)
+        if shift is None:
             return None
-        points.update(p for p in map(leaf.point, range(leaf.n0, target.n0))
+        k, j = shift
+        # leaf point n is a target point once j + k*n >= target.n0
+        stop = -((j - target.n0) // k)
+        points.update(p for p in map(leaf.point, range(leaf.n0, stop))
                       if p not in removed)
     return max((distance_to_set(target, pt) for pt in points), default=ZERO)
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, UnsupportedGeometryError
 from .rationals import rat
 from . import setmodels as sm
 
@@ -118,7 +118,14 @@ def horizon_estimate(model, horizon_exponent: int = DEFAULT_HORIZON_EXPONENT) ->
 def porosity_at_infinity(model, horizon_exponent: int = DEFAULT_HORIZON_EXPONENT) -> PorosityResult:
     """Exact value when the variant has a closed form, else the probed sup."""
     closed = _exact_closed_form(model) if sm.is_nonnegative_model(model) else None
-    best, witness, trace = _probe(model, horizon_exponent)
+    try:
+        best, witness, trace = _probe(model, horizon_exponent)
+    except UnsupportedGeometryError as exc:
+        if closed is None or closed[0] != 0:
+            raise
+        # a gap bound certifies the value without the probe's evidence
+        return PorosityResult(closed[0], "exact", (), (),
+                              f"{closed[2]}; grid probe skipped: {exc}")
     if closed is not None:
         value, _, note = closed
         return PorosityResult(value, "exact", witness, trace, note)

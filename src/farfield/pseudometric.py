@@ -5,8 +5,9 @@ zero-distance classes gives the metric identification; the induced distance
 does not depend on representatives, and this module re-verifies that instead
 of assuming it. A pseudoisometry is a distance-preserving map whose image
 meets every zero class of the target; two spaces admit one exactly when
-their metric identifications are isometric, which is what the exhaustive
-searches here decide for small spaces.
+their metric identifications are isometric, which is what the map
+searches here decide for small spaces, by depth-first search in
+brute-force order.
 """
 
 from __future__ import annotations
@@ -210,30 +211,79 @@ def is_pseudoisometry(mapping: dict, src: FinitePseudometricSpace,
     return True
 
 
+def _first_map(src: FinitePseudometricSpace, dst: FinitePseudometricSpace,
+               injective: bool):
+    """The first src -> dst map in brute-force (lexicographic) order that
+    preserves every distance and meets every zero class of dst, injective
+    when asked, or None.
+
+    Depth-first: src points are assigned in label order and dst points
+    tried in label order, so the first complete map is the one the full
+    enumeration reaches first. A partial map is dropped at the first
+    distance it breaks, or once fewer src points remain than zero classes
+    of dst left to meet. A bijection meets every class, so that count never
+    drops an injective map between spaces of equal size.
+    """
+    n, m = len(src), len(dst)
+    sd, dd = src.dist, dst.dist
+    classes = zero_classes(dst)
+    class_of = [next(k for k, block in enumerate(classes) if y in block)
+                for y in dst.labels]
+    met = [0] * len(classes)  # images in each zero class of dst
+    image: list[int] = []
+
+    def extend(i, unmet):
+        if i == n:
+            return unmet == 0
+        for y in range(m):
+            if injective and y in image:
+                continue
+            if any(dd[image[j]][y] != sd[j][i] for j in range(i)):
+                continue
+            left = unmet - (met[class_of[y]] == 0)
+            if left > n - i - 1:
+                continue
+            image.append(y)
+            met[class_of[y]] += 1
+            if extend(i + 1, left):
+                return True
+            met[class_of[y]] -= 1
+            image.pop()
+        return False
+
+    if not extend(0, len(classes)):
+        return None
+    return dict(zip(src.labels, (dst.labels[y] for y in image)))
+
+
 def exists_pseudoisometry(src: FinitePseudometricSpace,
                           dst: FinitePseudometricSpace,
                           bound: int = DEFAULT_SEARCH_BOUND):
-    """Exhaustive map search; returns a witness dict or None.
+    """Depth-first map search in brute-force order; a witness dict or None.
 
-    The search space is |dst|**|src| maps, so both sizes are capped.
+    Returns the first pseudoisometry of the |dst|**|src| maps in
+    lexicographic order, as the full enumeration would, and re-checks it
+    with is_pseudoisometry. Both sizes are capped.
     """
     if len(src) > bound or len(dst) > bound:
         raise SearchBudgetExceeded(
             f"space size exceeds search bound {bound}"
         )
-    for assignment in itertools.product(dst.labels, repeat=len(src)):
-        mapping = dict(zip(src.labels, assignment))
-        if is_pseudoisometry(mapping, src, dst):
-            return mapping
-    return None
+    mapping = _first_map(src, dst, injective=False)
+    if mapping is not None and not is_pseudoisometry(mapping, src, dst):
+        raise InternalInvariantError(
+            f"map search returned a non-pseudoisometry: {mapping}"
+        )
+    return mapping
 
 
 def exists_isometry(a: FinitePseudometricSpace, b: FinitePseudometricSpace,
                     bound: int = 8):
     """Bijective distance-preserving map between metric spaces, or None.
 
-    Prunes by cardinality and by the sorted distance multiset before trying
-    permutations.
+    Prunes by cardinality and by the sorted distance multiset, then runs a
+    depth-first search in brute-force order: the first isometry among the
+    permutations of b's labels in lexicographic order.
     """
     if len(a) != len(b):
         return None
@@ -247,14 +297,7 @@ def exists_isometry(a: FinitePseudometricSpace, b: FinitePseudometricSpace,
     )
     if multiset_a != multiset_b:
         return None
-    for perm in itertools.permutations(b.labels):
-        mapping = dict(zip(a.labels, perm))
-        if all(
-            b.d(mapping[x], mapping[y]) == a.d(x, y)
-            for x, y in itertools.combinations(a.labels, 2)
-        ):
-            return mapping
-    return None
+    return _first_map(a, b, injective=True)
 
 
 # ---------------------------------------------------------------------------

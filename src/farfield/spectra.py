@@ -121,6 +121,15 @@ class SpectrumVerdict:
 
 def window_hits(model, p, t, epsilon, scaling, horizon: int) -> tuple:
     """Indices n (1-based) whose window ((t-eps)r_n, (t+eps)r_n) meets Sp."""
+    t, epsilon, probe = _window_probe(model, p, t, epsilon, horizon)
+    return _scan(probe, t, epsilon, _radii(scaling, horizon))
+
+
+def _window_probe(model, p, t, epsilon, horizon: int):
+    """Checked (t, eps, probe) for a window scan. The probe is a 1-D model,
+    the base point its distances are measured from, and whether the set
+    sits on one side of that point (p = 0 and a nonnegative set), so the
+    mirrored window left of p cannot hit."""
     t, epsilon = rat(t), rat(epsilon)
     if t < 0:
         raise InputError("spectrum point t must be nonnegative")
@@ -130,28 +139,34 @@ def window_hits(model, p, t, epsilon, scaling, horizon: int) -> tuple:
         raise InputError("horizon must be at least 1")
     dim = sm.ambient_dim(model)
     p = sm.as_rat_point(p)
-    probe_model, probe_p = model, p
     if dim == 2:
-        probe_model = distance_set(model, p)  # 1-D set of distances
-        probe_p = Fraction(0)
+        model = distance_set(model, p)  # 1-D set of distances
+        p = Fraction(0)
+    one_sided = p == 0 and sm.is_nonnegative_model(model)
+    return t, epsilon, (model, p, one_sided)
+
+
+def _radii(scaling, horizon: int) -> list:
+    return [scaling.eval(n) for n in range(1, horizon + 1)]
+
+
+def _scan(probe, t, epsilon, radii) -> tuple:
+    """Indices n whose window ((t-eps)r_n, (t+eps)r_n) meets the probe."""
+    model, p, one_sided = probe
     hits = []
-    for n in range(1, horizon + 1):
-        r = scaling.eval(n)
+    for n, r in enumerate(radii, 1):
         lo, hi = (t - epsilon) * r, (t + epsilon) * r
-        if _distance_window_hit(probe_model, probe_p, lo, hi):
+        if hi <= 0:
+            continue
+        if lo < 0:
+            hit = sm.intersects_open_interval(model, p - hi, p + hi)
+        else:
+            hit = (sm.intersects_open_interval(model, p + lo, p + hi)
+                   or (not one_sided
+                       and sm.intersects_open_interval(model, p - hi, p - lo)))
+        if hit:
             hits.append(n)
     return tuple(hits)
-
-
-def _distance_window_hit(model, p, lo, hi) -> bool:
-    if sm.ambient_dim(model) == 2:
-        raise UnsupportedGeometryError("window probe needs a 1-D model")
-    if hi <= 0:
-        return False
-    if lo < 0:
-        return sm.intersects_open_interval(model, p - hi, p + hi)
-    return (sm.intersects_open_interval(model, p + lo, p + hi)
-            or sm.intersects_open_interval(model, p - hi, p - lo))
 
 
 def spectrum_contains(model, p, t, epsilon, scaling,
@@ -174,13 +189,17 @@ class SpectrumComparison:
 def compare_spectra(model, p, scaling_1, scaling_2, t_grid, epsilon,
                     horizon: int = DEFAULT_HORIZON,
                     persistence: int = DEFAULT_PERSISTENCE) -> SpectrumComparison:
-    """Probe both scalings over a t grid and report where verdicts differ."""
+    """Probe both scalings over a t grid and report where verdicts differ.
+    Each scaling's radii r_1..r_horizon are evaluated once for the grid."""
     rows = []
     differing = []
+    radii = None
     for t in t_grid:
-        t = rat(t)
-        hits_1 = set(window_hits(model, p, t, epsilon, scaling_1, horizon))
-        hits_2 = set(window_hits(model, p, t, epsilon, scaling_2, horizon))
+        t, epsilon, probe = _window_probe(model, p, t, epsilon, horizon)
+        if radii is None:
+            radii = (_radii(scaling_1, horizon), _radii(scaling_2, horizon))
+        hits_1 = set(_scan(probe, t, epsilon, radii[0]))
+        hits_2 = set(_scan(probe, t, epsilon, radii[1]))
         status_1 = ("present" if len(hits_1) >= persistence
                     else "absent_at_horizon")
         status_2 = ("present" if len(hits_2) >= persistence

@@ -84,6 +84,24 @@ def test_porosity_assert_flags_inconclusive_runs(tmp_path):
     assert summary["status"] == "inconclusive_at_horizon"
 
 
+def test_porosity_gap_bound_survives_a_too_rich_probe(tmp_path):
+    # the step-1 lattice lists too many points for the grid probe, but its
+    # gap bound already certifies the exact value 0
+    union = {"kind": "finite_union", "parts": [
+        {"kind": "lattice", "step": "1", "offset": "0", "half": "plus"},
+        GP2,
+    ]}
+    code, out = run(tmp_path, "porosity", {"model": union})
+    assert code == 0
+    summary = json.loads((out / "porosity_summary.json").read_text())
+    assert summary["value"] == "0"
+    assert summary["kind"] == "exact"
+    assert summary["status"] == "nonporous_certified"
+    assert "grid probe skipped" in summary["notes"]
+    lines = (out / "porosity_trace.csv").read_text().splitlines()
+    assert len(lines) == 1  # header only
+
+
 # -- epsilon curves ------------------------------------------------------------
 
 

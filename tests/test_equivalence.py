@@ -269,6 +269,12 @@ GP2_PLUS_3 = FiniteModification(GP2, added=(F(3),))
     (FiniteUnion((GeometricPoints(F(4), F(1), 0), FiniteModification(
         GP2, added=(F(3, 2), F(5))))), GP2, F(1)),
     (FiniteModification(GB412, added=(F(3),)), GB412, F(1)),
+    # a progression of base target.q**k and coefficient target.c*q**j
+    (GeometricBlocks(F(4), F(1), F(3, 2)),
+     GeometricBlocks(F(2), F(1), F(3, 2)), F(0)),
+    (GeometricPoints(F(2), F(8), 0), GeometricPoints(F(2), F(1), 5), F(24)),
+    (GeometricPoints(F(4), F(2), -1), GeometricPoints(F(2), F(1), 5),
+     F(63, 2)),
 ])
 def test_sup_distance_against_a_geometric_target(source, target, expected):
     got = sup_distance(source, target)

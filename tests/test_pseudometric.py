@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import farfield.pseudometric as pm
 from farfield import (
     FinitePseudometricSpace,
     InputError,
@@ -101,6 +102,20 @@ def bfs_zero_components(space):
             )
         comps.append(tuple(sorted(space.labels[i] for i in comp)))
     return tuple(sorted(comps))
+
+
+def brute_pseudoisometry(src, dst):
+    """First map of the full |dst|**|src| enumeration (itertools.product
+    order) that preserves every distance and meets every zero class."""
+    pairs = list(itertools.combinations(range(len(src)), 2))
+    for assignment in itertools.product(range(len(dst)), repeat=len(src)):
+        if all(dst.dist[assignment[i]][assignment[j]] == src.dist[i][j]
+               for i, j in pairs) and all(
+                   any(dst.dist[y][x] == 0 for x in assignment)
+                   for y in range(len(dst))):
+            return dict(zip(src.labels,
+                            (dst.labels[y] for y in assignment)))
+    return None
 
 
 def brute_isometry(a, b):
@@ -278,6 +293,53 @@ def test_exists_isometry_agrees_with_permutation_oracle():
         if lib is not None:
             assert all(b.d(lib[x], lib[y]) == a.d(x, y)
                        for x in a.labels for y in a.labels)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_searches_return_the_brute_force_map(seed, twin):
+    # the depth-first searches keep brute-force order, so they must return
+    # the very map the full enumeration reaches first, not just some map
+    rng = random.Random(seed)
+    if twin:
+        a = random_pseudometric(rng, max_points=4)
+        b = relabel_shuffle_twin(a, rng, "q")
+    else:
+        a = random_pseudometric(rng, max_points=6)
+        b = random_pseudometric(rng, max_points=6)
+    for src, dst in ((a, b), (b, a)):
+        assert exists_pseudoisometry(src, dst) == brute_pseudoisometry(
+            src, dst)
+        perm = brute_isometry(src, dst)
+        assert exists_isometry(src, dst) == (
+            None if perm is None
+            else {x: dst.labels[perm[i]] for i, x in enumerate(src.labels)})
+    qa, qb = metric_identify(a).space, metric_identify(b).space
+    perm = brute_isometry(qa, qb)
+    assert exists_isometry(qa, qb) == (
+        None if perm is None
+        else {x: qb.labels[perm[i]] for i, x in enumerate(qa.labels)})
+
+
+def test_far_negative_search_checks_no_map(monkeypatch):
+    # no distance of a occurs in b, so every partial map breaks at its
+    # second point: the search must give up without checking a full map
+    # (the full enumeration checked all 6**6 = 46,656)
+    checked = []
+    real = pm.is_pseudoisometry
+
+    def counting(mapping, src, dst):
+        checked.append(mapping)
+        return real(mapping, src, dst)
+
+    monkeypatch.setattr(pm, "is_pseudoisometry", counting)
+    a = space_from_points({f"a{i}": i for i in range(6)})
+    b = space_from_points({f"b{i}": 10 * i for i in range(6)})
+    assert exists_pseudoisometry(a, b) is None
+    assert checked == []
+    # a found map is re-checked exactly once
+    assert exists_pseudoisometry(a, a) == {x: x for x in a.labels}
+    assert len(checked) == 1
 
 
 def test_search_bound_enforced():

@@ -210,3 +210,60 @@ def test_strip_spectrum_full():
     comp = compare_spectra(strip, (F(0), F(0)), s1, s2, grid, F(1, 100))
     assert comp.differing_t == ()
     assert all(row[1] == "present" for row in comp.rows)
+
+
+class CountingScaling:
+    def __init__(self, base):
+        self.base, self.calls = base, 0
+
+    def eval(self, n):
+        self.calls += 1
+        return self.base.eval(n)
+
+
+def test_comparison_evaluates_each_radius_once():
+    gb = GeometricBlocks(F(4), F(1), F(2))
+    s1 = CountingScaling(GeometricScaling(F(4), F(4)))
+    s2 = CountingScaling(GeometricScaling(F(4), F(2)))
+    grid = [F(k, 8) for k in range(0, 17)]
+    comp = compare_spectra(gb, F(0), s1, s2, grid, F(1, 100), 12, 5)
+    assert (s1.calls, s2.calls) == (12, 12)
+    for t, status_1, status_2, first in comp.rows:
+        hits_1 = set(window_hits(gb, F(0), t, F(1, 100), s1.base, 12))
+        hits_2 = set(window_hits(gb, F(0), t, F(1, 100), s2.base, 12))
+        assert status_1 == ("present" if len(hits_1) >= 5
+                            else "absent_at_horizon")
+        assert status_2 == ("present" if len(hits_2) >= 5
+                            else "absent_at_horizon")
+        assert first == min(hits_1 ^ hits_2, default=None)
+
+
+def test_comparison_checks_each_grid_point_in_order():
+    lat = Lattice(F(1), F(0))
+    s1 = GeometricScaling(F(2), F(1))
+    s2 = GeometricScaling(F(3), F(1))
+    # an empty grid probes nothing, so nothing is checked
+    assert compare_spectra(lat, F(0), s1, s2, [], F(0)).rows == ()
+    with pytest.raises(InputError):
+        compare_spectra(lat, F(0), s1, s2, [F(1), F(-1)], F(1, 10), 10, 5)
+    with pytest.raises(InputError):
+        compare_spectra(lat, F(0), s1, s2, [F(1)], F(1, 10), 0, 5)
+
+
+@pytest.mark.parametrize("model, p", [
+    (Lattice(F(1), F(0)), F(0)),            # two-sided: both windows
+    (Lattice(F(1), F(1, 3), "plus"), F(0)),  # nonnegative: one window
+    (Lattice(F(1), F(1, 3), "plus"), F(5, 2)),
+])
+def test_window_hits_match_direct_distances(model, p):
+    # a distance |x - p| of a lattice point lies in the open window
+    scaling = GeometricScaling(F(3, 2), F(1))
+    eps = F(1, 20)
+    points = [model.offset + model.step * k for k in range(-60, 61)]
+    points = [x for x in points if contains(model, x)]
+    for t in (F(0), F(1, 3), F(1), F(7, 4)):
+        want = tuple(
+            n for n in range(1, 9)
+            if any((t - eps) * scaling.eval(n) < abs(x - p)
+                   < (t + eps) * scaling.eval(n) for x in points))
+        assert window_hits(model, p, t, eps, scaling, 8) == want, t
