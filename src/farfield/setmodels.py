@@ -1116,17 +1116,53 @@ def max_element(model):
 # Open-interval intersection (exact)
 
 
+SEEK_AFTER = 4  # components one window may step over before a re-seek
+
+
 def intersects_open_interval(model, lo, hi) -> bool:
     """Does E meet the open interval (lo, hi)? Exact for 1-D models."""
-    lo, hi = rat(lo), rat(hi)
-    if hi <= lo:
-        return False
-    for c in components(model, lo):
-        if c[0] >= hi:
-            return False
-        if c[1] > lo:
-            return True
-    return False
+    return intersections(model, [(lo, hi)])[0]
+
+
+def intersections(model, windows) -> list:
+    """intersects_open_interval(model, lo, hi) for each open window (lo, hi)
+    of a list whose lo never decreases, read off one carried cursor.
+
+    A component that ends at or below a window's lo is never looked at
+    again. From lo0 <= lo the cursor lists every component with hi >= lo
+    that `components(model, lo)` does, in the same order, except after
+    the accumulation marker at 0 (GeometricBlocks lists nothing past it),
+    so it re-seeks with `components(model, lo)` when it steps over that
+    marker. It also re-seeks when one window has stepped over SEEK_AFTER
+    components, and from then on re-seeks at once for every window that
+    it trails: windows that outrun the components once (a step-1 lattice
+    under radii c*4**n) keep outrunning them as they grow. A cursor seeked
+    at the window's own lo steps on without a limit.
+    """
+    out, walk, c, seeked = [], None, None, None
+    budget, prev_lo = SEEK_AFTER, -INF
+    for lo, hi in windows:
+        lo, hi = rat(lo), rat(hi)
+        if lo < prev_lo:
+            raise InputError("window lower ends must ascend")
+        prev_lo = lo
+        if hi <= lo:
+            out.append(False)
+            continue
+        if walk is None:
+            walk, seeked = components(model, lo), lo
+            c = next(walk, None)
+        stepped = 0
+        while c is not None and c[1] <= lo:  # so c[0] < hi as well
+            behind = stepped == budget
+            if (behind or c[0] is ZERO_ABOVE) and seeked != lo:
+                if behind:
+                    budget = 0
+                walk, seeked = components(model, lo), lo
+            stepped += 1
+            c = next(walk, None)
+        out.append(c is not None and c[0] < hi)
+    return out
 
 
 def points_in_open_interval(model, lo, hi, limit: int):

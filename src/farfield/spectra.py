@@ -6,10 +6,19 @@ indices n up to a horizon; a point can only be declared present, or absent
 at the probed horizon, never absent outright.
 
 The window check never materializes Sp(X): a distance |x - p| lands in the
-open interval (lo, hi) exactly when x lands in (p + lo, p + hi) or
-(p - hi, p - lo), which the set models decide exactly. distance_set itself
-returns a structured model and supports a deliberately small (model, p)
-matrix; everything else raises rather than approximating.
+open interval (lo, hi) exactly when x lands in (p + lo, p + hi) or -x lands
+in (lo - p, hi - p), which the set models decide exactly. distance_set
+itself returns a structured model and supports a deliberately small
+(model, p) matrix; everything else raises rather than approximating.
+
+A scan checks its inputs and builds its probe once per call, and sorts
+each scaling's radii once (an interleaved scaling is not monotone). For
+t >= eps the windows of one t only move right as r grows, so each side is
+one `setmodels.intersections` sweep: one component cursor carried across
+the ascending windows, on the set for the right side and on its mirror
+image for the left (skipped when p = 0 and the set is nonnegative). For
+t < eps the windows (p - (t+eps)r, p + (t+eps)r) are nested, so a window
+hits exactly when (t+eps)r exceeds the distance from p to the set.
 """
 
 from __future__ import annotations
@@ -121,17 +130,21 @@ class SpectrumVerdict:
 
 def window_hits(model, p, t, epsilon, scaling, horizon: int) -> tuple:
     """Indices n (1-based) whose window ((t-eps)r_n, (t+eps)r_n) meets Sp."""
-    t, epsilon, probe = _window_probe(model, p, t, epsilon, horizon)
+    (t,), epsilon, probe = _window_probe(model, p, [t], epsilon, horizon)
     return _scan(probe, t, epsilon, _radii(scaling, horizon))
 
 
-def _window_probe(model, p, t, epsilon, horizon: int):
-    """Checked (t, eps, probe) for a window scan. The probe is a 1-D model,
-    the base point its distances are measured from, and whether the set
-    sits on one side of that point (p = 0 and a nonnegative set), so the
-    mirrored window left of p cannot hit."""
-    t, epsilon = rat(t), rat(epsilon)
-    if t < 0:
+def _window_probe(model, p, t_grid, epsilon, horizon: int):
+    """Checked (t_grid, eps, probe) for the window scans of a t grid. The
+    probe is a 1-D model; its mirror image, which answers the windows left
+    of the base point (None when the set sits on one side of that point:
+    p = 0 and a nonnegative set); the base point; and the distance from
+    the base point to the set, which answers every t < eps."""
+    t_grid, epsilon = [rat(t) for t in t_grid], rat(epsilon)
+    if not t_grid:
+        raise InputError("spectrum grid needs at least one point t")
+    t_min = min(t_grid)
+    if t_min < 0:
         raise InputError("spectrum point t must be nonnegative")
     if epsilon <= 0:
         raise InputError("window half-width must be positive")
@@ -139,34 +152,45 @@ def _window_probe(model, p, t, epsilon, horizon: int):
         raise InputError("horizon must be at least 1")
     dim = sm.ambient_dim(model)
     p = sm.as_rat_point(p)
+    if sm.point_dim(p) != dim:
+        raise InputError("base point dimension mismatch")
     if dim == 2:
         model = distance_set(model, p)  # 1-D set of distances
         p = Fraction(0)
     one_sided = p == 0 and sm.is_nonnegative_model(model)
-    return t, epsilon, (model, p, one_sided)
+    mirror = None if one_sided else sm.Reflected(model)
+    dist = sm.distance_to_set(model, p) if t_min < epsilon else None
+    return t_grid, epsilon, (model, mirror, p, dist)
 
 
-def _radii(scaling, horizon: int) -> list:
-    return [scaling.eval(n) for n in range(1, horizon + 1)]
+def _radii(scaling, horizon: int) -> tuple:
+    """(ns, rs): the indices 1..horizon and their radii r_n, in ascending
+    order of r_n (an interleaved scaling is not monotone)."""
+    pairs = sorted((scaling.eval(n), n) for n in range(1, horizon + 1))
+    return [n for _, n in pairs], [r for r, _ in pairs]
 
 
 def _scan(probe, t, epsilon, radii) -> tuple:
-    """Indices n whose window ((t-eps)r_n, (t+eps)r_n) meets the probe."""
-    model, p, one_sided = probe
-    hits = []
-    for n, r in enumerate(radii, 1):
-        lo, hi = (t - epsilon) * r, (t + epsilon) * r
-        if hi <= 0:
-            continue
-        if lo < 0:
-            hit = sm.intersects_open_interval(model, p - hi, p + hi)
-        else:
-            hit = (sm.intersects_open_interval(model, p + lo, p + hi)
-                   or (not one_sided
-                       and sm.intersects_open_interval(model, p - hi, p - lo)))
-        if hit:
-            hits.append(n)
-    return tuple(hits)
+    """Indices n whose window ((t-eps)r_n, (t+eps)r_n) meets the probe,
+    one carried cursor sweep per side over the ascending radii."""
+    model, mirror, p, dist = probe
+    ns, rs = radii
+    a, b = t - epsilon, t + epsilon
+    if a < 0:
+        # the windows (p - b*r, p + b*r) are nested: one meets the set
+        # exactly when b*r exceeds the distance from p to the set
+        hits = [b * r > dist for r in rs]
+    else:
+        # |x - p| lies in (a*r, b*r) when x lies in (p + a*r, p + b*r) or
+        # -x lies in (a*r - p, b*r - p)
+        windows = [(a * r, b * r) for r in rs]
+        hits = sm.intersections(
+            model, [(p + lo, p + hi) for lo, hi in windows] if p else windows)
+        if mirror is not None:
+            left = sm.intersections(mirror,
+                                    [(lo - p, hi - p) for lo, hi in windows])
+            hits = [hit or mirrored for hit, mirrored in zip(hits, left)]
+    return tuple(sorted(n for n, hit in zip(ns, hits) if hit))
 
 
 def spectrum_contains(model, p, t, epsilon, scaling,
@@ -190,14 +214,15 @@ def compare_spectra(model, p, scaling_1, scaling_2, t_grid, epsilon,
                     horizon: int = DEFAULT_HORIZON,
                     persistence: int = DEFAULT_PERSISTENCE) -> SpectrumComparison:
     """Probe both scalings over a t grid and report where verdicts differ.
-    Each scaling's radii r_1..r_horizon are evaluated once for the grid."""
+    The inputs are checked, the probe is built, and each scaling's radii
+    r_1..r_horizon are evaluated and sorted once for the grid."""
+    if persistence < 1:
+        raise InputError("persistence must be at least 1")
+    t_grid, epsilon, probe = _window_probe(model, p, t_grid, epsilon, horizon)
+    radii = (_radii(scaling_1, horizon), _radii(scaling_2, horizon))
     rows = []
     differing = []
-    radii = None
     for t in t_grid:
-        t, epsilon, probe = _window_probe(model, p, t, epsilon, horizon)
-        if radii is None:
-            radii = (_radii(scaling_1, horizon), _radii(scaling_2, horizon))
         hits_1 = set(_scan(probe, t, epsilon, radii[0]))
         hits_2 = set(_scan(probe, t, epsilon, radii[1]))
         status_1 = ("present" if len(hits_1) >= persistence

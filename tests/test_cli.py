@@ -165,6 +165,17 @@ def test_spectrum_assert_flags_divergence(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("changes", [
+    {"persistence": 0},
+    {"t_grid": [], "epsilon": "0", "horizon": 0},
+    {"t_grid": []},
+])
+def test_spectrum_bad_inputs_exit_two(tmp_path, changes):
+    code, out = run(tmp_path, "spectrum", dict(SPECTRUM_CONFIG, **changes))
+    assert code == 2
+    assert not (out / "spectrum.csv").exists()
+
+
 # -- sequence lab ------------------------------------------------------------------
 
 

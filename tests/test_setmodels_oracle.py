@@ -502,3 +502,62 @@ def test_porosity_of_the_pinned_union_lists_no_window(monkeypatch):
     result = porosity_at_infinity(model, 180)
     assert calls == {"window_structure": 0, "longest_gaps": 1}
     assert result.value == F(1, 23) and len(result.trace) == 100
+
+
+# ---------------------------------------------------------------------------
+# The carried-cursor sweep against the oracle
+
+
+# how one window's lo moves on from the last: not at all (a repeated
+# window), a short step, a power-of-2 jump that leaves the cursor behind
+# (it must re-seek), or up to the next component end (None)
+MOVES = st.one_of(st.just(F(0)), fractions(0, 1, 8),
+                  st.integers(0, 5).map(lambda k: F(2) ** k), st.just(None))
+WIDTHS = fractions(-1, 3, 8)  # hi - lo; a width <= 0 is an empty window
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=trees(3), data=st.data(),
+       budget=st.sampled_from([1, 2, setmodels.SEEK_AFTER]))
+def test_carried_sweep_matches_the_oracle(model, data, budget):
+    pieces, acc = oracle(model)
+    ends = sorted({e for piece in pieces for e in piece})
+    near = [e for e in ends if abs(e) <= QUERY_SPAN]
+    # start at a query point, at 0 (where GeometricBlocks accumulates), or
+    # at a component end
+    lo = data.draw(st.one_of(POINTS, st.just(F(0)),
+                             st.sampled_from(near or [F(0)])))
+    hi, windows = lo, []
+    for move, width in data.draw(st.lists(st.tuples(MOVES, WIDTHS),
+                                          min_size=1, max_size=12)):
+        if move is None:
+            lo = next((e for e in ends if e > lo), lo)
+        else:
+            lo += move
+        hi = max(hi, lo + width)
+        if hi > B / 2:  # the oracle lists the set inside [-B, B] only
+            break
+        windows.append((lo, hi))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(setmodels, "SEEK_AFTER", budget)
+        got = setmodels.intersections(model, windows)
+    assert got == [lo < hi and o_intersects(pieces, acc, lo, hi)
+                   for lo, hi in windows]
+    assert got == [intersects_open_interval(model, lo, hi)
+                   for lo, hi in windows]
+
+
+def test_carried_sweep_steps_past_the_accumulation_at_zero():
+    # from lo <= 0 the blocks' cursor stops at the marker at 0; the sweep
+    # must re-seek to see the blocks above it
+    model = FiniteUnion((GB2, GeometricPoints(F(3), F(1), 0)))
+    windows = [(F(-1), F(0)), (F(0), F(1, 8)), (F(5, 4), F(11, 8)),
+               (F(5, 4), F(11, 8)), (F(2), F(5, 2)), (F(2) ** 20, F(2) ** 21)]
+    assert setmodels.intersections(model, windows) == [
+        False, True, True, True, True, True]
+    assert setmodels.intersections(GB2, windows[2:3]) == [True]
+
+
+def test_carried_sweep_rejects_a_descending_lower_end():
+    with pytest.raises(InputError, match="ascend"):
+        setmodels.intersections(GP2, [(F(2), F(3)), (F(1), F(4))])

@@ -16,11 +16,14 @@ from farfield import (
     FiniteUnion,
     FullLine,
     GeometricBlocks,
+    GeometricPoints,
     GeometricScaling,
     HalfPlaneStrip,
     InputError,
+    InterleaveScaling,
     Lattice,
     PlanarRay,
+    PolynomialScaling,
     Ray,
     UnsupportedGeometryError,
     compare_spectra,
@@ -29,6 +32,7 @@ from farfield import (
     spectrum_contains,
     window_hits,
 )
+from farfield import setmodels
 
 F = Fraction
 
@@ -242,12 +246,17 @@ def test_comparison_checks_each_grid_point_in_order():
     lat = Lattice(F(1), F(0))
     s1 = GeometricScaling(F(2), F(1))
     s2 = GeometricScaling(F(3), F(1))
-    # an empty grid probes nothing, so nothing is checked
-    assert compare_spectra(lat, F(0), s1, s2, [], F(0)).rows == ()
+    # an empty grid is a bad input, not an empty answer
+    with pytest.raises(InputError, match="at least one point"):
+        compare_spectra(lat, F(0), s1, s2, [], F(1, 10))
     with pytest.raises(InputError):
         compare_spectra(lat, F(0), s1, s2, [F(1), F(-1)], F(1, 10), 10, 5)
     with pytest.raises(InputError):
         compare_spectra(lat, F(0), s1, s2, [F(1)], F(1, 10), 0, 5)
+    with pytest.raises(InputError, match="persistence"):
+        compare_spectra(lat, F(0), s1, s2, [F(1)], F(1, 10), 10, 0)
+    with pytest.raises(InputError, match="dimension"):
+        compare_spectra(lat, (F(1), F(0)), s1, s2, [F(1)], F(1, 10), 10, 5)
 
 
 @pytest.mark.parametrize("model, p", [
@@ -267,3 +276,97 @@ def test_window_hits_match_direct_distances(model, p):
             if any((t - eps) * scaling.eval(n) < abs(x - p)
                    < (t + eps) * scaling.eval(n) for x in points))
         assert window_hits(model, p, t, eps, scaling, 8) == want, t
+
+
+# ---------------------------------------------------------------------------
+# The carried sweep against one query per window
+
+
+def per_window_hits(model, p, t, eps, scaling, horizon):
+    """Window hits by one intersects_open_interval query per window and
+    side, in index order, read off the original set (or its distance set
+    in the plane)."""
+    if isinstance(p, tuple):
+        model, p = distance_set(model, p), F(0)
+    hits = []
+    for n in range(1, horizon + 1):
+        r = scaling.eval(n)
+        lo, hi = (t - eps) * r, (t + eps) * r
+        if hi <= 0:
+            continue
+        if lo < 0:
+            hit = setmodels.intersects_open_interval(model, p - hi, p + hi)
+        else:
+            hit = (setmodels.intersects_open_interval(model, p + lo, p + hi)
+                   or setmodels.intersects_open_interval(model, p - hi,
+                                                         p - lo))
+        if hit:
+            hits.append(n)
+    return tuple(hits)
+
+
+GP2 = GeometricPoints(F(2), F(1), 0)
+LAT = Lattice(F(1), F(1, 3))
+GEO = GeometricScaling(F(2), F(1))
+# odd n from n**2, even n from 3**(n/2): the radii are not monotone
+MIXED = InterleaveScaling(PolynomialScaling(2), GeometricScaling(F(3), F(1)))
+SWEEP_CASES = [
+    # (model, p, scaling): radii out of order
+    (FiniteUnion((GP2, Lattice(F(5), F(0), "plus"))), F(0), MIXED),
+    # p != 0 on a two-sided lattice: the windows left of p count
+    (LAT, F(5, 2), PolynomialScaling(1, F(1, 2))),
+    (LAT, F(-7, 4), MIXED),
+    # t < eps: the windows around p are nested
+    (GeometricBlocks(F(4), F(1), F(2)), F(0), GEO),
+    (FiniteModification(GP2, (F(3), F(-5, 2)), (F(1), F(4))), F(1), GEO),
+    # the nearest point 2 sits at 8/5 = (0 + 1/20) * 2**5: window 5 is
+    # (-6/5, 2), open at the point
+    (FiniteModification(GP2, (), (F(1),)), F(2, 5), GEO),
+    (HalfPlaneStrip(F(-1), F(2)), (F(3), F(0)), MIXED),
+]
+SWEEP_GRID = [F(0), F(1, 50), F(1, 20), F(1, 10), F(1, 3), F(1, 2), F(1),
+              F(3, 2), F(7, 3)]
+
+
+@pytest.mark.parametrize("model, p, scaling", SWEEP_CASES,
+                         ids=[f"case{i}" for i in range(len(SWEEP_CASES))])
+def test_sweep_matches_one_query_per_window(model, p, scaling):
+    eps, horizon = F(1, 20), 16
+    want = {t: per_window_hits(model, p, t, eps, scaling, horizon)
+            for t in SWEEP_GRID}
+    for t in SWEEP_GRID:
+        assert window_hits(model, p, t, eps, scaling, horizon) == want[t], t
+    comp = compare_spectra(model, p, scaling, GEO, SWEEP_GRID, eps, horizon,
+                           3)
+    for t, status_1, status_2, first in comp.rows:
+        hits_1 = set(want[t])
+        hits_2 = set(per_window_hits(model, p, t, eps, GEO, horizon))
+        assert status_1 == ("present" if len(hits_1) >= 3
+                            else "absent_at_horizon"), t
+        assert status_2 == ("present" if len(hits_2) >= 3
+                            else "absent_at_horizon"), t
+        assert first == min(hits_1 ^ hits_2, default=None), t
+
+
+def test_union_grid_sweeps_instead_of_querying_each_window(monkeypatch):
+    calls = {"intersects_open_interval": 0, "ipow_floor_log": 0}
+
+    def counted(name):
+        original = getattr(setmodels, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(setmodels, name, counted(name))
+    # the union spectrum slot of the benchmark's query mix
+    model = FiniteUnion((GP2, GeometricPoints(F(3), F(3, 2), 0)))
+    s1 = PolynomialScaling(2, F(3, 2))
+    s2 = InterleaveScaling(PolynomialScaling(1, F(2)),
+                           GeometricScaling(F(3), F(3)))
+    grid = [F(k, 8) for k in range(33)]
+    compare_spectra(model, F(0), s1, s2, grid, F(1, 50), 50, 8)
+    assert calls["intersects_open_interval"] == 0
+    assert calls["ipow_floor_log"] <= 2000
