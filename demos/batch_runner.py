@@ -3,6 +3,7 @@
 Writes three experiment configs into a scratch directory, runs the
 corresponding subcommands twice each, shows the emitted files, and checks
 the byte-identical rerun guarantee plus the --assert exit code contract.
+The scratch directory is removed at the end.
 """
 
 import json
@@ -20,8 +21,7 @@ def run(name, cfg, out, *flags):
     return code
 
 
-def main_demo():
-    scratch = Path(tempfile.mkdtemp(prefix="farfield-demo-"))
+def tour(scratch):
     print(f"scratch directory: {scratch}\n")
 
     print("porosity of the powers of two:")
@@ -60,6 +60,11 @@ def main_demo():
         "t_grid": ["3/2", "5/2", "7/2"]}, scratch)
     second = (scratch / "epsilon_curve.csv").read_bytes()
     print(f"  byte-identical: {first == second}")
+
+
+def main_demo():
+    with tempfile.TemporaryDirectory(prefix="farfield-demo-") as scratch:
+        tour(Path(scratch))
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from . import seqlab as sl
 from . import setmodels as sm
 from . import spectra as sp
 from .errors import InputError
-from .rationals import dec, fmt, rat
+from .rationals import dec, fmt, integer, rat
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +246,8 @@ def _cmd_lab(cfg, args, out: Path) -> int:
                        in report.member_blocks],
         })
     for entry in cfg.get("index_maps", ()):
-        push = sl.subsequence_push(family, scaling, int(entry["stride"]),
-                                   int(entry.get("offset", 0)))
+        push = sl.subsequence_push(family, scaling, integer(entry["stride"]),
+                                   integer(entry.get("offset", 0)))
         payload["pushes"].append({
             "stride": push.stride,
             "offset": push.offset,

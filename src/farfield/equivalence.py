@@ -906,7 +906,7 @@ def build_nearest_point_maps(y_model, z_model, eps1=Fraction(1, 10 ** 6),
     limsup |phi(y_n) - y_n| / r_n is evaluated symbolically; equivalent
     pairs must report zero.
     """
-    from .seqlab import classify, d_up, InSetSpec
+    from .seqlab import _project
 
     eps1 = rat(eps1)
     if eps1 <= 0:
@@ -920,13 +920,11 @@ def build_nearest_point_maps(y_model, z_model, eps1=Fraction(1, 10 ** 6),
 
     entries = []
     for label, spec, scaling in samples:
-        form = classify(spec, scaling)
-        if not form.ok:
+        got = _project(spec, scaling, z_model)
+        if got is None:
             raise InputError(
                 f"sample {label!r} has no certified phase form")
-        projected = InSetSpec(z_model, form.even,
-                              None if form.odd == form.even else form.odd)
-        residual = d_up(spec, projected, scaling)
-        zero = residual.status == "exact" and residual.value == 0
+        _, residual = got
+        zero = residual.exists and residual.value == 0
         entries.append(ResidualEntry(label, residual, zero))
     return NearestPointMaps(phi, psi, eps1, tuple(entries))

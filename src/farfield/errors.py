@@ -29,7 +29,7 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 class GraphConstructionError(RuntimeError):
-    """A pairwise limit needed for a stability graph came back inconclusive."""
+    """Kept for API compatibility; no stability graph raises it any more."""
 
     def __init__(self, message: str, pair: tuple = ()):
         super().__init__(message)

@@ -37,6 +37,15 @@ def rat(value) -> Fraction:
     raise InputError(f"not a rational: {value!r}")
 
 
+def integer(value) -> int:
+    """Coerce like `rat`, then insist on an integer: 1.5 and '3/2' are
+    rejected, never truncated."""
+    exact = rat(value)
+    if exact.denominator != 1:
+        raise InputError(f"not an integer: {value!r}")
+    return int(exact)
+
+
 def fmt(value: Fraction) -> str:
     """Exact string form, '3/2' or '5'."""
     return str(Fraction(value))

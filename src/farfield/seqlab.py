@@ -12,6 +12,13 @@ limits, the limsup form) are then functions of the two phase values alone,
 so they come out exact.  Sequences that do not reduce this way (set-valued
 selectors over sets we cannot certify) fall back to a numeric probe and are
 reported as estimates, never silently mixed with exact results.
+
+Each entry point therefore classifies every spec once per scaling and reads
+all of its rescaled limits off the resulting phase forms; `_tilde` and
+`_pair` hold the one choice between the exact and the numeric path.  A
+subsequence push classifies the pushed specs afresh under the pushed
+scaling rather than mapping the old phases across, so the carry-over check
+compares two separate computations.
 """
 
 from __future__ import annotations
@@ -21,13 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import (
-    GraphConstructionError,
-    InputError,
-    InternalInvariantError,
-)
+from .errors import InputError, InternalInvariantError
 from .pseudometric import make_space, metric_identify
-from .rationals import flog, fmt, ipow_floor_log, rat
+from .rationals import flog, fmt, integer, ipow_floor_log, rat
 from . import setmodels
 from .setmodels import (
     asymptotic_covering_bound,
@@ -312,8 +315,7 @@ def spec_ratio_float(spec, scaling, n: int) -> float:
                 total += float(coef) * s * flog(1 + r) * math.exp(-lg)
         return total
     if isinstance(spec, InSetSpec):
-        value = eval_spec(spec, scaling, n)
-        return float(value / r)
+        return float(eval_spec(spec, scaling, n) / r)
     raise InputError(f"unsupported sequence spec {type(spec).__name__}")
 
 
@@ -361,8 +363,7 @@ def classify(spec, scaling) -> PhaseForm:
         if even is None or odd is None:
             return PhaseForm(ZERO, ZERO, "inconclusive",
                              "selector not certified over this set")
-        (pe, note_e) = even
-        (po, note_o) = odd
+        (pe, note_e), (po, note_o) = even, odd
         note = note_e if note_e == note_o else f"{note_e} / {note_o}"
         return PhaseForm(pe, po, "exact", note)
     return PhaseForm(ZERO, ZERO, "inconclusive",
@@ -464,6 +465,33 @@ def _limit_from_phases(lo: Fraction, hi: Fraction, note="") -> LimitResult:
     )
 
 
+def _tilde(spec, form, scaling) -> LimitResult:
+    if form.ok:
+        return _limit_from_phases(abs(form.even), abs(form.odd), form.note)
+    return _numeric_limit(lambda n: abs(spec_ratio_float(spec, scaling, n)),
+                          "numeric probe of |x_n|/r_n")
+
+
+def _pair(x, fx, y, fy, scaling) -> LimitResult:
+    if fx.ok and fy.ok:
+        return _limit_from_phases(abs(fx.even - fy.even),
+                                  abs(fx.odd - fy.odd))
+    return _numeric_limit(
+        lambda n: abs(spec_ratio_float(x, scaling, n)
+                      - spec_ratio_float(y, scaling, n)),
+        "numeric probe of |x_n - y_n|/r_n")
+
+
+def _limsup(x, fx, y, fy, scaling) -> LimitResult:
+    res = _pair(x, fx, y, fy, scaling)
+    if res.status != "no_limit":
+        return res
+    top = max(v for _, v in res.clusters)
+    if fx.ok and fy.ok:
+        return LimitResult("exact", top)
+    return LimitResult("estimated", top, note="numeric probe")
+
+
 def tilde_d(spec, scaling, p=0) -> LimitResult:
     """Normalized distance to the basepoint: lim |x_n - p| / r_n.
 
@@ -471,35 +499,18 @@ def tilde_d(spec, scaling, p=0) -> LimitResult:
     sites read naturally.
     """
     rat(p)  # validates
-    form = classify(spec, scaling)
-    if not form.ok:
-        return _numeric_tilde(spec, scaling)
-    return _limit_from_phases(abs(form.even), abs(form.odd), form.note)
+    return _tilde(spec, classify(spec, scaling), scaling)
 
 
 def d_r(x, y, scaling) -> LimitResult:
     """Pairwise rescaled limit lim |x_n - y_n| / r_n, when it exists."""
-    fx = classify(x, scaling)
-    fy = classify(y, scaling)
-    if fx.ok and fy.ok:
-        return _limit_from_phases(abs(fx.even - fy.even),
-                                  abs(fx.odd - fy.odd))
-    return _numeric_pair(x, y, scaling)
+    return _pair(x, classify(x, scaling), y, classify(y, scaling), scaling)
 
 
 def d_up(x, y, scaling) -> LimitResult:
     """limsup |x_n - y_n| / r_n.  Always defined; exact whenever both
     sequences classify."""
-    fx = classify(x, scaling)
-    fy = classify(y, scaling)
-    if fx.ok and fy.ok:
-        value = max(abs(fx.even - fy.even), abs(fx.odd - fy.odd))
-        return LimitResult("exact", value)
-    est = _numeric_pair(x, y, scaling)
-    if est.status == "no_limit":
-        return LimitResult("estimated", max(v for _, v in est.clusters),
-                           note="numeric probe")
-    return est
+    return _limsup(x, classify(x, scaling), y, classify(y, scaling), scaling)
 
 
 def in_sequence_set(spec, scaling) -> bool:
@@ -515,28 +526,18 @@ _NUMERIC_BLOCKS = (10, 11, 12)
 _NUMERIC_TOL = 1e-9
 
 
-def _numeric_parity_values(fn):
-    """Per-parity block values at dyadic depths; None when a parity class
-    fails to settle across the last three blocks."""
-    out = {}
+def _numeric_limit(fn, note) -> LimitResult:
+    """Probe fn at dyadic depths on each parity class; a class settles when
+    its last three block values agree."""
+    settled = []
     for parity in (0, 1):
-        vals = []
-        for j in _NUMERIC_BLOCKS:
-            n = (1 << j) + parity
-            if (n % 2) != parity:
-                n += 1
-            vals.append(fn(n))
+        vals = [fn((1 << j) + parity) for j in _NUMERIC_BLOCKS]
         if (abs(vals[2] - vals[1]) <= _NUMERIC_TOL
                 and abs(vals[1] - vals[0]) <= _NUMERIC_TOL):
-            out[parity] = vals[2]
+            settled.append(vals[2])
         else:
-            out[parity] = None
-    return out
-
-
-def _numeric_limit(fn, note) -> LimitResult:
-    got = _numeric_parity_values(fn)
-    even, odd = got[0], got[1]
+            settled.append(None)
+    even, odd = settled
     if even is None or odd is None:
         return LimitResult("inconclusive", note=note + "; probe unsettled")
     if abs(even - odd) <= _NUMERIC_TOL:
@@ -544,19 +545,6 @@ def _numeric_limit(fn, note) -> LimitResult:
     return LimitResult("no_limit",
                        clusters=(("even", even), ("odd", odd)),
                        note=note + "; numeric probe")
-
-
-def _numeric_tilde(spec, scaling) -> LimitResult:
-    return _numeric_limit(
-        lambda n: abs(spec_ratio_float(spec, scaling, n)),
-        "numeric probe of |x_n|/r_n")
-
-
-def _numeric_pair(x, y, scaling) -> LimitResult:
-    return _numeric_limit(
-        lambda n: abs(spec_ratio_float(x, scaling, n)
-                      - spec_ratio_float(y, scaling, n)),
-        "numeric probe of |x_n - y_n|/r_n")
 
 
 # ---------------------------------------------------------------------------
@@ -576,29 +564,27 @@ class StabilityGraph:
 
     def edge_value(self, a, b):
         i, j = sorted((self.labels.index(a), self.labels.index(b)))
-        for (u, v), value in self.edges:
-            if (u, v) == (i, j):
-                return value
-        return None
+        return dict(self.edges).get((i, j))
 
     def neighbors(self, idx):
-        out = set()
-        for (u, v), _ in self.edges:
-            if u == idx:
-                out.add(v)
-            elif v == idx:
-                out.add(u)
-        return out
+        return ({v for (u, v), _ in self.edges if u == idx}
+                | {u for (u, v), _ in self.edges if v == idx})
+
+
+def _items(family):
+    """(label, spec) pairs of a family: a dict sorted by label, any other
+    iterable of pairs in its own order."""
+    return sorted(family.items()) if isinstance(family, dict) else list(family)
 
 
 def stability_graph(family, scaling) -> StabilityGraph:
     """Build the mutual-stability graph of a labeled family.
 
-    Every member must admit a normalized distance limit.  Pairs whose
-    rescaled limit cannot be settled either way raise, because a graph
-    built over them would be guesswork.
+    Every member must admit a normalized distance limit.  Such a member has
+    an exact phase form, so each pair's rescaled limit either exists (an
+    edge, with its exact value) or splits by parity (no edge).
     """
-    items = sorted(family.items()) if isinstance(family, dict) else list(family)
+    items = _items(family)
     labels = tuple(k for k, _ in items)
     if len(labels) != len(set(labels)):
         raise InputError("family labels must be unique")
@@ -607,32 +593,21 @@ def stability_graph(family, scaling) -> StabilityGraph:
             f"family of {len(labels)} exceeds the {MAX_GRAPH_VERTICES}-vertex"
             " bound")
     specs = tuple(s for _, s in items)
-    tilde = []
-    bad = []
-    for label, spec in zip(labels, specs):
-        res = tilde_d(spec, scaling)
-        if not res.exists:
-            bad.append(f"{label} ({res.status})")
-            tilde.append(None)
-        else:
-            tilde.append(res.value)
+    forms = [classify(spec, scaling) for spec in specs]
+    tilde = [_tilde(spec, form, scaling) for spec, form in zip(specs, forms)]
+    bad = [f"{label} ({res.status})"
+           for label, res in zip(labels, tilde) if not res.exists]
     if bad:
         raise InputError(
             "family members without a normalized distance limit: "
             + ", ".join(bad))
     edges = []
     for i, j in combinations(range(len(labels)), 2):
-        res = d_r(specs[i], specs[j], scaling)
-        if res.status == "exact":
+        res = _pair(specs[i], forms[i], specs[j], forms[j], scaling)
+        if res.exists:
             edges.append(((i, j), res.value))
-        elif res.status == "no_limit":
-            continue
-        else:
-            raise GraphConstructionError(
-                "pairwise limit undecided for "
-                f"({labels[i]}, {labels[j]}): {res.note}",
-                pair=(labels[i], labels[j]))
-    return StabilityGraph(labels, specs, scaling, tuple(tilde), tuple(edges))
+    return StabilityGraph(labels, specs, scaling,
+                          tuple(res.value for res in tilde), tuple(edges))
 
 
 def maximal_self_stable(graph: StabilityGraph):
@@ -688,22 +663,15 @@ def pretangent_space(graph: StabilityGraph, clique) -> PretangentReport:
         if label not in graph.labels:
             raise InputError(f"unknown family member {label!r}")
         idx.append(graph.labels.index(label))
-    values = {}
-    for a, b in combinations(range(len(idx)), 2):
-        i, j = sorted((idx[a], idx[b]))
-        value = None
-        for (u, v), val in graph.edges:
-            if (u, v) == (i, j):
-                value = val
-                break
+    edges = dict(graph.edges)
+    n = len(clique)
+    dist = [[ZERO] * n for _ in range(n)]
+    for a, b in combinations(range(n), 2):
+        value = edges.get(tuple(sorted((idx[a], idx[b]))))
         if value is None:
             raise InputError(
                 f"({clique[a]}, {clique[b]}) is not a stable pair; "
                 "pretangent spaces need a self-stable family")
-        values[(a, b)] = value
-    n = len(clique)
-    dist = [[ZERO] * n for _ in range(n)]
-    for (a, b), value in values.items():
         dist[a][b] = dist[b][a] = value
     try:
         space = make_space(clique, tuple(map(tuple, dist)))
@@ -713,10 +681,9 @@ def pretangent_space(graph: StabilityGraph, clique) -> PretangentReport:
     quotient = metric_identify(space)
     member_blocks = []
     distinguished = None
-    for label in clique:
+    for label, i in zip(clique, idx):
         block = quotient.projection[label]
         member_blocks.append((label, block))
-        i = graph.labels.index(label)
         if graph.tilde[i] == 0:
             distinguished = block
     return PretangentReport(quotient, distinguished, tuple(member_blocks))
@@ -784,32 +751,41 @@ def subsequence_push(family, scaling, stride: int, offset: int = 0):
     limit that exists passes to every subsequence).  New limits may appear;
     they are reported, not checked against anything.
     """
-    items = sorted(family.items()) if isinstance(family, dict) else list(family)
+    return _push(_items(family), scaling, stride, offset)[0]
+
+
+def _push(items, scaling, stride, offset):
+    """The PushReport of `subsequence_push`, and the phase forms of the
+    pushed members under the pushed scaling."""
     pushed_scaling = SubsequenceScaling(scaling, stride, offset)
     pushed_items = [(label, _push_spec(spec, stride, offset))
                     for label, spec in items]
+    old = [classify(spec, scaling) for _, spec in items]
+    new = [classify(pspec, pushed_scaling) for _, pspec in pushed_items]
     checks = []
-    for (label, spec), (_, pspec) in zip(items, pushed_items):
-        before = tilde_d(spec, scaling)
-        after = tilde_d(pspec, pushed_scaling)
+    for (label, spec), (_, pspec), form, pform in zip(items, pushed_items,
+                                                       old, new):
+        before = _tilde(spec, form, scaling)
+        after = _tilde(pspec, pform, pushed_scaling)
         checks.append(("tilde_d", (label,), before, after))
-        if before.exists:
-            if not after.exists or after.value != before.value:
-                raise InternalInvariantError(
-                    f"push broke the normalized limit of {label}: "
-                    f"{before.value} -> {after.status}")
-    for (la, sa), (lb, sb) in combinations(items, 2):
-        before = d_r(sa, sb, scaling)
-        pa = _push_spec(sa, stride, offset)
-        pb = _push_spec(sb, stride, offset)
-        after = d_r(pa, pb, pushed_scaling)
+        if before.exists and not (after.exists
+                                  and after.value == before.value):
+            raise InternalInvariantError(
+                f"push broke the normalized limit of {label}: "
+                f"{before.value} -> {after.status}")
+    for i, j in combinations(range(len(items)), 2):
+        (la, sa), (lb, sb) = items[i], items[j]
+        before = _pair(sa, old[i], sb, old[j], scaling)
+        after = _pair(pushed_items[i][1], new[i], pushed_items[j][1], new[j],
+                      pushed_scaling)
         checks.append(("d_r", (la, lb), before, after))
-        if before.exists:
-            if not after.exists or after.value != before.value:
-                raise InternalInvariantError(
-                    f"push broke the pairwise limit of ({la}, {lb})")
-    return PushReport(stride, offset, pushed_scaling, tuple(pushed_items),
-                      tuple(checks))
+        if before.exists and not (after.exists
+                                  and after.value == before.value):
+            raise InternalInvariantError(
+                f"push broke the pairwise limit of ({la}, {lb})")
+    report = PushReport(stride, offset, pushed_scaling, tuple(pushed_items),
+                        tuple(checks))
+    return report, new
 
 
 # ---------------------------------------------------------------------------
@@ -836,13 +812,13 @@ def tangency_probe(graph: StabilityGraph, clique, index_maps, pool):
     never a proof; the outcome says which.
     """
     clique = tuple(clique)
-    family = {label: graph.specs[graph.labels.index(label)]
-              for label in clique}
-    pool_items = sorted(pool.items()) if isinstance(pool, dict) else list(pool)
+    family = _items({label: graph.specs[graph.labels.index(label)]
+                     for label in clique})
+    pool_items = _items(pool)
     outcomes = []
     for stride, offset in index_maps:
-        push = subsequence_push(family, graph.scaling, stride, offset)
-        found = None
+        push, forms = _push(family, graph.scaling, stride, offset)
+        members = list(zip(push.family, forms))
         notes = []
         for cand_label, cand in pool_items:
             if cand_label in clique:
@@ -850,39 +826,37 @@ def tangency_probe(graph: StabilityGraph, clique, index_maps, pool):
             # the candidate rides the same subsequence as the family, so
             # its spec is pushed through the index map as well
             cand_pushed = _push_spec(cand, stride, offset)
-            if not tilde_d(cand_pushed, push.scaling).exists:
-                notes.append(f"{cand_label}: no normalized limit")
-                continue
-            distances = []
-            ok = True
-            for label, pspec in push.family:
-                res = d_r(cand_pushed, pspec, push.scaling)
-                if res.status == "exact":
-                    distances.append(res.value)
-                elif res.status == "no_limit":
-                    ok = False
-                    notes.append(f"{cand_label}: unstable against {label}")
-                    break
-                else:
-                    ok = False
-                    notes.append(f"{cand_label}: undecided against {label}")
-                    break
-            if not ok:
-                continue
-            if any(value == 0 for value in distances):
-                notes.append(f"{cand_label}: collapses onto a member")
-                continue
-            found = cand_label
-            break
-        if found is not None:
-            outcomes.append(ProbeOutcome(stride, offset, "extension_witness",
-                                         found))
+            note = _extension_note(cand_label, cand_pushed,
+                                   classify(cand_pushed, push.scaling),
+                                   members, push.scaling)
+            if note is None:
+                outcomes.append(ProbeOutcome(stride, offset,
+                                             "extension_witness", cand_label))
+                break
+            notes.append(note)
         else:
             outcomes.append(ProbeOutcome(
                 stride, offset, "no_extension_found", None,
                 "bounded search only: " + "; ".join(notes) if notes
                 else "bounded search only"))
     return tuple(outcomes)
+
+
+def _extension_note(label, spec, form, members, scaling):
+    """None when a pushed candidate extends the pushed members, else the
+    reason it does not."""
+    if not _tilde(spec, form, scaling).exists:
+        return f"{label}: no normalized limit"
+    distances = []
+    for (member, mspec), mform in members:
+        res = _pair(spec, form, mspec, mform, scaling)
+        if not res.exists:
+            why = "unstable" if res.status == "no_limit" else "undecided"
+            return f"{label}: {why} against {member}"
+        distances.append(res.value)
+    if 0 in distances:
+        return f"{label}: collapses onto a member"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -906,19 +880,28 @@ def project_family_to_subspace(family, scaling, model):
     member; a positive one quantifies the defect (members whose phase
     falls inside a gap of the set cannot be tracked for free).
     """
-    items = sorted(family.items()) if isinstance(family, dict) else list(family)
     entries = []
-    for label, spec in items:
-        form = classify(spec, scaling)
-        if not form.ok:
+    for label, spec in _items(family):
+        got = _project(spec, scaling, model)
+        if got is None:
             raise InputError(
                 f"cannot project {label!r}: phase form not certified")
-        projected = InSetSpec(model, form.even,
-                              None if form.odd == form.even else form.odd)
-        residual = d_up(spec, projected, scaling)
-        moved = not (residual.status == "exact" and residual.value == 0)
+        projected, residual = got
+        moved = not (residual.exists and residual.value == 0)
         entries.append(ProjectionEntry(label, projected, residual, moved))
     return tuple(entries)
+
+
+def _project(spec, scaling, model):
+    """The nearest-point selector over `model` anchored at the spec's phase,
+    and limsup |x_n - selector_n| / r_n; None without an exact phase form."""
+    form = classify(spec, scaling)
+    if not form.ok:
+        return None
+    projected = InSetSpec(model, form.even,
+                          None if form.odd == form.even else form.odd)
+    return projected, _limsup(spec, form, projected,
+                              classify(projected, scaling), scaling)
 
 
 # ---------------------------------------------------------------------------
@@ -990,18 +973,21 @@ def scaling_to_dict(scaling):
 
 
 def scaling_from_dict(data):
+    if not isinstance(data, dict):
+        raise InputError("scaling JSON must be an object")
     kind = data.get("kind")
     if kind == "geometric":
         return GeometricScaling(rat(data["q"]), rat(data.get("c", 1)))
     if kind == "polynomial":
-        return PolynomialScaling(int(data["degree"]), rat(data.get("c", 1)))
+        return PolynomialScaling(integer(data["degree"]),
+                                 rat(data.get("c", 1)))
     if kind == "interleave":
         return InterleaveScaling(scaling_from_dict(data["first"]),
                                  scaling_from_dict(data["second"]))
     if kind == "subsequence":
         return SubsequenceScaling(scaling_from_dict(data["base"]),
-                                  int(data["stride"]),
-                                  int(data.get("offset", 0)))
+                                  integer(data["stride"]),
+                                  integer(data.get("offset", 0)))
     raise InputError(f"unknown scaling kind {kind!r}")
 
 
@@ -1022,6 +1008,8 @@ def spec_to_dict(spec):
 
 
 def spec_from_dict(data):
+    if not isinstance(data, dict):
+        raise InputError("sequence spec JSON must be an object")
     kind = data.get("kind")
     if kind == "affine":
         return AffineSpec(rat(data["a"]), data.get("sub", "const"),

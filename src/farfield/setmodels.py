@@ -1165,23 +1165,6 @@ def intersections(model, windows) -> list:
     return out
 
 
-def points_in_open_interval(model, lo, hi, limit: int):
-    """The first `limit` set points inside (lo, hi) in increasing order, or
-    None when a continuum of E meets (lo, hi) before `limit` points do."""
-    lo, hi = rat(lo), rat(hi)
-    out = []
-    for c in components(model, lo):
-        if c[0] >= hi or len(out) >= limit:
-            break
-        if c[1] <= lo:
-            continue
-        if c[0] != c[1] or c[0] is ZERO_ABOVE:
-            return None
-        if not out or out[-1] != c[0]:
-            out.append(c[0])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 

@@ -200,6 +200,20 @@ def test_lab_report_structure(tmp_path):
     assert odd_split[0]["after"]["value"] == "2"
 
 
+@pytest.mark.parametrize("changes", [
+    {"scaling": 5},
+    {"families": [{"label": "x0", "spec": [1]}]},
+    {"scaling": {"kind": "polynomial", "degree": 1.5}},
+    {"index_maps": [{"stride": 1.5, "offset": 0}]},
+])
+def test_lab_bad_configs_exit_two(tmp_path, changes):
+    # a non-object scaling or spec, and a fractional degree or stride,
+    # are config errors: never a traceback, never truncated to 1
+    code, out = run(tmp_path, "lab", dict(LAB_CONFIG, **changes))
+    assert code == 2
+    assert not (out / "lab_report.json").exists()
+
+
 # -- line classification --------------------------------------------------------
 
 

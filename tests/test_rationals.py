@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from farfield.errors import InputError
-from farfield.rationals import dec, rat
+from farfield.rationals import dec, integer, rat
 
 
 def test_rat_reads_a_float_as_its_shortest_repr():
@@ -15,6 +15,16 @@ def test_rat_reads_a_float_as_its_shortest_repr():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(InputError):
             rat(bad)
+
+
+def test_integer_rejects_what_it_would_truncate():
+    assert integer(3) == 3
+    assert integer("2") == 2
+    assert integer(2.0) == 2
+    assert integer("-4/2") == -2
+    for bad in (1.5, "3/2", True, None, "x"):
+        with pytest.raises(InputError):
+            integer(bad)
 
 
 def test_dec_renders_beyond_the_float_range():

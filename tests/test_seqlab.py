@@ -3,21 +3,26 @@
 Everything here is symbolic: the corpus draws random coefficient
 combinations of the supported atoms, the laws are asserted with exact
 Fraction equality, and the clique search is cross-checked against subset
-enumeration.
+enumeration.  The lab entry points (graph, push, probe) are checked
+against references built from the public `tilde_d` and `d_r` on mixed
+families of closed forms, affine specs and set-valued selectors.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from farfield import (
     AffineSpec,
     ClosedFormSpec,
+    FullLine,
     GeometricPoints,
     GeometricScaling,
-    GraphConstructionError,
     InSetSpec,
     InputError,
     Lattice,
@@ -41,6 +46,9 @@ from farfield import (
     tangency_probe,
     tilde_d,
 )
+from farfield import seqlab
+from farfield.cli import main as cli_main
+from farfield.seqlab import ATOMS, _push_spec
 
 F = Fraction
 
@@ -222,19 +230,161 @@ def brute_maximal_cliques(n, edge_set):
     )
 
 
-def test_graph_edges_match_pairwise_limits():
-    rng = random.Random(2203)
-    for _ in range(25):
-        scaling = rng.choice(SCALINGS)
-        fam = {f"m{i}": random_member(rng) for i in range(rng.randint(2, 6))}
-        g = stability_graph(fam, scaling)
-        for i, j in itertools.combinations(range(len(g.labels)), 2):
-            res = d_r(g.specs[i], g.specs[j], scaling)
-            val = g.edge_value(g.labels[i], g.labels[j])
-            if res.exists:
-                assert val == res.value
+# Mixed families: closed forms, affine specs and nearest-point selectors.
+# Under GeometricScaling(4) the selectors over GP(2) and GP(4) classify,
+# under GeometricScaling(3, 1/2) the one over GP(3) does; GP(5) never
+# classifies under these scalings, so its selectors take the numeric path.
+LAB_SCALINGS = SCALINGS + (GeometricScaling(F(4)),)
+COEFS = st.sampled_from((F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2), F(3)))
+UNCLASSIFIED = InSetSpec(GeometricPoints(F(5), F(1), 0), F(1))
+
+
+@st.composite
+def lab_specs(draw):
+    kind = draw(st.sampled_from(("closed_form", "affine", "lattice",
+                                 "line", "geometric")))
+    if kind == "closed_form":
+        atoms = draw(st.lists(st.sampled_from(ATOMS), max_size=3,
+                              unique=True))
+        return ClosedFormSpec({atom: draw(COEFS) for atom in atoms})
+    if kind == "affine":
+        return AffineSpec(draw(COEFS),
+                          draw(st.sampled_from(("const", "sqrt", "log"))),
+                          draw(COEFS),
+                          draw(st.sampled_from(("plus", "alternating"))))
+    if kind == "lattice":
+        model = Lattice(F(draw(st.integers(1, 3))), F(draw(st.integers(0, 2))))
+    elif kind == "line":
+        model = FullLine()
+    else:
+        q = draw(st.sampled_from((F(2), F(3), F(4), F(5))))
+        model = GeometricPoints(q, F(1), 0)
+    a = draw(COEFS)
+    return InSetSpec(model, a, draw(st.sampled_from((None, a, -a, F(2)))))
+
+
+@st.composite
+def lab_families(draw):
+    """(scaling, family) with 2-8 members; about one family in three holds
+    the selector that never classifies."""
+    scaling = draw(st.sampled_from(LAB_SCALINGS))
+    specs = draw(st.lists(lab_specs(), min_size=2, max_size=8))
+    if draw(st.integers(0, 2)) == 0:
+        specs[draw(st.integers(0, len(specs) - 1))] = UNCLASSIFIED
+    return scaling, [(f"m{i}", spec) for i, spec in enumerate(specs)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=lab_families(), members_only=st.booleans())
+def test_graph_edges_match_pairwise_limits(case, members_only):
+    scaling, fam = case
+    if members_only:
+        fam = [(label, spec) for label, spec in fam
+               if in_sequence_set(spec, scaling)]
+    tilde = [tilde_d(spec, scaling) for _, spec in fam]
+    if not all(res.exists for res in tilde):
+        with pytest.raises(InputError):
+            stability_graph(fam, scaling)
+        return
+    g = stability_graph(fam, scaling)
+    assert g.tilde == tuple(res.value for res in tilde)
+    edges = []
+    for i, j in itertools.combinations(range(len(fam)), 2):
+        res = d_r(fam[i][1], fam[j][1], scaling)
+        # members with a normalized limit never leave a pair undecided
+        assert res.status in ("exact", "no_limit")
+        if res.exists:
+            edges.append(((i, j), res.value))
+        assert g.edge_value(fam[i][0], fam[j][0]) == (
+            res.value if res.exists else None)
+    assert g.edges == tuple(edges)
+
+
+def test_unclassified_selector_takes_the_numeric_path():
+    for scaling in LAB_SCALINGS:
+        assert not seqlab.classify(UNCLASSIFIED, scaling).ok
+        assert tilde_d(UNCLASSIFIED, scaling).status != "exact"
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=lab_families(), stride=st.integers(1, 3),
+       offset=st.integers(0, 2))
+def test_push_checks_match_public_limits(case, stride, offset):
+    scaling, fam = case
+    pushed_scaling = SubsequenceScaling(scaling, stride, offset)
+    pushed = [(label, _push_spec(spec, stride, offset)) for label, spec in fam]
+    want = [("tilde_d", (label,), tilde_d(spec, scaling),
+             tilde_d(pspec, pushed_scaling))
+            for (label, spec), (_, pspec) in zip(fam, pushed)]
+    for (a, b), (pa, pb) in zip(itertools.combinations(fam, 2),
+                                itertools.combinations(pushed, 2)):
+        want.append(("d_r", (a[0], b[0]), d_r(a[1], b[1], scaling),
+                     d_r(pa[1], pb[1], pushed_scaling)))
+    report = subsequence_push(fam, scaling, stride, offset)
+    assert report.scaling == pushed_scaling
+    assert report.family == tuple(pushed)
+    assert report.checks == tuple(want)
+
+
+def reference_probe(graph, clique, index_maps, pool):
+    """tangency_probe spelled out with the public limits, pair by pair."""
+    outcomes = []
+    for stride, offset in index_maps:
+        scaling = SubsequenceScaling(graph.scaling, stride, offset)
+        members = [(label, _push_spec(graph.specs[graph.labels.index(label)],
+                                      stride, offset))
+                   for label in sorted(clique)]
+        notes = []
+        found = None
+        for label, cand in sorted(pool.items()):
+            if label in clique:
+                continue
+            cand = _push_spec(cand, stride, offset)
+            if not tilde_d(cand, scaling).exists:
+                notes.append(f"{label}: no normalized limit")
+                continue
+            limits = [(name, d_r(cand, spec, scaling))
+                      for name, spec in members]
+            unsettled = [(name, res) for name, res in limits
+                         if not res.exists]
+            if unsettled:
+                name, res = unsettled[0]
+                why = "unstable" if res.status == "no_limit" else "undecided"
+                notes.append(f"{label}: {why} against {name}")
+            elif any(res.value == 0 for _, res in limits):
+                notes.append(f"{label}: collapses onto a member")
             else:
-                assert val is None
+                found = label
+                break
+        if found is not None:
+            outcomes.append((stride, offset, "extension_witness", found, ""))
+        else:
+            detail = "bounded search only"
+            if notes:
+                detail += ": " + "; ".join(notes)
+            outcomes.append((stride, offset, "no_extension_found", None,
+                             detail))
+    return outcomes
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=lab_families(), extra=st.lists(lab_specs(), max_size=4),
+       index_maps=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 2)),
+                           min_size=1, max_size=3),
+       data=st.data())
+def test_probe_matches_public_limits(case, extra, index_maps, data):
+    scaling, specs = case
+    fam = [(label, spec) for label, spec in specs
+           if in_sequence_set(spec, scaling)]
+    assume(fam)
+    g = stability_graph(fam, scaling)
+    clique = data.draw(st.sampled_from(maximal_self_stable(g)))
+    pool = {f"c{i}": spec for i, spec in enumerate(extra)}
+    pool["u"] = UNCLASSIFIED
+    pool[clique[0]] = ClosedFormSpec({"r": F(7)})  # a member: skipped
+    got = [(o.stride, o.offset, o.status, o.witness, o.detail)
+           for o in tangency_probe(g, clique, index_maps, pool)]
+    assert got == reference_probe(g, clique, index_maps, pool)
 
 
 def test_maximal_families_match_subset_enumeration():
@@ -262,6 +412,53 @@ def test_vanishing_members_sit_in_every_maximal_family():
         g = stability_graph(fam, scaling)
         for clique in maximal_self_stable(g):
             assert "z0" in clique and "z1" in clique
+
+
+def lab_work_config(size, pushes):
+    """A lab family of `size` members, cycling closed forms, affine specs
+    and selectors over plain, alternating and vanishing phases."""
+    families = []
+    for i in range(size):
+        a = str(F(i % 5 + 1, 2))
+        phase = i // 3 % 3
+        if i % 3 == 0:
+            spec = {"kind": "closed_form",
+                    "terms": ({} if phase == 0 else
+                              {"r": a} if phase == 1 else {"alt_r": a})}
+            spec["terms"]["sqrt_r"] = "1"
+        elif i % 3 == 1:
+            spec = {"kind": "affine", "a": "0" if phase == 0 else a,
+                    "sub": "log", "b": "2",
+                    "sign": "alternating" if phase == 2 else "plus"}
+        else:
+            spec = {"kind": "in_set", "a": "0" if phase == 0 else a,
+                    "model": {"kind": "lattice", "step": "1", "offset": "0"}}
+            if phase == 2:
+                spec["a_odd"] = "-" + a
+        families.append({"label": f"m{i:02d}", "spec": spec})
+    return {"families": families,
+            "scaling": {"kind": "geometric", "q": "2", "c": "1"},
+            "index_maps": [{"stride": 1 + k % 3, "offset": k % 2}
+                           for k in range(pushes)]}
+
+
+def test_lab_job_classifies_each_spec_once_per_scaling(tmp_path,
+                                                       monkeypatch):
+    calls = []
+    classify = seqlab.classify
+
+    def counting(spec, scaling):
+        calls.append(spec)
+        return classify(spec, scaling)
+
+    monkeypatch.setattr(seqlab, "classify", counting)
+    cfg = tmp_path / "lab.json"
+    cfg.write_text(json.dumps(lab_work_config(20, 3)))
+    assert cli_main(["lab", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+    # one classification per spec for the graph, two per spec and push
+    # (the spec, then its pushed copy under the pushed scaling)
+    assert len(calls) <= 20 * (1 + 2 * 3)
 
 
 def test_graph_rejects_members_without_limits():

@@ -45,7 +45,6 @@ from farfield import setmodels
 from farfield.setmodels import (
     intersects_open_interval,
     is_nonnegative_model,
-    points_in_open_interval,
 )
 
 B = F(200)
@@ -186,20 +185,6 @@ def o_intersects(pieces, acc, lo, hi):
     return o_meets(acc, lo, hi) or any(a < hi and b > lo for a, b in pieces)
 
 
-def o_points(pieces, acc, lo, hi, limit):
-    items = sorted([(a, 0, b) for a, b in pieces if a < hi and b > lo]
-                   + ([ABOVE] if 1 in acc and lo <= 0 < hi else []))
-    out = []
-    for item in items:
-        if len(out) >= limit:
-            break
-        if item == ABOVE or item[0] != item[2]:
-            return None
-        if not out or out[-1] != item[0]:
-            out.append(item[0])
-    return out
-
-
 def coalesce(items):
     out = []
     for lo, hi in sorted(items):
@@ -293,9 +278,8 @@ def windows():
 
 @settings(max_examples=150, deadline=None)
 @given(model=trees(3), xs=st.lists(POINTS, min_size=1, max_size=5),
-       spans=st.lists(windows(), min_size=1, max_size=3),
-       limit=st.integers(1, 4))
-def test_derived_queries_match_the_oracle(model, xs, spans, limit):
+       spans=st.lists(windows(), min_size=1, max_size=3))
+def test_derived_queries_match_the_oracle(model, xs, spans):
     pieces, acc = oracle(model)
     assert is_nonnegative_model(model) == (
         -1 not in acc and all(a >= 0 for a, _ in pieces))
@@ -318,8 +302,6 @@ def test_derived_queries_match_the_oracle(model, xs, spans, limit):
     for lo, hi in spans:
         assert intersects_open_interval(model, lo, hi) \
             == o_intersects(pieces, acc, lo, hi), (lo, hi)
-        assert points_in_open_interval(model, lo, hi, limit) \
-            == o_points(pieces, acc, lo, hi, limit), (lo, hi)
         ws = window_structure(model, lo, hi)
         expected = o_window(pieces, lo, hi)
         assert (ws.truncated_below is not None) == o_meets(acc, lo, hi)
