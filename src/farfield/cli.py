@@ -109,7 +109,7 @@ _EPS_COLUMNS = (("t", "rat"), ("eps_ZY", "rat"), ("eps_YZ", "rat"),
 
 def _cmd_porosity(cfg, args, out: Path) -> int:
     model = sm.model_from_dict(_require(cfg, "model"))
-    exponent = args.horizon if args.horizon is not None else int(
+    exponent = args.horizon if args.horizon is not None else integer(
         cfg.get("horizon_exponent", por.DEFAULT_HORIZON_EXPONENT))
     threshold = rat(cfg.get("threshold", Fraction(1, 100)))
     result = por.porosity_at_infinity(model, exponent)
@@ -158,7 +158,7 @@ def _cmd_equiv(cfg, args, out: Path) -> int:
     y = sm.model_from_dict(_require(cfg, "y_model"))
     z = sm.model_from_dict(_require(cfg, "z_model"))
     p = _point(cfg.get("p"))
-    horizon = args.horizon if args.horizon is not None else int(
+    horizon = args.horizon if args.horizon is not None else integer(
         cfg.get("horizon", eq.DEFAULT_HORIZON))
     verdict = eq.decide_strong_equivalence(
         y, z, p,
@@ -191,9 +191,9 @@ def _cmd_spectrum(cfg, args, out: Path) -> int:
     scaling_2 = sl.scaling_from_dict(_require(cfg, "scaling_2"))
     grid = [rat(t) for t in _require(cfg, "t_grid")]
     epsilon = rat(_require(cfg, "epsilon"))
-    horizon = args.horizon if args.horizon is not None else int(
+    horizon = args.horizon if args.horizon is not None else integer(
         cfg.get("horizon", sp.DEFAULT_HORIZON))
-    persistence = int(cfg.get("persistence", sp.DEFAULT_PERSISTENCE))
+    persistence = integer(cfg.get("persistence", sp.DEFAULT_PERSISTENCE))
     comp = sp.compare_spectra(model, p, scaling_1, scaling_2, grid, epsilon,
                               horizon, persistence)
     write_curve(out / "spectrum.csv",
@@ -297,9 +297,9 @@ def _cmd_pseudo(cfg, args, out: Path) -> int:
         import random
 
         spec = cfg["fuzz"]
-        count = int(spec.get("count", 100))
-        max_points = int(spec.get("max_points", 5))
-        seed = args.seed if args.seed is not None else int(
+        count = integer(spec.get("count", 100))
+        max_points = integer(spec.get("max_points", 5))
+        seed = args.seed if args.seed is not None else integer(
             spec.get("seed", 0))
         rng = random.Random(seed)
         failures = []

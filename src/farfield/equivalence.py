@@ -197,23 +197,6 @@ def _reaches(model, direction: int) -> bool:
     return _end(model, direction) == direction * setmodels.INF
 
 
-def _has_arbitrarily_long_runs(model) -> bool:
-    """Whether the set contains intervals of unbounded length."""
-    if isinstance(model, (FullLine, Ray)):
-        return True
-    if isinstance(model, GeometricBlocks):
-        return True  # block lengths (b-a)*q^n grow without bound
-    if isinstance(model, FiniteUnion):
-        return any(_has_arbitrarily_long_runs(p) for p in model.parts)
-    if isinstance(model, FiniteModification):
-        # removing points splits intervals but a punctured interval still
-        # forces the same supremum of distances to a discrete target
-        return _has_arbitrarily_long_runs(model.base)
-    if isinstance(model, setmodels.Reflected):
-        return _has_arbitrarily_long_runs(model.base)
-    return False
-
-
 def _leaf_target_sup(source, target) -> SupDistance:
     """sup over the source of the distance to a Ray, Lattice or
     PeriodicBlocks target, by the rules in the module docstring."""
@@ -222,14 +205,14 @@ def _leaf_target_sup(source, target) -> SupDistance:
                if end == side * setmodels.INF]
     if not all(_reaches(target, side) for side in reached):
         return _INF
-    if isinstance(target, Ray) or _has_arbitrarily_long_runs(source):
+    shape = setmodels.eventual_shape(source)
+    if isinstance(target, Ray) or shape.long_runs:
         # far out, a ray is at distance 0 and long runs meet the widest gap
-        caps = [setmodels.asymptotic_covering_bound(target, side)
-                for side in reached]
-        return SupDistance("value", max(caps + [
+        cover = setmodels.eventual_shape(target).cover
+        return SupDistance("value", max([cover[side] for side in reached] + [
             distance_to_set(target, Fraction(end))
             for side, end in ends.items() if side not in reached]))
-    if setmodels.period(source) is not None:
+    if shape.period is not None:
         best = _periodic_sup(source, target)
     else:
         best = _flattened_sup(source, target)
@@ -240,7 +223,7 @@ def _periodic_sup(source, target):
     """sup of the distance to the target over a periodic source, or None
     when the window holds more than WINDOW_CAP components.
 
-    Outside the window of both prefixes (required_window), the source and
+    Outside the reach of both prefixes (their eventual shape), the source and
     the distance to the target both repeat with the common period. So every
     source point has a translate at the same distance within one common
     period beyond the window on its side, and one merged walk of the source
@@ -248,8 +231,8 @@ def _periodic_sup(source, target):
     sup: over the part of [lo, hi] inside a gap (g1, g2) the distance peaks
     at the point nearest the gap's midpoint.
     """
-    both = FiniteUnion((source, target))
-    reach = setmodels.required_window(both) + setmodels.period(both)
+    both = setmodels.eventual_shape(FiniteUnion((source, target)))
+    reach = both.reach + both.period
     best, gaps = ZERO, None
     for count, (lo, hi) in enumerate(setmodels.components(source, -reach)):
         if lo > reach:
@@ -296,7 +279,7 @@ def _flattened_sup(source, target):
     _flatten(source, frozenset(), points, leaves)
     best = max((distance_to_set(target, pt) for pt in points), default=ZERO)
     for leaf, removed in leaves:
-        if setmodels.period(leaf) is not None:
+        if setmodels.eventual_shape(leaf).period is not None:
             got = _periodic_sup(
                 FiniteModification(leaf, (), tuple(removed)), target)
         elif isinstance(leaf, GeometricPoints) and isinstance(target, Lattice):

@@ -18,10 +18,11 @@ structurally critical horizons injected. The estimator reports the probed
 sup only; it never certifies nonporosity, and it is meaningful as a limsup
 proxy once the horizon dwarfs the model's structural scale.
 
-The grid is probed in one `setmodels.longest_gaps` call. A leaf answers
-each horizon by its closed form; a union or modification is walked once,
+The grid is probed in one `setmodels.longest_gaps` call. A geometric leaf
+answers each horizon by its closed form; any other model is walked once,
 ascending from 0 across the sorted grid with the running longest gap and
-right end. Where GeometricBlocks accumulates at 0, l(h) counts only the
+right end, and only up to two periods past its reach when it has a
+period. Where GeometricBlocks accumulates at 0, l(h) counts only the
 gaps above the truncation scale trunc(h) < h/2**20, and a horizon whose
 longest gap is shorter than trunc(h) raises UnsupportedGeometryError.
 """
@@ -59,21 +60,20 @@ class PorosityVerdict:
 
 
 def _exact_closed_form(model):
-    """(value, witness_h builder, note) for variants with a closed form."""
+    """(value, note) for variants with a closed form, else None."""
     bound = sm.gap_bound(model)
     if bound is not None:
-        return Fraction(0), (), f"all gaps bounded by {bound}"
+        return Fraction(0), f"all gaps bounded by {bound}"
     if isinstance(model, sm.GeometricPoints):
-        value = 1 - 1 / model.q
-        return value, ("points",), "largest relative gap between consecutive points"
+        return 1 - 1 / model.q, "largest relative gap between consecutive points"
     if isinstance(model, sm.GeometricBlocks):
-        value = model.gap_seed / (model.a * model.q)
-        return value, ("blocks",), "largest relative gap before the next block"
+        return (model.gap_seed / (model.a * model.q),
+                "largest relative gap before the next block")
     if isinstance(model, sm.FiniteModification):
         inner = _exact_closed_form(model.base)
         if inner is not None:
-            value, wk, note = inner
-            return value, wk, note + "; finite modification does not move the limsup"
+            value, note = inner
+            return value, note + "; finite modification does not move the limsup"
     return None
 
 
@@ -125,9 +125,9 @@ def porosity_at_infinity(model, horizon_exponent: int = DEFAULT_HORIZON_EXPONENT
             raise
         # a gap bound certifies the value without the probe's evidence
         return PorosityResult(closed[0], "exact", (), (),
-                              f"{closed[2]}; grid probe skipped: {exc}")
+                              f"{closed[1]}; grid probe skipped: {exc}")
     if closed is not None:
-        value, _, note = closed
+        value, note = closed
         return PorosityResult(value, "exact", witness, trace, note)
     return PorosityResult(best, "horizon_estimate", witness, trace,
                           "probed sup; lower evidence for the limsup")

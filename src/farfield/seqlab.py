@@ -33,7 +33,7 @@ from .pseudometric import make_space, metric_identify
 from .rationals import flog, fmt, integer, ipow_floor_log, rat
 from . import setmodels
 from .setmodels import (
-    asymptotic_covering_bound,
+    eventual_shape,
     max_element,
     min_element,
     model_from_dict,
@@ -380,7 +380,7 @@ def _classify_inset_branch(model, anchor, scaling, parity):
             return None
         return ZERO, f"pinned at {fmt(pin)}"
     direction = 1 if anchor > 0 else -1
-    cover = asymptotic_covering_bound(model, direction)
+    cover = eventual_shape(model).cover[direction]
     if cover is not None:
         return anchor, f"covering bound {fmt(cover)}"
     pin = min_element(model) if direction == -1 else max_element(model)
@@ -1015,8 +1015,11 @@ def spec_from_dict(data):
         return AffineSpec(rat(data["a"]), data.get("sub", "const"),
                           rat(data.get("b", 0)), data.get("sign", "plus"))
     if kind == "closed_form":
+        terms = data["terms"]
+        if not isinstance(terms, dict):
+            raise InputError("closed-form terms must be an object")
         return ClosedFormSpec({atom: rat(coef)
-                               for atom, coef in data["terms"].items()})
+                               for atom, coef in terms.items()})
     if kind == "in_set":
         a_odd = data.get("a_odd")
         return InSetSpec(model_from_dict(data["model"]), rat(data["a"]),

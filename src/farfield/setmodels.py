@@ -31,10 +31,16 @@ decreasing order of hi. The contract:
 - From x = -inf ascending (+inf descending), a side that is unbounded
   yields (x, x) first, so the first component answers min/max questions.
 
+What a 1-D set does far out is its eventual shape, `eventual_shape(model)`:
+one rule per leaf kind, with union, finite modification and reflection
+written once; `required_window` and `gap_bound` read fields of it.
+
 The porosity probe's gap search, `longest_gaps(model, hs)`, answers an
-ascending horizon list in one ascending walk of the cursor from 0 for
-unions and modifications (leaves keep their closed forms). Where the set
-accumulates at 0, each horizon h is read as its window [0, h] is: the
+ascending horizon list in one ascending walk of the cursor from 0
+(geometric leaves keep their closed forms). A set with a period p is
+walked only up to reach + 2p, where every gap length has shown; a larger
+horizon takes its trailing gap from one descending cursor step. Where the
+set accumulates at 0, each horizon h is read as its window [0, h] is: the
 components at 0, then those above the truncation scale trunc(h) (below
 h/2**20), and the search is inconclusive when the longest gap is shorter
 than trunc(h).
@@ -46,13 +52,13 @@ import functools
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
 
 from .errors import InputError, UnsupportedGeometryError
-from .rationals import fmt, ipow_floor_log, rat
+from .rationals import fmt, integer, ipow_floor_log, rat
 
 WINDOW_CAP = 200_000
 
@@ -814,6 +820,129 @@ def _take(comps, hi, out) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Eventual shapes
+
+
+@dataclass(frozen=True)
+class EventualShape:
+    """What a 1-D set does far out, where every structural shortcut looks.
+
+    reach: a half-width past which the tails are structurally determined
+        (the aperiodic prefix plus two repetitions of the regular part).
+    period: a p > 0 with x and x + p both in or both out of the set
+        whenever both lie past reach on one side; 0 when every p > 0 is
+        one (rays, the full line), None when there is none.
+    gap: a bound on every open gap of [0, inf) \\ E, None when unbounded;
+        a finite bound certifies nonporosity.
+    cover: {direction: a bound on distance_to_set(x) for every far enough
+        x toward direction * inf, None when unbounded}.
+    long_runs: whether the set holds intervals of unbounded length.
+    """
+
+    reach: Fraction
+    period: object
+    gap: object
+    cover: dict
+    long_runs: bool
+
+
+def _lattice_shape(m: Lattice):
+    cover = m.step / 2
+    return EventualShape(
+        abs(m.offset) + 2 * m.step, m.step,
+        max(m.step, m.offset) if m.half == "plus" else None,
+        {-1: None if m.half == "plus" else cover,
+         1: None if m.half == "minus" else cover}, False)
+
+
+def _ray_shape(m: Ray):
+    up = m.direction == 1
+    return EventualShape(abs(m.origin) + 1, ZERO,
+                         max(ZERO, m.origin) if up else None,
+                         {-1: None if up else ZERO, 1: ZERO if up else None},
+                         True)
+
+
+def _periodic_shape(m: PeriodicBlocks):
+    # the gaps of one period, the last one wrapping into the next period
+    gaps = [l2 - h1 for (_, h1), (l2, _) in zip(m.blocks, m.blocks[1:])]
+    gaps.append(m.period - m.blocks[-1][1] + m.blocks[0][0])
+    return EventualShape(abs(m.offset) + 2 * m.period, m.period,
+                         max([m.offset + m.blocks[0][0]] + gaps),
+                         {-1: None, 1: max(gaps) / 2}, False)
+
+
+def _min_known(values):
+    return min((v for v in values if v is not None), default=None)
+
+
+def _union_shape(m: FiniteUnion):
+    shapes = [eventual_shape(p) for p in m.parts]
+    periods = [s.period for s in shapes]
+    return EventualShape(
+        max(s.reach for s in shapes),
+        None if None in periods else functools.reduce(_lcm, periods),
+        _min_known(s.gap for s in shapes),
+        {d: _min_known(s.cover[d] for s in shapes) for d in (-1, 1)},
+        any(s.long_runs for s in shapes))
+
+
+def _modification_shape(m: FiniteModification):
+    # finitely many points change only the prefix (a punctured long run
+    # still counts), but removing r points can merge r + 1 consecutive gaps
+    base = eventual_shape(m.base)
+    return replace(
+        base,
+        reach=max([base.reach] + [abs(x) + 1 for x in m.added + m.removed]),
+        gap=None if base.gap is None
+        else (len(m.removed) + 1) * max(base.gap, ZERO))
+
+
+def _reflected_shape(m: Reflected):
+    base = eventual_shape(m.base)
+    return replace(base, gap=None, cover={-d: c for d, c in base.cover.items()})
+
+
+_SHAPES = {
+    Lattice: _lattice_shape,
+    Ray: _ray_shape,
+    FullLine: lambda m: EventualShape(Fraction(1), ZERO, None,
+                                      {-1: ZERO, 1: ZERO}, True),
+    GeometricPoints: lambda m: EventualShape(
+        abs(m.point(m.n0 + 1)) + 1, None, None, {-1: None, 1: None}, False),
+    # block lengths (b - a) * q**n grow without bound
+    GeometricBlocks: lambda m: EventualShape(m.b * m.q, None, None,
+                                             {-1: None, 1: None}, True),
+    PeriodicBlocks: _periodic_shape,
+    FiniteUnion: _union_shape,
+    FiniteModification: _modification_shape,
+    Reflected: _reflected_shape,
+}
+
+
+def eventual_shape(model) -> EventualShape:
+    """The eventual shape of a 1-D model (see EventualShape): one rule per
+    leaf kind, and union, finite modification and reflection once."""
+    kind = type(model)
+    if kind not in _SHAPES:
+        raise UnsupportedGeometryError(f"no window law for {kind.__name__}")
+    return _SHAPES[kind](model)
+
+
+def required_window(model) -> Fraction:
+    """The reach of the model's eventual shape."""
+    return eventual_shape(model).reach
+
+
+def _lcm(a: Fraction, b: Fraction) -> Fraction:
+    """Least common multiple of two rationals, 0 standing for any."""
+    if not a or not b:
+        return a or b
+    return Fraction(math.lcm(a.numerator, b.numerator),
+                    math.gcd(a.denominator, b.denominator))
+
+
+# ---------------------------------------------------------------------------
 # Gap search on [0, h]
 
 
@@ -823,31 +952,8 @@ def is_nonnegative_model(model) -> bool:
 
 
 def gap_bound(model):
-    """An upper bound valid for every open gap of [0,inf) \\ E, or None
-    when gaps grow without bound. Finite bound certifies nonporosity."""
-    if isinstance(model, Ray) and model.direction == 1:
-        return max(ZERO, model.origin)
-    if isinstance(model, Lattice) and model.half == "plus":
-        return max(model.step, model.offset)
-    if isinstance(model, PeriodicBlocks):
-        gaps = [model.offset + model.blocks[0][0]]
-        for (l1, h1), (l2, _) in zip(model.blocks, model.blocks[1:]):
-            gaps.append(l2 - h1)
-        gaps.append(model.period - model.blocks[-1][1] + model.blocks[0][0])
-        return max(gaps)
-    if isinstance(model, (GeometricPoints, GeometricBlocks)):
-        return None
-    if isinstance(model, FiniteUnion):
-        bounds = [gap_bound(p) for p in model.parts]
-        finite = [b for b in bounds if b is not None]
-        return min(finite) if finite else None
-    if isinstance(model, FiniteModification):
-        base = gap_bound(model.base)
-        if base is None:
-            return None
-        # removing r points can merge at most r+1 consecutive gaps
-        return (len(model.removed) + 1) * max(base, ZERO)
-    return None
+    """The gap field of the model's eventual shape."""
+    return eventual_shape(model).gap
 
 
 def longest_gap(model, h) -> Fraction:
@@ -857,17 +963,6 @@ def longest_gap(model, h) -> Fraction:
         raise InputError("gap horizon must be positive")
     if not is_nonnegative_model(model):
         raise InputError("gap search needs a model inside [0, inf)")
-    if isinstance(model, Ray):
-        return min(model.origin, h)
-    if isinstance(model, Lattice):
-        if model.offset > h:
-            return h
-        k_max = math.floor((h - model.offset) / model.step)
-        last = model.point(k_max)
-        cands = [model.offset, h - last]
-        if k_max >= 1:
-            cands.append(model.step)
-        return max(cands)
     if isinstance(model, GeometricPoints):
         first = model.point(model.n0)
         if first > h:
@@ -883,20 +978,21 @@ def longest_gap(model, h) -> Fraction:
         if h <= model.b * model.q**n:
             return full_below
         return max(full_below, h - model.b * model.q**n)
-    if isinstance(model, PeriodicBlocks):
-        return _periodic_longest_gap(model, h)
     return longest_gaps(model, (h,))[0]
-
-
-_GAP_LEAVES = (Ray, Lattice, GeometricPoints, GeometricBlocks, PeriodicBlocks)
 
 
 def longest_gaps(model, hs) -> list:
     """longest_gap(model, h) for every h of an ascending horizon list.
 
-    A leaf answers each h by its closed form. Any other model is walked
-    once: its components ascending from 0, carrying the running longest
-    gap and the running right end from one horizon to the next.
+    GeometricPoints and GeometricBlocks answer each h by their closed
+    forms. Any other model is walked once: its components ascending from
+    0, carrying the running longest gap and the running right end from
+    one horizon to the next.
+
+    With a period p in the eventual shape, the walk stops at reach + 2p:
+    no gap past reach is longer than p, and one that starts past reach + p
+    repeats the one p before it. A horizon past the stop takes its
+    trailing gap from one step of `components(model, h, -1)`.
 
     Where the set accumulates at 0 from above, l(h) is read as on
     `window_structure(model, 0, h)`: the components at 0 and those with
@@ -905,17 +1001,19 @@ def longest_gaps(model, hs) -> list:
     the smallest h, so for a larger h it also sees gaps below trunc(h);
     each is shorter than trunc(h), so it cannot change an answer that
     passes that check. The walk raises "too rich" at the first h whose
-    window would list more than WINDOW_CAP components.
+    walked components would outnumber WINDOW_CAP.
     """
     hs = [rat(h) for h in hs]
     if any(b < a for a, b in zip(hs, hs[1:])):
         raise InputError("gap horizons must ascend")
-    if isinstance(model, _GAP_LEAVES) or not hs:
+    if isinstance(model, (GeometricPoints, GeometricBlocks)) or not hs:
         return [longest_gap(model, h) for h in hs]
     if hs[0] <= 0:
         raise InputError("gap horizon must be positive")
     if not is_nonnegative_model(model):
         raise InputError("gap search needs a model inside [0, inf)")
+    shape = eventual_shape(model)
+    stop = None if shape.period is None else shape.reach + 2 * shape.period
     walk = components(model, ZERO)
     at_zero, prev_hi, c = 0, ZERO, next(walk, None)
     while c is not None and c[0] == 0:  # listed at every h
@@ -933,7 +1031,8 @@ def longest_gaps(model, hs) -> list:
             start, trunc = _truncation(model, h)
             while kept and kept[0] < start:
                 heapq.heappop(kept)
-        while c is not None and c[0] <= h:
+        end = h if stop is None else min(h, stop)
+        while c is not None and c[0] <= end:
             if c[0] > prev_hi:  # prev_hi may be inf: no float arithmetic
                 best = max(best, c[0] - prev_hi)
             prev_hi = max(prev_hi, c[1])
@@ -942,6 +1041,8 @@ def longest_gaps(model, hs) -> list:
                 if at_zero + len(kept) > WINDOW_CAP:
                     raise UnsupportedGeometryError("window structure too rich")
             c = next(walk, None)
+        if end < h:
+            prev_hi = next(components(model, h, -1))[1]
         gap = max(best, h - min(prev_hi, h))
         if trunc is not None and gap < trunc:
             raise UnsupportedGeometryError(
@@ -949,39 +1050,6 @@ def longest_gaps(model, hs) -> list:
             )
         out.append(gap)
     return out
-
-
-def _periodic_longest_gap(model: PeriodicBlocks, h: Fraction) -> Fraction:
-    first = model.offset + model.blocks[0][0]
-    if first > h:
-        return h
-    cands = [first]
-    # realized in-period gaps (each checked to fit inside [0, h])
-    for (l1, h1), (l2, _) in zip(model.blocks, model.blocks[1:]):
-        if model.offset + l2 <= h:
-            cands.append(l2 - h1)
-    wrap = model.period - model.blocks[-1][1] + model.blocks[0][0]
-    if model.offset + model.period + model.blocks[0][0] <= h:
-        cands.append(wrap)
-    # trailing gap back from h to the previous covered point
-    k = math.floor((h - model.offset) / model.period)
-    prev = None
-    for kk in (k, k - 1):
-        if kk < 0 or prev is not None:
-            continue
-        base = model.offset + model.period * kk
-        covered = [base + bhi for blo, bhi in model.blocks if base + blo <= h]
-        inside = [
-            min(h, c) for c in covered
-        ]
-        if inside:
-            prev = max(inside)
-    if prev is None:
-        prev = first  # h sits before the second block pattern
-        cands.append(max(ZERO, h - first))
-    else:
-        cands.append(h - prev)
-    return max(cands)
 
 
 def critical_gap_h_values(model, h_lo, h_hi, cap: int = 512):
@@ -1002,102 +1070,6 @@ def critical_gap_h_values(model, h_lo, h_hi, cap: int = 512):
     elif isinstance(model, FiniteModification):
         out |= set(critical_gap_h_values(model.base, h_lo, h_hi, cap))
     return tuple(sorted(out))
-
-
-# ---------------------------------------------------------------------------
-# Structural windows and periods
-
-
-def required_window(model) -> Fraction:
-    """Smallest half-width at which the model's aperiodic prefix plus two
-    repetitions of its regular part are visible, so tails beyond the window
-    are structurally determined."""
-    if isinstance(model, Lattice):
-        return abs(model.offset) + 2 * model.step
-    if isinstance(model, Ray):
-        return abs(model.origin) + 1
-    if isinstance(model, FullLine):
-        return Fraction(1)
-    if isinstance(model, GeometricPoints):
-        return abs(model.point(model.n0 + 1)) + 1
-    if isinstance(model, GeometricBlocks):
-        return model.b * model.q
-    if isinstance(model, PeriodicBlocks):
-        return abs(model.offset) + 2 * model.period
-    if isinstance(model, FiniteUnion):
-        return max(required_window(p) for p in model.parts)
-    if isinstance(model, FiniteModification):
-        extra = [abs(x) + 1 for x in model.added + model.removed]
-        return max([required_window(model.base)] + extra)
-    if isinstance(model, Reflected):
-        return required_window(model.base)
-    raise UnsupportedGeometryError(
-        f"no window law for {type(model).__name__}")
-
-
-def period(model):
-    """A period p > 0 of the set outside [-required_window, required_window]:
-    x and x + p lie both in the set or both outside it whenever both sit on
-    one side of that window. 0 when every p > 0 is one (rays, the full
-    line), None when there is none (the geometric kinds)."""
-    if isinstance(model, (Ray, FullLine)):
-        return ZERO
-    if isinstance(model, Lattice):
-        return model.step
-    if isinstance(model, PeriodicBlocks):
-        return model.period
-    if isinstance(model, FiniteUnion):
-        periods = [period(p) for p in model.parts]
-        return None if None in periods else functools.reduce(_lcm, periods)
-    if isinstance(model, (FiniteModification, Reflected)):
-        return period(model.base)
-    return None
-
-
-def _lcm(a: Fraction, b: Fraction) -> Fraction:
-    """Least common multiple of two rationals, 0 standing for any."""
-    if not a or not b:
-        return a or b
-    return Fraction(math.lcm(a.numerator, b.numerator),
-                    math.gcd(a.denominator, b.denominator))
-
-
-# ---------------------------------------------------------------------------
-# Structural bounds used by sequence classification
-
-
-def asymptotic_covering_bound(model, direction: int):
-    """Bound on distance_to_set(x) valid for all far-enough x on one side
-    (direction +1: x -> +inf, -1: x -> -inf), or None when unbounded."""
-    if isinstance(model, FullLine):
-        return ZERO
-    if isinstance(model, Ray):
-        return ZERO if model.direction == direction else None
-    if isinstance(model, Lattice):
-        if model.half == "full":
-            return model.step / 2
-        ok = (model.half == "plus") == (direction == 1)
-        return model.step / 2 if ok else None
-    if isinstance(model, PeriodicBlocks):
-        if direction != 1:
-            return None
-        gaps = [l2 - h1 for (_, h1), (l2, _) in zip(model.blocks,
-                                                    model.blocks[1:])]
-        gaps.append(model.period - model.blocks[-1][1] + model.blocks[0][0])
-        return max(gaps) / 2
-    if isinstance(model, (GeometricPoints, GeometricBlocks)):
-        return None
-    if isinstance(model, FiniteUnion):
-        bounds = [asymptotic_covering_bound(p, direction)
-                  for p in model.parts]
-        finite = [b for b in bounds if b is not None]
-        return min(finite) if finite else None
-    if isinstance(model, FiniteModification):
-        # added/removed points are bounded, so the far behavior is the base's
-        return asymptotic_covering_bound(model.base, direction)
-    if isinstance(model, Reflected):
-        return asymptotic_covering_bound(model.base, -direction)
-    return None
 
 
 def min_element(model):
@@ -1228,7 +1200,7 @@ def model_from_dict(data) -> object:
             return FullLine()
         if kind == "geometric_points":
             return GeometricPoints(rat(data["q"]), rat(data["c"]),
-                                   int(data.get("n0", 0)))
+                                   integer(data.get("n0", 0)))
         if kind == "geometric_blocks":
             return GeometricBlocks(rat(data["q"]), rat(data["a"]),
                                    rat(data["b"]))

@@ -102,6 +102,23 @@ def test_porosity_gap_bound_survives_a_too_rich_probe(tmp_path):
     assert len(lines) == 1  # header only
 
 
+def test_porosity_of_a_lattice_union_keeps_its_trace(tmp_path):
+    # the union has period 1: its gap search stops two periods past the
+    # reach instead of listing every point up to each horizon
+    union = {"kind": "finite_union", "parts": [
+        {"kind": "lattice", "step": "1/2", "offset": "0", "half": "plus"},
+        {"kind": "lattice", "step": "1/3", "offset": "0", "half": "plus"},
+    ]}
+    code, out = run(tmp_path, "porosity", {"model": union})
+    assert code == 0
+    summary = json.loads((out / "porosity_summary.json").read_text())
+    assert (summary["value"], summary["kind"]) == ("0", "exact")
+    assert "skipped" not in summary["notes"]
+    lines = (out / "porosity_trace.csv").read_text().splitlines()
+    assert len(lines) == 82
+    assert all(line.split(",")[2] == "1/3" for line in lines[1:])
+
+
 # -- epsilon curves ------------------------------------------------------------
 
 
@@ -169,6 +186,8 @@ def test_spectrum_assert_flags_divergence(tmp_path):
     {"persistence": 0},
     {"t_grid": [], "epsilon": "0", "horizon": 0},
     {"t_grid": []},
+    {"horizon": 10.5},
+    {"persistence": 2.5},
 ])
 def test_spectrum_bad_inputs_exit_two(tmp_path, changes):
     code, out = run(tmp_path, "spectrum", dict(SPECTRUM_CONFIG, **changes))
@@ -205,10 +224,12 @@ def test_lab_report_structure(tmp_path):
     {"families": [{"label": "x0", "spec": [1]}]},
     {"scaling": {"kind": "polynomial", "degree": 1.5}},
     {"index_maps": [{"stride": 1.5, "offset": 0}]},
+    {"families": [{"label": "x0",
+                   "spec": {"kind": "closed_form", "terms": [1]}}]},
 ])
 def test_lab_bad_configs_exit_two(tmp_path, changes):
-    # a non-object scaling or spec, and a fractional degree or stride,
-    # are config errors: never a traceback, never truncated to 1
+    # a non-object scaling, spec or terms, and a fractional degree or
+    # stride, are config errors: never a traceback, never truncated to 1
     code, out = run(tmp_path, "lab", dict(LAB_CONFIG, **changes))
     assert code == 2
     assert not (out / "lab_report.json").exists()
@@ -294,10 +315,25 @@ def test_malformed_json(tmp_path):
     {"model": {"kind": "lattice"}},          # lattice without a step
     {"model": {"kind": "ray", "origin": float("inf")}},  # JSON Infinity
     {"model": {"kind": "lattice", "step": float("nan"), "offset": "0"}},
+    {"model": dict(GP2, n0=1.5)},            # a fractional index
+    {"model": GP2, "horizon_exponent": 40.7},
 ])
 def test_bad_configs_exit_two(tmp_path, cfg):
     code, _ = run(tmp_path, "porosity", cfg)
     assert code == 2
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("equiv", {"y_model": LINE, "z_model": LATTICE, "horizon": 10.5}),
+    ("pseudo", {"fuzz": {"count": 2.5}}),
+    ("pseudo", {"fuzz": {"max_points": 4.5}}),
+    ("pseudo", {"fuzz": {"seed": 7.5}}),
+])
+def test_fractional_counts_exit_two(tmp_path, command, cfg):
+    # a count, horizon or seed is never truncated to an integer
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    assert not any(out.iterdir())
 
 
 def test_unknown_scaling_kind_exits_two(tmp_path):

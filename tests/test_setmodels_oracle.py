@@ -7,7 +7,8 @@ to the scale TINY, plus the side from which it accumulates at 0), applies
 the combinators to those finite lists and answers every query by scanning
 them; it never goes through the cursor. The porosity walk `longest_gaps` is
 also checked against per-horizon window decompositions on random
-nonnegative trees.
+nonnegative trees, and the fields of `eventual_shape` against the oracle
+past the reach.
 """
 
 import math
@@ -411,14 +412,74 @@ HORIZONS = st.sets(st.integers(1, 1600), min_size=1, max_size=6).map(
        cap=st.sampled_from([60, setmodels.WINDOW_CAP]))
 def test_longest_gaps_walk_matches_the_windows_and_the_oracle(model, hs,
                                                               cap):
+    # A model with a period is walked only up to reach + 2 periods, so it
+    # gets its exact gaps even where a window lists too many components,
+    # and it may raise "too rich" only where the windows do.
+    periodic = setmodels.eventual_shape(model).period is not None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(setmodels, "WINDOW_CAP", cap)
-        gaps, message = assert_walk_matches_windows(model, hs)
+        if not periodic:
+            gaps, message = assert_walk_matches_windows(model, hs)
+        else:
+            window_gaps, window_message = per_horizon(model, hs)
+            try:
+                gaps, message = longest_gaps(model, hs), None
+            except UnsupportedGeometryError as exc:
+                assert str(exc) == window_message
+                gaps, message = window_gaps, window_message
+                assert longest_gaps(model, hs[:len(gaps)]) == gaps
     pieces, acc = oracle(model)
     for h, gap in zip(hs, gaps):
         assert gap == o_longest_gap(pieces, acc, h), h
     if message is not None and cap > 60:
         assert acc, "only a truncated window may stay inconclusive"
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=trees(3), steps=st.lists(st.integers(1, 96), min_size=1,
+                                      max_size=6))
+def test_eventual_shape_holds_past_the_reach(model, steps):
+    shape = setmodels.eventual_shape(model)
+    pieces, _ = oracle(model)
+
+    def inside(x):  # no added or removed point lies past the reach
+        return any(a <= x <= b for a, b in pieces)
+
+    shift = shape.period or F(1, 8)  # period 0: every shift is a period
+    for x in (shape.reach + F(k, 8) for k in steps):
+        if shape.period is not None:
+            assert inside(x) == inside(x + shift), x
+            assert inside(-x) == inside(-x - shift), -x
+        for side in (1, -1):
+            # a point removed just inside the reach can leave a hole just
+            # past it, so the cover is checked one cover further out
+            cover = shape.cover[side]
+            if cover is not None:
+                far = side * (x + cover)
+                assert distance_to_set(model, far) <= cover, far
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=nonneg_trees(3))
+def test_gap_bound_holds_on_four_reaches(model):
+    shape = setmodels.eventual_shape(model)
+    if shape.gap is not None:
+        pieces, acc = oracle(model)
+        assert o_longest_gap(pieces, acc, 4 * shape.reach) <= shape.gap
+
+
+def test_longest_gaps_reads_two_periods_past_the_reach():
+    # reach 8 and period 3; the added points split every gap of length 3
+    # below the reach, and the first one left runs from 37/4 to 49/4,
+    # across reach + p = 11
+    model = FiniteModification(Lattice(F(3), F(1, 4), "plus"),
+                               added=(F(7, 4), F(19, 4), F(7)))
+    assert longest_gaps(model, [F(13), F(2) ** 40]) == [F(3), F(3)]
+
+
+def test_eventual_shape_has_no_window_law_in_the_plane():
+    with pytest.raises(UnsupportedGeometryError, match="no window law"):
+        setmodels.eventual_shape(setmodels.PlanarRay())
 
 
 GB2 = GeometricBlocks(F(2), F(1), F(3, 2))
