@@ -11,28 +11,32 @@ covering-style bounds give `equivalent_exact`, self-similar gap families
 give `not_equivalent` with a diverging witness, and only the explicitly
 non-certified `equivalent_numerical` rests on finite probing.
 
-The covering bound is sup_{z in Z} d(z, Y), taken both ways. Against a
-ray, a lattice or a periodic pattern it is read off the source's component
-cursor, by the first rule that applies:
+The covering bound is sup_{z in Z} d(z, Y), taken both ways. The target is
+chosen by its eventual shape (`setmodels.eventual_shape`), not its kind.
+Against a target with a period (a ray, a lattice, a periodic pattern, and
+every union, finite modification or reflection of those) it is read off the
+source's component cursor, by the first rule that applies:
 1. a source reaching a side of the line that the target does not gives
    "infinite";
 2. against a ray the distance is monotone, so the sup is the larger
    distance at the source's finite ends (its first components from -inf
    and +inf, the accumulation of GeometricBlocks at 0 included);
-3. a source with arbitrarily long runs meets the target's widest gap far
-   out: the sup is the larger of half that gap and the end distances;
-4. a periodic source is walked over both prefixes plus one common period
+3. a source with arbitrarily long runs meets the widest gap of a lattice or
+   periodic-pattern target far out: the sup is the larger of half that gap
+   and the end distances (a union's cover is only a bound, and a
+   modification's holds only far out, so those go on to rule 4 or 5);
+4. a periodic source is walked over both prefixes plus two common periods
    on each side, in one merged pass with the target's gaps: a component
    meeting a gap gives the distance at its point nearest the gap's
    midpoint;
 5. any other source splits into finite points and leaves, each with the
    points removed above it: periodic leaves go by rule 4, powers c*q^n
-   with integer q against a lattice by their residue orbit, anything
-   else is "unknown".
+   with integer q by their residue orbit modulo the target's period,
+   anything else is "unknown".
 Against a GeometricPoints or GeometricBlocks target, a source whose leaves
 lie inside it, up to finitely many points, has the largest distance of
-those points as its sup. A union or modification target is exact only
-when the sup is 0.
+those points as its sup. Any other union target is exact only when the sup
+to one of its parts is 0.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, UnsupportedGeometryError
-from .rationals import fmt, ipow_floor_log, rat
+from .rationals import _base_power, fmt, ipow_floor_log, rat
 from . import setmodels
 from .setmodels import (
     FiniteModification,
@@ -84,12 +88,6 @@ def _normalize_point(p, dim):
 
 # ---------------------------------------------------------------------------
 # Structural subset test (conservative: False when not certain)
-
-
-def _base_power(q, base):
-    """The k >= 1 with base**k == q, or None."""
-    k = ipow_floor_log(base, q)
-    return k if k >= 1 and base ** k == q else None
 
 
 def _points_shift(a: GeometricPoints, b: GeometricPoints):
@@ -198,15 +196,16 @@ def _reaches(model, direction: int) -> bool:
 
 
 def _leaf_target_sup(source, target) -> SupDistance:
-    """sup over the source of the distance to a Ray, Lattice or
-    PeriodicBlocks target, by the rules in the module docstring."""
+    """sup over the source of the distance to a target with a period, by
+    the rules in the module docstring."""
     ends = {side: _end(source, side) for side in (-1, 1)}
     reached = [side for side, end in ends.items()
                if end == side * setmodels.INF]
     if not all(_reaches(target, side) for side in reached):
         return _INF
     shape = setmodels.eventual_shape(source)
-    if isinstance(target, Ray) or shape.long_runs:
+    if isinstance(target, Ray) or (
+            shape.long_runs and isinstance(target, (Lattice, PeriodicBlocks))):
         # far out, a ray is at distance 0 and long runs meet the widest gap
         cover = setmodels.eventual_shape(target).cover
         return SupDistance("value", max([cover[side] for side in reached] + [
@@ -223,22 +222,26 @@ def _periodic_sup(source, target):
     """sup of the distance to the target over a periodic source, or None
     when the window holds more than WINDOW_CAP components.
 
-    Outside the reach of both prefixes (their eventual shape), the source and
-    the distance to the target both repeat with the common period. So every
-    source point has a translate at the same distance within one common
-    period beyond the window on its side, and one merged walk of the source
-    components that meet the widened window and the target gaps sees the
-    sup: over the part of [lo, hi] inside a gap (g1, g2) the distance peaks
-    at the point nearest the gap's midpoint.
+    Let R and P be the reach and the period of both shapes together. Past
+    R the source and the target both repeat with period P, and a target
+    reaching that side has a point in every period, so a point past R + P
+    has its nearest target points past R: the distance repeats with P
+    there. (With P = 0 each set holds all or none of each side past R.)
+    So every source point has a translate at the same distance inside
+    [-(R + 2P), R + 2P], and one merged walk of the source components
+    clipped to that window and the target gaps sees the sup: over the part
+    of [lo, hi] inside a gap (g1, g2) the distance peaks at the point
+    nearest the gap's midpoint.
     """
     both = setmodels.eventual_shape(FiniteUnion((source, target)))
-    reach = both.reach + both.period
+    reach = both.reach + 2 * both.period
     best, gaps = ZERO, None
     for count, (lo, hi) in enumerate(setmodels.components(source, -reach)):
         if lo > reach:
             break
         if count > setmodels.WINDOW_CAP:
             return None
+        lo, hi = max(lo, -reach), min(hi, reach)
         if gaps is None:
             gaps = _gaps(target, lo)
             g1, g2 = next(gaps)
@@ -261,15 +264,18 @@ def _periodic_sup(source, target):
 
 
 def _gaps(target, x):
-    """The open gaps (g1, g2) of a Lattice or PeriodicBlocks target in
-    increasing order, from the one that ends past x on; an unbounded end
-    is -inf or +inf."""
+    """The open gaps (g1, g2) of a target in increasing order, from the one
+    that ends past x on; an unbounded end is -inf or +inf. Union parts may
+    overlap, so g1 is the running right end, and a part that runs to +inf
+    ends the walk (with the gap (inf, inf))."""
     g1 = next((c[1] for c in setmodels.components(target, x, -1)
                if c[1] < x), -setmodels.INF)
     for lo, hi in setmodels.components(target, x):
         if lo > g1:
             yield g1, lo
-        g1 = hi
+        g1 = max(g1, hi)
+        if g1 == setmodels.INF:
+            break
     yield g1, setmodels.INF
 
 
@@ -282,7 +288,7 @@ def _flattened_sup(source, target):
         if setmodels.eventual_shape(leaf).period is not None:
             got = _periodic_sup(
                 FiniteModification(leaf, (), tuple(removed)), target)
-        elif isinstance(leaf, GeometricPoints) and isinstance(target, Lattice):
+        elif isinstance(leaf, GeometricPoints):
             got = _geometric_mod_sup(leaf, target, removed)
         else:
             return None
@@ -332,48 +338,48 @@ def _flatten(model, removed, points, leaves):
         leaves.append((model, removed))
 
 
-def _geometric_mod_sup(source: GeometricPoints, target: Lattice, removed):
+def _geometric_mod_sup(source: GeometricPoints, target, removed):
     """sup over the points c*q^n outside `removed` of the distance to a
-    lattice, via exact residue cycling, or None.
+    target with a period L, via exact residue cycling, or None.
 
-    Needs integer q so the residues of c*q^n modulo the lattice step form
-    an eventually periodic integer orbit.
+    Needs integer q so the residues of c*q^n modulo L form an eventually
+    periodic orbit. Past reach + L the distance to the target repeats with
+    L (see `_periodic_sup`); with L = 0 it is 0 there.
     """
     if source.q.denominator != 1:
         return None
     q = source.q.numerator
+    shape = setmodels.eventual_shape(target)
+    period = shape.period
     best = ZERO
-    # fractional-exponent points (n < 0), points on the short side of a
-    # half target and points up to the last removed one are finitely many;
-    # evaluate them directly and start the orbit after them
-    side = {"plus": 1, "minus": -1}.get(target.half, 0)
-    last = max(removed, default=ZERO)
+    # fractional-exponent points (n < 0) and points up to reach + L or the
+    # last removed one are finitely many; evaluate them directly and start
+    # the orbit after them
+    far = max([shape.reach + period, *removed])
     n = source.n0
     p = source.point(n)
-    while n < 0 or p <= last or side * (p - target.offset) < 0:
+    while n < 0 or p <= far:
         if n - max(source.n0, 0) > 256:
             return None
         if p not in removed:
             best = max(best, distance_to_set(target, p))
         n, p = n + 1, p * q
-    # scale to integers: points c*q^n against step s, offset o
-    denom = (source.c.denominator * target.step.denominator
-             * target.offset.denominator)
-    c_int = source.c * denom
-    s_int = target.step * denom
-    o_int = target.offset * denom
-    modulus = s_int.numerator
+    if not period:
+        return best
+    # scale to integers: the residue of c*q^n modulo L, times denom
+    denom = source.c.denominator * period.denominator
+    modulus = (period * denom).numerator
     if modulus > 100000:
         return None
+    start = period * (far // period + 1)  # residue 0 past far
     seen = set()
-    residue = (c_int.numerator * pow(q, n, modulus)) % modulus
-    # walk the orbit r -> r*q mod s; once a value repeats the orbit can
+    residue = ((source.c * denom).numerator * pow(q, n, modulus)) % modulus
+    # walk the orbit r -> r*q mod L; once a value repeats the orbit can
     # only revisit seen values, so the max over `seen` is the exact sup
     while residue not in seen:
         seen.add(residue)
-        shifted = (residue - o_int.numerator) % modulus
-        dist = min(shifted, modulus - shifted)
-        best = max(best, Fraction(dist, denom))
+        best = max(best, distance_to_set(
+            target, start + Fraction(residue, denom)))
         residue = (residue * q) % modulus
     return best
 
@@ -385,12 +391,9 @@ def sup_distance(source, target) -> SupDistance:
         raise InputError("cannot compare sets in different ambient spaces")
     if is_structural_subset(source, target):
         return _VALUE0
-    dim = ambient_dim(source)
-    if dim == 2:
+    if ambient_dim(source) == 2:
         return _sup_distance_2d(source, target)
-    if isinstance(target, FullLine):
-        return _VALUE0
-    if isinstance(target, (Ray, Lattice, PeriodicBlocks)):
+    if setmodels.eventual_shape(target).period is not None:
         return _leaf_target_sup(source, target)
     if isinstance(target, (GeometricPoints, GeometricBlocks)):
         best = _geometric_target_sup(source, target)
@@ -401,21 +404,11 @@ def sup_distance(source, target) -> SupDistance:
         # left of the set diverges outright
         if _reaches(source, 1) or _reaches(source, -1):
             return _INF
-        return _UNKNOWN
-    if isinstance(target, FiniteUnion):
+    elif isinstance(target, FiniteUnion) and any(
+            sup_distance(source, part) == _VALUE0 for part in target.parts):
         # distance to a union is <= distance to any part, so only the
         # zero case transfers exactly; anything else would overstate
-        for part in target.parts:
-            got = sup_distance(source, part)
-            if got.finite and got.value == 0:
-                return _VALUE0
-        return _UNKNOWN
-    if isinstance(target, FiniteModification):
-        if not target.removed:
-            inner = sup_distance(source, target.base)
-            if inner.finite:
-                return inner if inner.value == 0 else _UNKNOWN
-        return _UNKNOWN
+        return _VALUE0
     return _UNKNOWN
 
 
@@ -548,15 +541,14 @@ def _gap_midpoint_family(model):
         mid = (model.b + model.a * model.q) / 2
         c = (model.a * model.q - model.b) / (model.a * model.q + model.b)
         return mid, model.q, 1, c
-    if isinstance(model, FiniteModification) and not model.added:
-        # removing points only widens gaps; midpoints keep distance >= c*t
-        return _gap_midpoint_family(model.base)
     if isinstance(model, FiniteModification):
+        # removing points only widens gaps; midpoints keep distance >= c*t
+        # once they are past twice the largest added point
         inner = _gap_midpoint_family(model.base)
         if inner is None:
             return None
         mid, q, start, c = inner
-        biggest = max(abs(pt) for pt in model.added)
+        biggest = max((abs(pt) for pt in model.added), default=ZERO)
         while mid * q ** start <= biggest * 2:
             start += 1
         return mid, q, start, c
@@ -564,43 +556,37 @@ def _gap_midpoint_family(model):
 
 
 def _family_membership_persists(other, coef, q, start) -> bool:
-    """Whether coef*q**m provably lies in `other` for every m >= start,
-    given that it does at m = start."""
-    value = coef * q ** start
-    if isinstance(other, FullLine):
-        return True
-    if isinstance(other, Ray):
-        return other.direction == 1 and value >= other.origin
-    if isinstance(other, Lattice):
-        if q.denominator != 1:
+    """Whether coef*q**m (coef > 0, q > 1) provably lies in the 1-D set
+    `other` for every m >= start.
+
+    Membership is checked point by point until the family clears the reach
+    of the set's eventual shape; past it the shape carries it on. With
+    period 0 the set holds all of the far side. With period L, the step
+    t_{m+1} - t_m = t_m*(q - 1) stays a multiple of L once it is one, when
+    q is an integer. Otherwise a geometric set carries it when q is a power
+    of its ratio, and a union or modification, which agrees past its reach
+    with the union of its leaves, when one leaf carries it.
+    """
+    shape = setmodels.eventual_shape(other)
+    m = start
+    while coef * q ** m <= shape.reach:
+        if not contains(other, coef * q ** m):
             return False
-        if (value - other.offset) % other.step != 0:
-            return False
-        # induction step: t_{m+1} - t_m = t_m (q - 1) stays a multiple
-        if (value * (q - 1)) % other.step != 0:
-            return False
-        if other.half == "plus":
-            return value >= other.offset
-        if other.half == "minus":
-            return False  # values grow past the top of a minus lattice
+        m += 1
+    value = coef * q ** m
+    if not contains(other, value):
+        return False
+    period = shape.period
+    if period == 0 or (period and q.denominator == 1
+                       and value * (q - 1) % period == 0):
         return True
     if isinstance(other, (GeometricPoints, GeometricBlocks)):
-        # these sets are invariant under multiplication by their ratio
-        base_q = other.q
-        k = ipow_floor_log(base_q, q)
-        if k < 1 or base_q ** k != q:
-            return False
-        return contains(other, value)
-    if isinstance(other, FiniteUnion):
-        return any(_family_membership_persists(p, coef, q, start)
-                   for p in other.parts)
-    if isinstance(other, FiniteModification):
-        if not _family_membership_persists(other.base, coef, q, start):
-            return False
-        # removals are bounded; demand the family already cleared them
-        if other.removed and value <= max(abs(r) for r in other.removed):
-            return False
-        return True
+        return _base_power(q, other.q) is not None
+    if isinstance(other, (FiniteUnion, FiniteModification)):
+        points, leaves = set(), []
+        _flatten(other, frozenset(), points, leaves)
+        return any(_family_membership_persists(leaf, coef, q, m)
+                   for leaf, _ in leaves)
     return False
 
 
@@ -784,37 +770,28 @@ class EpsNetVerdict:
 
 
 def _find_far_point(source, target, epsilon, budget):
-    """A concrete source point at distance > epsilon from the target."""
+    """A concrete source point at distance > epsilon from the target: the
+    one nearest to a gap midpoint of the target, or to a probe ever
+    further out on a side that a 1-D target leaves empty."""
     family = _gap_midpoint_family(target)
+    empty = [side for side in (-1, 1)
+             if ambient_dim(target) == 1 and not _reaches(target, side)]
     if family is not None:
-        mid, q, start, c = family
-        for m in range(start, start + budget):
-            t_m = mid * q ** m
-            try:
-                z = nearest_point(source, t_m, eps=Fraction(1, 10 ** 9))
-            except InputError:
-                continue
-            d = distance_to_set(target, z)
-            if d > epsilon:
-                return z, d
-        return None
-    # probe ever further out on the side a ray or half lattice leaves empty
-    if isinstance(target, Ray):
-        edge, side = target.origin, -target.direction
-    elif isinstance(target, Lattice) and target.half != "full":
-        edge, side = target.offset, -1 if target.half == "plus" else 1
+        mid, q, start, _ = family
+        probes = (mid * q ** m for m in range(start, start + budget))
+    elif empty:
+        edge, side = _end(target, empty[0]), empty[0]
+        probes = (edge + side * (epsilon + 1) * 2 ** m for m in range(budget))
     else:
         return None
-    probe = edge + side * (epsilon + 1)
-    for m in range(budget):
+    for probe in probes:
         try:
             z = nearest_point(source, probe, eps=Fraction(1, 10 ** 9))
         except InputError:
-            return None
+            continue
         d = distance_to_set(target, z)
         if d > epsilon:
             return z, d
-        probe += side * (epsilon + 1) * 2 ** m
     return None
 
 

@@ -85,3 +85,9 @@ def ipow_floor_log(q: Fraction, v: Fraction) -> int:
     while q ** (n + 1) <= v:
         n += 1
     return n
+
+
+def _base_power(q: Fraction, base: Fraction):
+    """The k >= 1 with base**k == q, or None."""
+    k = ipow_floor_log(base, q)
+    return k if k >= 1 and base ** k == q else None

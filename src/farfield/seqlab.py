@@ -30,7 +30,7 @@ from itertools import combinations
 
 from .errors import InputError, InternalInvariantError
 from .pseudometric import make_space, metric_identify
-from .rationals import flog, fmt, integer, ipow_floor_log, rat
+from .rationals import _base_power, flog, fmt, integer, ipow_floor_log, rat
 from . import setmodels
 from .setmodels import (
     eventual_shape,
@@ -388,9 +388,7 @@ def _classify_inset_branch(model, anchor, scaling, parity):
         return ZERO, f"pinned at {fmt(pin)}"
     if isinstance(model, (setmodels.GeometricPoints,
                           setmodels.GeometricBlocks)) and anchor > 0:
-        got = _geometric_selector_phase(model, anchor, scaling, parity)
-        if got is not None:
-            return got
+        return _geometric_selector_phase(model, anchor, scaling, parity)
     return None
 
 
@@ -403,8 +401,7 @@ def _geometric_selector_phase(model, anchor, scaling, parity):
         return None
     q_s, c_s = eff
     q_m = model.q
-    k = ipow_floor_log(q_m, q_s)
-    if k < 1 or q_m ** k != q_s:
+    if _base_power(q_s, q_m) is None:
         return None
     if isinstance(model, setmodels.GeometricPoints):
         # past this threshold the nearest candidates stay above the set's

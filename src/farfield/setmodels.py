@@ -899,8 +899,16 @@ def _modification_shape(m: FiniteModification):
 
 
 def _reflected_shape(m: Reflected):
+    # With C = cover[+1] finite, every open interval past the reach that is
+    # longer than 2C meets the set (through the midpoint for a leaf; past
+    # a modification's reach its base points are all kept; a union has the
+    # property of its part with the least cover). So a gap (a, b) of
+    # [0, inf) \ E has b < inf, and if b > reach its part past the reach is
+    # at most 2C long: b - a <= reach + 2C, as 0 <= a.
     base = eventual_shape(m.base)
-    return replace(base, gap=None, cover={-d: c for d, c in base.cover.items()})
+    cover = {-d: c for d, c in base.cover.items()}
+    return replace(base, cover=cover,
+                   gap=None if cover[1] is None else base.reach + 2 * cover[1])
 
 
 _SHAPES = {
@@ -1181,6 +1189,9 @@ def model_to_dict(model) -> dict:
     raise InputError(f"not a set model: {model!r}")
 
 
+_SIGNS = {"+": 1, "-": -1, 1: 1, -1: -1}
+
+
 def model_from_dict(data) -> object:
     if not isinstance(data, dict) or "kind" not in data:
         raise InputError("model JSON needs a 'kind'")
@@ -1195,7 +1206,10 @@ def model_from_dict(data) -> object:
             return Lattice(rat(data["step"]), rat(data["offset"]), half)
         if kind == "ray":
             direction = data.get("direction", "+")
-            return Ray(rat(data["origin"]), 1 if direction in ("+", 1) else -1)
+            if type(direction) not in (str, int) or direction not in _SIGNS:
+                raise InputError(f"bad ray direction {direction!r}: use "
+                                 "'+', '-', 1 or -1")
+            return Ray(rat(data["origin"]), _SIGNS[direction])
         if kind == "full_line":
             return FullLine()
         if kind == "geometric_points":

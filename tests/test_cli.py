@@ -162,6 +162,27 @@ def test_equiv_negative_verdict_and_witness(tmp_path):
     assert curve[1].split(",")[8] == "1/3"  # eps(t)/t on the witness row
 
 
+NATURALS = {"kind": "finite_modification", "removed": ["0"],
+            "base": {"kind": "lattice", "step": "1", "offset": "0",
+                     "half": "plus"}}
+EVENS_AND_ODDS = {"kind": "finite_union", "parts": [
+    {"kind": "lattice", "step": "2", "offset": "0", "half": "full"},
+    {"kind": "lattice", "step": "2", "offset": "1", "half": "full"}]}
+
+
+@pytest.mark.parametrize("y_model, z_model, bound", [
+    (NATURALS, RAY, "1"),             # 0 lies 1 from {1, 2, 3, ...}
+    (EVENS_AND_ODDS, LATTICE, "0"),
+])
+def test_equiv_modification_and_union_targets_are_exact(tmp_path, y_model,
+                                                       z_model, bound):
+    code, out = run(tmp_path, "equiv",
+                    {"y_model": y_model, "z_model": z_model}, "--assert")
+    assert code == 0
+    verdict = json.loads((out / "equiv_verdict.json").read_text())
+    assert (verdict["status"], verdict["bound"]) == ("equivalent_exact", bound)
+
+
 # -- spectra ---------------------------------------------------------------------
 
 
@@ -317,6 +338,7 @@ def test_malformed_json(tmp_path):
     {"model": {"kind": "lattice", "step": float("nan"), "offset": "0"}},
     {"model": dict(GP2, n0=1.5)},            # a fractional index
     {"model": GP2, "horizon_exponent": 40.7},
+    {"model": dict(RAY, direction="plus")},  # not '+', '-', 1 or -1
 ])
 def test_bad_configs_exit_two(tmp_path, cfg):
     code, _ = run(tmp_path, "porosity", cfg)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from farfield import (
     FiniteModification,
@@ -29,6 +30,7 @@ from farfield import (
     sphere_slice,
     sup_distance,
 )
+from farfield.equivalence import _family_membership_persists
 from farfield.errors import InputError
 from farfield.seqlab import ClosedFormSpec, GeometricScaling
 from test_setmodels_oracle import LEAVES, oracle, trees
@@ -124,6 +126,38 @@ def test_blocks_against_full_line_produce_a_witness():
     assert w.t_values == (F(12), F(48), F(192))
 
 
+@pytest.mark.parametrize("other, coef, q, start", [
+    # the union's period is 1/2, but its full-line part holds everything
+    (FiniteUnion((FullLine(), Lattice(F(1, 2), F(0)))), F(1, 2), F(3, 2), 0),
+    # 3*2**(m-1) lies in the blocks [2k, 2k+1]
+    (PeriodicBlocks(F(2), ((F(0), F(1)),)), F(3, 2), F(2), 1),
+    # past its reach the union is Z, period 2 divides 2*3**m
+    (FiniteUnion((Lattice(F(2), F(0)), Lattice(F(2), F(1)))), F(1), F(3), 0),
+    # a modification of a geometric set, past the removed point
+    (FiniteModification(GeometricBlocks(F(2), F(1), F(3, 2)),
+                        removed=(F(1),)), F(5, 2), F(4), 0),
+])
+def test_family_membership_persists(other, coef, q, start):
+    assert _family_membership_persists(other, coef, q, start)
+
+
+def test_family_membership_needs_an_integer_ratio_against_a_period():
+    # 4, 6 and 9 lie in Z, 27/2 does not
+    assert not _family_membership_persists(UNIT_LATTICE, F(4), F(3, 2), 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(other=trees(2), coef=st.sampled_from(
+    [F(1, 2), F(1), F(3, 2), F(2), F(5, 2), F(3), F(5, 4)]),
+    q=st.sampled_from([F(2), F(3), F(4), F(3, 2), F(5, 2)]),
+    start=st.integers(0, 3))
+def test_family_membership_persistence_matches_brute_force(other, coef, q,
+                                                           start):
+    if _family_membership_persists(other, coef, q, start):
+        assert all(contains(other, coef * q ** m)
+                   for m in range(start, start + 40))
+
+
 def test_verdict_status_is_symmetric_in_the_arguments():
     pairs = [
         (FullLine(), UNIT_LATTICE),
@@ -140,12 +174,25 @@ def test_verdict_status_is_symmetric_in_the_arguments():
 
 
 def test_numeric_decay_is_reported_but_not_certified():
-    blocks = PeriodicBlocks(F(2), ((F(0), F(1)),))
-    verdict = decide_strong_equivalence(GP2, blocks)
+    # the extra points 1/3*(3/2)**n come within 1/2 of the lattice, but
+    # the geometric target has no covering rule, so only the grid decides
+    sparse = GeometricPoints(F(3, 2), F(1, 3), 0)
+    verdict = decide_strong_equivalence(
+        UNIT_LATTICE, FiniteUnion((UNIT_LATTICE, sparse)))
     assert verdict.status == "equivalent_numerical"
     assert verdict.max_ratio == 0
     assert verdict.bound is None and verdict.witness is None
     assert "not certified" in verdict.note
+
+
+def test_gap_midpoints_inside_periodic_blocks_refute():
+    # the midpoints 3*2**(m-1) of GP(2) lie in the blocks [2k, 2k+1] from
+    # m = 1 on, at relative distance 1/3 from GP(2)
+    blocks = PeriodicBlocks(F(2), ((F(0), F(1)),))
+    verdict = decide_strong_equivalence(GP2, blocks)
+    assert verdict.status == "not_equivalent"
+    assert verdict.witness.c == F(1, 3)
+    assert verdict.witness.coef == F(3, 2) and verdict.witness.q == 2
 
 
 def test_numeric_stall_is_inconclusive():
@@ -250,11 +297,44 @@ def test_sup_distance_dominates_sampled_points():
     # the block [-1, -1/2] holds the midpoint -3/4 of a lattice gap
     (PeriodicBlocks(F(2), ((F(0), F(1, 2)), (F(1), F(1))), F(-1)),
      Lattice(F(1), F(-1, 4)), F(1, 2)),
+    # the points added at 4, 14 and 24 (reach 25) shield every source point
+    # up to reach + period = 35; the far ones sit 4 from the lattice
+    (PeriodicBlocks(F(10), ((F(6), F(6)),)),
+     FiniteModification(Lattice(F(10), F(0), "plus"),
+                        added=(F(4), F(14), F(24))), F(4)),
+    # powers of 2 against a union by their residue orbit modulo 1
+    (GP2, FiniteUnion((Lattice(F(1), F(0), "plus"), Lattice(F(1, 3), F(0)))),
+     F(0)),
+    (GeometricPoints(F(3), F(1, 2), 0),
+     FiniteModification(Lattice(F(1), F(0), "plus"), removed=(F(0),)),
+     F(1, 2)),
+    # the orbit is read past the target's reach, where 1 is not removed
+    (GeometricPoints(F(2), F(2), 0),
+     FiniteModification(Lattice(F(1), F(0), "plus"), removed=(F(1),)), F(0)),
+    # the lattice points inside the ray open no gaps; past 10 the target
+    # holds 11, 12, ...
+    (FullLine(), FiniteUnion((Ray(F(10), -1), Lattice(F(4), F(0), "plus"),
+                              Lattice(F(1), F(11), "plus"))), F(1, 2)),
+    # a part that runs to +inf ends the target's gaps
+    (FullLine(), Reflected(FiniteUnion((Lattice(F(1, 2), F(0)), FullLine()))),
+     F(0)),
+    (Ray(F(0), 1), FiniteUnion((Ray(F(3), 1), Lattice(F(1), F(0), "minus"))),
+     F(3, 2)),
 ])
 def test_sup_distance_regressions(source, target, expected):
     got = sup_distance(source, target)
     assert got.kind == "value"
     assert got.value == expected
+
+
+def test_long_runs_read_no_cover_off_a_modification_target():
+    # far out the source meets the lattice's gaps, 1/4 wide at most, but
+    # the lattice point 0 of the source is 1/2 from the target
+    source = FiniteUnion((GeometricBlocks(F(2), F(1), F(3, 2)),
+                          Lattice(F(1, 2), F(0))))
+    target = FiniteModification(Lattice(F(1, 2), F(0)), removed=(F(0),))
+    got = sup_distance(source, target)
+    assert got.kind == "unknown" or got.value == F(1, 2)
 
 
 GP2_PLUS_3 = FiniteModification(GP2, added=(F(3),))
@@ -293,8 +373,9 @@ def test_geometric_target_with_finitely_many_extra_points():
 
 
 SCAN = F(40)
-TARGETS = LEAVES.filter(lambda m: isinstance(m, (Lattice, Ray,
-                                                 PeriodicBlocks)))
+# every union, modification and reflection of these has a period
+TARGETS = trees(2, LEAVES.filter(lambda m: isinstance(
+    m, (Lattice, Ray, FullLine, PeriodicBlocks))))
 
 
 def has_geometric_part(model):
@@ -341,7 +422,8 @@ def test_sup_distance_matches_a_window_scan(source, target):
     if has_geometric_part(source):
         assert got.kind == "unknown" or got.value >= scanned
     else:
-        # both prefixes plus a common period (at most 6) fit in the scan
+        # both prefixes (reach at most 11) plus two common periods (at
+        # most 6 each) fit in the scan
         assert got.kind == "value" and got.value == scanned
 
 
@@ -454,6 +536,27 @@ def test_eps_net_counterexample_names_a_far_point():
     assert contains(Ray(F(0), 1), verdict.point)
     assert verdict.distance == distance_to_set(GP2, verdict.point)
     assert verdict.distance > F(1)
+
+
+@pytest.mark.parametrize("target, point", [
+    (Ray(F(2), 1), F(-1)),
+    (Lattice(F(1), F(0), "minus"), F(3)),
+    # the side a periodic pattern or a reflection leaves empty
+    (PeriodicBlocks(F(2), ((F(0), F(1)),)), F(-3)),
+    (Reflected(FiniteModification(Lattice(F(1), F(0), "plus"),
+                                  removed=(F(0),))), F(2)),
+])
+def test_eps_net_probes_the_side_the_target_leaves_empty(target, point):
+    verdict = check_eps_net(FullLine(), target, F(2))
+    assert verdict.status == "counterexample"
+    assert (verdict.from_side, verdict.point) == ("Y", point)
+    assert verdict.distance == 3
+
+
+def test_eps_net_between_planar_sets_has_no_side_to_probe():
+    # the strip is 2 from the axis, and neither set has a side to probe
+    verdict = check_eps_net(HalfPlaneStrip(F(-1), F(2)), PlanarRay(), F(1))
+    assert verdict.status == "inconclusive"
 
 
 def test_eps_net_rejects_nonpositive_epsilon():

@@ -19,6 +19,7 @@ from farfield import (
     Lattice,
     PeriodicBlocks,
     Ray,
+    Reflected,
     horizon_estimate,
     is_porous_at_infinity,
     longest_gap,
@@ -171,6 +172,17 @@ def test_verdict_nonporous_needs_certificate():
     assert v.status == "nonporous_certified"
     v2 = is_porous_at_infinity(Ray(F(5), 1))
     assert v2.status == "nonporous_certified"
+
+
+@pytest.mark.parametrize("model", [
+    Reflected(Lattice(F(1), F(0), "minus")),  # {0, 1, 2, ...}
+    FiniteUnion((Reflected(Ray(F(-2), -1)), GeometricPoints(F(2), F(1), 0))),
+])
+def test_reflected_sets_certify_nonporosity(model):
+    # a reflected set's gap bound comes from its swapped cover and reach
+    result = porosity_at_infinity(model, 170)
+    assert (result.kind, result.value) == ("exact", 0)
+    assert is_porous_at_infinity(model).status == "nonporous_certified"
 
 
 def test_verdict_porous_estimate_without_closed_form():

@@ -32,6 +32,7 @@ from farfield import (
     longest_gap,
     max_element,
     min_element,
+    model_from_dict,
     model_from_json,
     model_to_json,
     nearest_point,
@@ -473,3 +474,17 @@ def test_geometric_blocks_normalization():
         F(4), F(2), F(4))
     gb = GeometricBlocks(F(4), F(1, 8), F(1, 4))
     assert 1 <= gb.a < 4
+
+
+@pytest.mark.parametrize("direction, sign", [("+", 1), (1, 1), ("-", -1),
+                                             (-1, -1)])
+def test_ray_direction_spellings(direction, sign):
+    data = {"kind": "ray", "origin": "2", "direction": direction}
+    assert model_from_dict(data) == Ray(F(2), sign)
+
+
+@pytest.mark.parametrize("direction", ["+1", "plus", 2, 0, True, 1.0, None])
+def test_other_ray_directions_are_rejected(direction):
+    # never read as (-inf, origin] by default
+    with pytest.raises(InputError, match="ray direction"):
+        model_from_dict({"kind": "ray", "origin": "2", "direction": direction})

@@ -249,12 +249,12 @@ HITS = st.one_of(fractions(-4, 4, 4),
                  st.sampled_from([F(0), F(1, 4), F(9, 4), F(3), F(9, 2)]))
 
 
-def trees(depth):
+def trees(depth, leaves=LEAVES):
     if depth == 0:
-        return LEAVES
-    sub = trees(depth - 1)
+        return leaves
+    sub = trees(depth - 1, leaves)
     return st.one_of(
-        LEAVES,
+        leaves,
         st.lists(sub, min_size=2, max_size=3).map(
             lambda parts: FiniteUnion(tuple(parts))),
         st.builds(lambda base, added, removed: FiniteModification(
@@ -463,6 +463,34 @@ def test_eventual_shape_holds_past_the_reach(model, steps):
 @given(model=nonneg_trees(3))
 def test_gap_bound_holds_on_four_reaches(model):
     shape = setmodels.eventual_shape(model)
+    if shape.gap is not None:
+        pieces, acc = oracle(model)
+        assert o_longest_gap(pieces, acc, 4 * shape.reach) <= shape.gap
+
+
+def mirrored(model):
+    """The reflection of a tree, pushed down to its leaves."""
+    if isinstance(model, Lattice):
+        half = {"full": "full", "plus": "minus", "minus": "plus"}[model.half]
+        return Lattice(model.step, -model.offset, half)
+    if isinstance(model, Ray):
+        return Ray(-model.origin, -model.direction)
+    if isinstance(model, FiniteUnion):
+        return FiniteUnion(tuple(mirrored(p) for p in model.parts))
+    if isinstance(model, FiniteModification):
+        return FiniteModification(mirrored(model.base),
+                                  tuple(-a for a in model.added),
+                                  tuple(-r for r in model.removed))
+    return Reflected(model)
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=nonneg_trees(2))
+def test_reflected_gap_bound_holds_on_four_reaches(base):
+    # the same nonnegative set, its shape read through one reflection
+    model = Reflected(mirrored(base))
+    shape = setmodels.eventual_shape(model)
+    assert (shape.gap is None) == (setmodels.eventual_shape(base).gap is None)
     if shape.gap is not None:
         pieces, acc = oracle(model)
         assert o_longest_gap(pieces, acc, 4 * shape.reach) <= shape.gap
