@@ -33,10 +33,15 @@ source's component cursor, by the first rule that applies:
    points removed above it: periodic leaves go by rule 4, powers c*q^n
    with integer q by their residue orbit modulo the target's period,
    anything else is "unknown".
-Against a GeometricPoints or GeometricBlocks target, a source whose leaves
-lie inside it, up to finitely many points, has the largest distance of
-those points as its sup. Any other union target is exact only when the sup
-to one of its parts is 0.
+Against a target that rescales onto itself on both sides
+(`setmodels.dilation`: geometric leaves and their commensurable unions,
+finite modifications and reflections), each side is read in its own frame
+by the rules of `_side_sup`, over [0, R] and one log period past the reach
+R with the same merged walk; the subset test reads those walks too. A
+union or modification source left "unknown" is split into its finite
+points and leaves, since the sup over a union is the largest over its
+parts. Any other union target is exact only when the sup to one of its
+parts is 0.
 """
 
 from __future__ import annotations
@@ -44,20 +49,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, UnsupportedGeometryError
-from .rationals import _base_power, fmt, ipow_floor_log, rat
+from .errors import (InputError, InternalInvariantError,
+                     UnsupportedGeometryError)
+from .rationals import common_power, fmt, rat
 from . import setmodels
 from .setmodels import (
     FiniteModification,
     FiniteUnion,
     FullLine,
-    GeometricBlocks,
     GeometricPoints,
     HalfPlaneStrip,
     Lattice,
     PeriodicBlocks,
     PlanarRay,
     Ray,
+    Reflected,
     ambient_dim,
     as_rat_point,
     point_dim,
@@ -68,6 +74,7 @@ from .setmodels import (
 )
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 DEFAULT_GROWTH = Fraction(2)
 DEFAULT_HORIZON = 32
@@ -88,16 +95,6 @@ def _normalize_point(p, dim):
 
 # ---------------------------------------------------------------------------
 # Structural subset test (conservative: False when not certain)
-
-
-def _points_shift(a: GeometricPoints, b: GeometricPoints):
-    """(k, j) such that point n of `a` is c*q**(j + k*n) in the progression
-    of `b` (before `b` drops its indices below b.n0), or None."""
-    k = _base_power(a.q, b.q)
-    if k is None:
-        return None
-    j = ipow_floor_log(b.q, a.c / b.c)
-    return (k, j) if b.c * b.q ** j == a.c else None
 
 
 def is_structural_subset(a, b) -> bool:
@@ -140,18 +137,8 @@ def is_structural_subset(a, b) -> bool:
         if a.half == "plus":
             return a.offset >= b.offset
         return a.offset <= b.offset
-    if isinstance(a, GeometricPoints) and isinstance(b, GeometricPoints):
-        shift = _points_shift(a, b)
-        return shift is not None and shift[1] + shift[0] * a.n0 >= b.n0
-    if isinstance(a, GeometricBlocks) and isinstance(b, GeometricBlocks):
-        if _base_power(a.q, b.q) is None:
-            return False
-        # blocks of a sit inside blocks of b at some aligned power
-        j = ipow_floor_log(b.q, a.a / b.a)
-        for shift in (j, j + 1):
-            if b.a * b.q ** shift <= a.a and a.b <= b.b * b.q ** shift:
-                return True
-        return False
+    if ambient_dim(a) == 1:
+        return _dilation_subset(a, b)
     if isinstance(a, PlanarRay) and isinstance(b, PlanarRay):
         return True
     if isinstance(a, PlanarRay) and isinstance(b, HalfPlaneStrip):
@@ -159,6 +146,29 @@ def is_structural_subset(a, b) -> bool:
     if isinstance(a, HalfPlaneStrip) and isinstance(b, HalfPlaneStrip):
         return b.c1 <= a.c1 and a.c2 <= b.c2
     return False
+
+
+def _dilation_subset(a, b) -> bool:
+    """a inside b when b rescales onto itself on both sides: the walks of
+    `_dilation_sup` find every point of a in b's hulls, and no point
+    removed inside those hulls is a point of a."""
+    sup, apart = _dilation_sup(a, b)
+    return sup == _VALUE0 and not apart and all(
+        contains(b, x) for x in _holes(b) if contains(a, x))
+
+
+_HOLES = {
+    FiniteModification: lambda m: {*m.removed, *_holes(m.base)},
+    FiniteUnion: lambda m: set().union(*map(_holes, m.parts)),
+    Reflected: lambda m: {-x for x in _holes(m.base)},
+}
+
+
+def _holes(model) -> set:
+    """The points removed anywhere in a 1-D tree, which the hulls of its
+    components may still cover."""
+    kind = type(model)
+    return _HOLES[kind](model) if kind in _HOLES else set()
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +221,9 @@ def _leaf_target_sup(source, target) -> SupDistance:
         return SupDistance("value", max([cover[side] for side in reached] + [
             distance_to_set(target, Fraction(end))
             for side, end in ends.items() if side not in reached]))
-    if shape.period is not None:
-        best = _periodic_sup(source, target)
-    else:
-        best = _flattened_sup(source, target)
+    if shape.period is None:
+        return _flattened_sup(source, target)
+    best = _periodic_sup(source, target)
     return _UNKNOWN if best is None else SupDistance("value", best)
 
 
@@ -228,99 +237,93 @@ def _periodic_sup(source, target):
     has its nearest target points past R: the distance repeats with P
     there. (With P = 0 each set holds all or none of each side past R.)
     So every source point has a translate at the same distance inside
-    [-(R + 2P), R + 2P], and one merged walk of the source components
-    clipped to that window and the target gaps sees the sup: over the part
-    of [lo, hi] inside a gap (g1, g2) the distance peaks at the point
-    nearest the gap's midpoint.
+    [-(R + 2P), R + 2P], and one walk of that window sees the sup.
     """
     both = setmodels.eventual_shape(FiniteUnion((source, target)))
     reach = both.reach + 2 * both.period
-    best, gaps = ZERO, None
-    for count, (lo, hi) in enumerate(setmodels.components(source, -reach)):
-        if lo > reach:
+    got = _window_sup(source, target, -reach, reach)
+    return got and got[0]
+
+
+def _window_sup(source, target, lo, hi):
+    """(sup, apart) over the source points in [lo, hi]: their largest
+    distance to the target, and whether any of them lies outside the hulls
+    of the target's components (its accumulation point 0 included); None
+    when the window holds more than WINDOW_CAP components or an
+    accumulation at 0 that cannot be listed.
+
+    One merged walk of the source components clipped to the window and the
+    target's gaps (`setmodels.gaps`): over the part of a component inside a
+    gap (g1, g2) the distance peaks at the point nearest the gap's
+    midpoint. Where the gaps stop at the target's accumulation at 0 they
+    are sought afresh from the next component, past 0.
+    """
+    best, apart, gaps, gap = ZERO, False, iter(()), None
+    for count, (c_lo, c_hi) in enumerate(setmodels.components(source, lo)):
+        if c_lo > hi:
             break
-        if count > setmodels.WINDOW_CAP:
+        if count > setmodels.WINDOW_CAP or c_lo is setmodels.ZERO_ABOVE:
             return None
-        lo, hi = max(lo, -reach), min(hi, reach)
-        if gaps is None:
-            gaps = _gaps(target, lo)
-            g1, g2 = next(gaps)
+        c_lo, c_hi = max(c_lo, lo), min(c_hi, hi)
         # components come in order of lo: a gap passed on an earlier one
         # meets this one only inside the earlier one
-        while g2 <= lo:
-            g1, g2 = next(gaps)
-        while g1 < hi:  # the gap meets [lo, hi]
+        while gap is None or gap[1] <= c_lo:
+            gap = next(gaps, None)
+            if gap is None:
+                gaps = setmodels.gaps(target, c_lo, hi)
+        g1, g2 = gap
+        while g1 < c_hi:  # the gap meets [c_lo, c_hi]
+            apart = True
             if g1 == -setmodels.INF:
-                best = max(best, g2 - lo)
+                best = max(best, g2 - c_lo)
             elif g2 == setmodels.INF:
-                best = max(best, hi - g1)
+                best = max(best, c_hi - g1)
             else:
-                x = min(max((g1 + g2) / 2, lo), hi)
+                x = min(max((g1 + g2) / 2, c_lo), c_hi)
                 best = max(best, min(x - g1, g2 - x))
-            if g2 > hi:
+            if g2 > c_hi:
                 break
-            g1, g2 = next(gaps)
-    return best
+            gap = next(gaps, None)
+            if gap is None:
+                return None
+            g1, g2 = gap
+    return best, apart
 
 
-def _gaps(target, x):
-    """The open gaps (g1, g2) of a target in increasing order, from the one
-    that ends past x on; an unbounded end is -inf or +inf. Union parts may
-    overlap, so g1 is the running right end, and a part that runs to +inf
-    ends the walk (with the gap (inf, inf))."""
-    g1 = next((c[1] for c in setmodels.components(target, x, -1)
-               if c[1] < x), -setmodels.INF)
-    for lo, hi in setmodels.components(target, x):
-        if lo > g1:
-            yield g1, lo
-        g1 = max(g1, hi)
-        if g1 == setmodels.INF:
-            break
-    yield g1, setmodels.INF
-
-
-def _flattened_sup(source, target):
-    """sup over a source with a geometric part, leaf by leaf, or None."""
+def _flattened_sup(source, target) -> SupDistance:
+    """sup over a source as the largest over its finite points and its
+    leaves, each without the points removed above it. Against a target
+    with a period, periodic leaves go by `_periodic_sup` and powers c*q^n
+    by `_geometric_mod_sup`; against any other target every leaf goes by
+    `sup_distance`, where removing points can only lower a sup, so a leaf
+    with points removed counts only at sup 0 or infinity."""
     points, leaves = set(), []
     _flatten(source, frozenset(), points, leaves)
-    best = max((distance_to_set(target, pt) for pt in points), default=ZERO)
+    periodic = setmodels.eventual_shape(target).period is not None
+    sups = [SupDistance("value", max(
+        (distance_to_set(target, pt) for pt in points), default=ZERO))]
     for leaf, removed in leaves:
+        if not periodic:
+            got = sup_distance(leaf, target)
+            sups.append(_UNKNOWN if removed and got.finite and got.value
+                        else got)
+            continue
+        best = None
         if setmodels.eventual_shape(leaf).period is not None:
-            got = _periodic_sup(
+            best = _periodic_sup(
                 FiniteModification(leaf, (), tuple(removed)), target)
         elif isinstance(leaf, GeometricPoints):
-            got = _geometric_mod_sup(leaf, target, removed)
-        else:
-            return None
-        if got is None:
-            return None
-        best = max(best, got)
-    return best
+            best = _geometric_mod_sup(leaf, target, removed)
+        sups.append(_UNKNOWN if best is None else SupDistance("value", best))
+    return _worst(sups)
 
 
-def _geometric_target_sup(source, target):
-    """sup over a source that lies inside a geometric target up to
-    finitely many points, or None: every leaf must lie inside the target,
-    or be a GeometricPoints whose progression is part of the target's
-    (base target.q**k, coefficient target.c*target.q**j), which does once
-    its points below the target's first are dropped. The sup is then the
-    largest distance over the finitely many points left outside."""
-    points, leaves = set(), []
-    _flatten(source, frozenset(), points, leaves)
-    for leaf, removed in leaves:
-        if is_structural_subset(leaf, target):
-            continue
-        shift = (_points_shift(leaf, target)
-                 if isinstance(leaf, GeometricPoints)
-                 and isinstance(target, GeometricPoints) else None)
-        if shift is None:
-            return None
-        k, j = shift
-        # leaf point n is a target point once j + k*n >= target.n0
-        stop = -((j - target.n0) // k)
-        points.update(p for p in map(leaf.point, range(leaf.n0, stop))
-                      if p not in removed)
-    return max((distance_to_set(target, pt) for pt in points), default=ZERO)
+def _worst(sups) -> SupDistance:
+    """The sup over a union of the pieces with these sups."""
+    for outcome in (_INF, _UNKNOWN):
+        if outcome in sups:
+            return outcome
+    return SupDistance("value", max(sup.value for sup in sups))
 
 
 def _flatten(model, removed, points, leaves):
@@ -389,27 +392,87 @@ def sup_distance(source, target) -> SupDistance:
     pairs; "infinite" and "unknown" are explicit outcomes."""
     if ambient_dim(source) != ambient_dim(target):
         raise InputError("cannot compare sets in different ambient spaces")
-    if is_structural_subset(source, target):
-        return _VALUE0
     if ambient_dim(source) == 2:
-        return _sup_distance_2d(source, target)
+        return _VALUE0 if is_structural_subset(source, target) \
+            else _sup_distance_2d(source, target)
     if setmodels.eventual_shape(target).period is not None:
-        return _leaf_target_sup(source, target)
-    if isinstance(target, (GeometricPoints, GeometricBlocks)):
-        best = _geometric_target_sup(source, target)
-        if best is not None:
-            return SupDistance("value", best)
-        # gaps scale up geometrically; any source reaching far enough on
-        # the positive side meets ever-larger gaps, and anything reaching
-        # left of the set diverges outright
-        if _reaches(source, 1) or _reaches(source, -1):
-            return _INF
-    elif isinstance(target, FiniteUnion) and any(
+        return _VALUE0 if is_structural_subset(source, target) \
+            else _leaf_target_sup(source, target)
+    # the walks against a target with a dilation see containment as 0
+    got = _dilation_sup(source, target)[0]
+    if got is _UNKNOWN and is_structural_subset(source, target):
+        return _VALUE0
+    if got is _UNKNOWN and isinstance(source, (FiniteUnion,
+                                               FiniteModification)):
+        got = _flattened_sup(source, target)
+    if got is _UNKNOWN and isinstance(target, FiniteUnion) and any(
             sup_distance(source, part) == _VALUE0 for part in target.parts):
         # distance to a union is <= distance to any part, so only the
         # zero case transfers exactly; anything else would overstate
         return _VALUE0
-    return _UNKNOWN
+    return got
+
+
+def _dilation_sup(source, target):
+    """(sup, apart) against a 1-D target that rescales onto itself on both
+    sides, one side at a time by `_side_sup` on the side's frame (the
+    reflected pair for side -1); apart tells whether a walked source point
+    lies outside the target's hulls. ("unknown", _) without a dilation."""
+    dt = setmodels.dilation(target)
+    if None in dt.values():
+        return _UNKNOWN, True
+    ds = setmodels.dilation(source)
+    sides = [_side_sup(*(m if side == 1 else Reflected(m)
+                         for m in (source, target)), ds[side], dt[side])
+             for side in (-1, 1)]
+    return (_worst([sup for sup, _ in sides]),
+            any(apart for _, apart in sides))
+
+
+def _log_window(reach, rho):
+    """One log period [a*rho, a*rho**2] past the reach, a = reach (or 1 at
+    reach 0, where every x > 0 is past it); rho 1 stands for any factor."""
+    a, rho = reach or ONE, max(rho, Fraction(2))
+    return a * rho, a * rho * rho
+
+
+def _side_sup(source, target, dil, tdil):
+    """(sup, apart) over the source points in [0, inf), with tdil the
+    target's dilation on that side (factor L, reach R) and dil the
+    source's, or None. Past R every target gap scales into a gap by L:
+    1. a source reaching a side the target does not is "infinite";
+    2. a source with a dilation of factor commensurable with L repeats
+       with their common power past the larger reach R': a point with a
+       positive distance in one log period past R' is "infinite" (the
+       distance scales with it), and otherwise only [0, R'] counts;
+    3. a target with no gap in one log period past R holds everything
+       past it, so only the source points in [0, R] count;
+    4. any other source is "infinite" when it reaches that side with a
+       bounded cover or an incommensurable factor (its log orbit is dense
+       modulo log L, Kronecker), since the gaps widen without bound;
+       else "unknown".
+    """
+    top = tdil.reach
+    rho = dil and common_power(dil.rho, tdil.rho)
+    if not _reaches(target, 1):
+        if _reaches(source, 1):
+            return _INF, True
+        top = max(ZERO, _end(source, 1))
+    elif rho is not None:
+        top = max(dil.reach, tdil.reach)
+        got = _window_sup(source, target, *_log_window(top, rho))
+        if got is None or got[0] > 0:
+            return (_UNKNOWN if got is None else _INF), True
+    elif _window_sup(FullLine(), target,
+                     *_log_window(tdil.reach, tdil.rho))[1]:
+        far = _reaches(source, 1) and (
+            setmodels.eventual_shape(source).cover[1] is not None
+            or (dil is not None and dil.rho > 1))
+        return (_INF if far else _UNKNOWN), True
+    got = _window_sup(source, target, ZERO, top)
+    if got is None:
+        return _UNKNOWN, True
+    return SupDistance("value", got[0]), got[1]
 
 
 def _sup_distance_2d(source, target) -> SupDistance:
@@ -512,6 +575,11 @@ class WitnessFamily:
     shift: Fraction = ZERO
     detail: str = ""
 
+    def __post_init__(self):
+        if self.c <= 0:
+            raise InternalInvariantError(
+                f"a witness family needs c > 0, got {fmt(self.c)}")
+
     def t(self, m: int) -> Fraction:
         if m < self.start:
             raise InputError(f"witness family starts at m = {self.start}")
@@ -531,28 +599,17 @@ class EquivalenceVerdict:
 
 
 def _gap_midpoint_family(model):
-    """(coef, q, start, c) describing gap midpoints of a self-similar set:
-    at t_m = coef*q^m the distance to the set is exactly c*t_m."""
-    if isinstance(model, GeometricPoints):
-        mid = model.c * (1 + model.q) / 2
-        c = (model.q - 1) / (model.q + 1)
-        return mid, model.q, model.n0, c
-    if isinstance(model, GeometricBlocks):
-        mid = (model.b + model.a * model.q) / 2
-        c = (model.a * model.q - model.b) / (model.a * model.q + model.b)
-        return mid, model.q, 1, c
-    if isinstance(model, FiniteModification):
-        # removing points only widens gaps; midpoints keep distance >= c*t
-        # once they are past twice the largest added point
-        inner = _gap_midpoint_family(model.base)
-        if inner is None:
-            return None
-        mid, q, start, c = inner
-        biggest = max((abs(pt) for pt in model.added), default=ZERO)
-        while mid * q ** start <= biggest * 2:
-            start += 1
-        return mid, q, start, c
-    return None
+    """(coef, q, start, c) for the midpoints t_m = coef*q**m (m >= start)
+    of the widest relative gap, (g2 - g1)/(g2 + g1), in one log period
+    past the reach of the set's dilation (`setmodels.log_period_gaps`), q
+    its factor: the gap scales into a gap by q, so the distance to the set
+    at t_m is at least c*t_m. None without a factor or a gap."""
+    got = setmodels.log_period_gaps(model) if ambient_dim(model) == 1 else None
+    if not got or not got[1]:
+        return None
+    rho, found = got
+    g1, g2 = max(found, key=lambda g: (g[1] - g[0]) / (g[1] + g[0]))
+    return (g1 + g2) / 2, rho, 0, (g2 - g1) / (g2 + g1)
 
 
 def _family_membership_persists(other, coef, q, start) -> bool:
@@ -560,16 +617,19 @@ def _family_membership_persists(other, coef, q, start) -> bool:
     `other` for every m >= start.
 
     Membership is checked point by point until the family clears the reach
-    of the set's eventual shape; past it the shape carries it on. With
-    period 0 the set holds all of the far side. With period L, the step
-    t_{m+1} - t_m = t_m*(q - 1) stays a multiple of L once it is one, when
-    q is an integer. Otherwise a geometric set carries it when q is a power
-    of its ratio, and a union or modification, which agrees past its reach
-    with the union of its leaves, when one leaf carries it.
+    of the set's eventual shape and of its dilation on the positive side;
+    past both they carry it on. With period 0 the set holds all of the far
+    side. With period L, the step t_{m+1} - t_m = t_m*(q - 1) stays a
+    multiple of L once it is one, when q is an integer. Otherwise the
+    dilation carries it when q is a power of its factor, and a union or
+    modification, which agrees past its reach with the union of its
+    leaves, when one leaf carries it.
     """
     shape = setmodels.eventual_shape(other)
+    dil = setmodels.dilation(other)[1]
+    reach = shape.reach if dil is None else max(shape.reach, dil.reach)
     m = start
-    while coef * q ** m <= shape.reach:
+    while coef * q ** m <= reach:
         if not contains(other, coef * q ** m):
             return False
         m += 1
@@ -580,8 +640,8 @@ def _family_membership_persists(other, coef, q, start) -> bool:
     if period == 0 or (period and q.denominator == 1
                        and value * (q - 1) % period == 0):
         return True
-    if isinstance(other, (GeometricPoints, GeometricBlocks)):
-        return _base_power(q, other.q) is not None
+    if dil is not None and common_power(q, dil.rho) == q:
+        return True
     if isinstance(other, (FiniteUnion, FiniteModification)):
         points, leaves = set(), []
         _flatten(other, frozenset(), points, leaves)
@@ -593,10 +653,10 @@ def _family_membership_persists(other, coef, q, start) -> bool:
 def _witness_against(gapped, other, p):
     """A diverging family of radii along which eps(t) >= c*t, or None.
 
-    Mechanism: gap midpoints of a self-similar set sit at distance
-    exactly c_gap * (their position); when the other set contains those
+    Mechanism: gap midpoints of a self-similar set sit at distance at
+    least c_gap * (their position); when the other set contains those
     positions for all large m, the sphere slice of the other set at
-    radius t_m = position - p exhibits the defect.  Exactness at three
+    radius t_m = position - p exhibits the defect.  The bound at three
     probes is rechecked through epsilon_t, membership persistence is
     structural, and the constant is adjusted for a negative base-point
     shift (where position/t_m < 1).

@@ -7,10 +7,13 @@ variants get exact closed forms:
 * bounded-gap models (rays from a finite origin, half lattices, periodic
   block patterns, and their finite modifications / unions containing one)
   have l(h) bounded, so the value is exactly 0;
-* GeometricPoints(q, c, n0) peaks at h = c*q**n with ratio 1 - 1/q;
-* GeometricBlocks(q, a, b) peaks at h = a*q**(n+1) with ratio 1 - b/(a*q);
-* a finite modification never moves the value (only finitely many gaps
-  change).
+* a set with a dilation x -> rho*x on [0, inf) (`setmodels.dilation`:
+  GeometricPoints, GeometricBlocks, and their commensurable unions and
+  finite modifications) repeats its gaps past the reach, scaled by rho,
+  in every log period, and l(h)/h peaks at the right end h = g2 of a gap
+  (g1, g2): the value is the largest (g2 - g1)/g2 over one log period,
+  read off the component cursor (1 - 1/q for GeometricPoints(q, c, n0),
+  1 - b/(a*q) for GeometricBlocks(q, a, b)).
 
 Everything else gets a finite-horizon estimator: the exact sup of l(h)/h
 over a geometric h-grid (quarter-dyadic rational stand-ins) with the
@@ -64,17 +67,12 @@ def _exact_closed_form(model):
     bound = sm.gap_bound(model)
     if bound is not None:
         return Fraction(0), f"all gaps bounded by {bound}"
-    if isinstance(model, sm.GeometricPoints):
-        return 1 - 1 / model.q, "largest relative gap between consecutive points"
-    if isinstance(model, sm.GeometricBlocks):
-        return (model.gap_seed / (model.a * model.q),
-                "largest relative gap before the next block")
-    if isinstance(model, sm.FiniteModification):
-        inner = _exact_closed_form(model.base)
-        if inner is not None:
-            value, note = inner
-            return value, note + "; finite modification does not move the limsup"
-    return None
+    got = sm.log_period_gaps(model)
+    if got is None:
+        return None
+    # l(h)/h peaks at the right end h = g2 of a gap past the reach
+    return (max(((g2 - g1) / g2 for g1, g2 in got[1]), default=Fraction(0)),
+            "largest relative gap over one log period of the dilation")
 
 
 def _grid(model, horizon_exponent: int):

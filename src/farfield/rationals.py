@@ -8,6 +8,7 @@ the hundreds) stay exact because Fraction sits on Python bigints.
 
 from __future__ import annotations
 
+import functools
 import math
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -87,7 +88,32 @@ def ipow_floor_log(q: Fraction, v: Fraction) -> int:
     return n
 
 
-def _base_power(q: Fraction, base: Fraction):
-    """The k >= 1 with base**k == q, or None."""
-    k = ipow_floor_log(base, q)
-    return k if k >= 1 and base ** k == q else None
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for integers n >= 0, k >= 1, by integer Newton."""
+    x = 1 << -(-n.bit_length() // k)  # at least the root
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
+
+
+@functools.lru_cache(maxsize=256)
+def _primitive_root(q: Fraction):
+    """(r, k) with q == r**k and k maximal, for rational q > 1. In lowest
+    terms q = n/d is a k-th power exactly when n and d are, and r > 1
+    needs r's numerator >= 2, so k < n.bit_length()."""
+    n, d = q.numerator, q.denominator
+    for k in range(n.bit_length() - 1, 1, -1):
+        rn, rd = _iroot(n, k), _iroot(d, k)
+        if rn ** k == n and rd ** k == d:
+            return Fraction(rn, rd), k
+    return q, 1
+
+
+def common_power(p: Fraction, q: Fraction):
+    """The least r > 1 lying in both p**Z and q**Z, exact, or None when p
+    and q are incommensurable (no common power). The factor 1 stands for
+    "every factor", so common_power(1, q) is q (and 1 for q == 1)."""
+    if p == 1 or q == 1:
+        return max(p, q)
+    (r, a), (s, b) = _primitive_root(p), _primitive_root(q)
+    return r ** math.lcm(a, b) if r == s else None

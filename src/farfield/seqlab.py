@@ -30,7 +30,7 @@ from itertools import combinations
 
 from .errors import InputError, InternalInvariantError
 from .pseudometric import make_space, metric_identify
-from .rationals import _base_power, flog, fmt, integer, ipow_floor_log, rat
+from .rationals import common_power, flog, fmt, integer, ipow_floor_log, rat
 from . import setmodels
 from .setmodels import (
     eventual_shape,
@@ -386,32 +386,34 @@ def _classify_inset_branch(model, anchor, scaling, parity):
     pin = min_element(model) if direction == -1 else max_element(model)
     if pin is not None:
         return ZERO, f"pinned at {fmt(pin)}"
-    if isinstance(model, (setmodels.GeometricPoints,
-                          setmodels.GeometricBlocks)) and anchor > 0:
-        return _geometric_selector_phase(model, anchor, scaling, parity)
+    dil = setmodels.dilation(model)[direction]
+    if dil is not None and dil.rho > 1:
+        return _geometric_selector_phase(model, anchor, scaling, parity, dil)
     return None
 
 
-def _geometric_selector_phase(model, anchor, scaling, parity):
-    """Selector over a geometric set under a commensurable geometric
-    scaling: the ratio nearest/r is eventually constant along a parity
-    class, and that constant is the phase."""
+def _geometric_selector_phase(model, anchor, scaling, parity, dil):
+    """Selector over a set that rescales onto itself on the anchor's side
+    (`setmodels.Dilation`, factor rho) under a geometric scaling whose
+    ratio squared is a power of rho: a parity step multiplies r_n by a
+    power of rho. Once the anchor point is past the first set point beyond
+    the reach (any point, at reach 0), the gap that holds it opens past the
+    reach, so its nearest point scales with it: the ratio nearest/r is
+    eventually constant along a parity class, and that constant is the
+    phase."""
     eff = effective_geometric(scaling)
     if eff is None:
         return None
     q_s, c_s = eff
-    q_m = model.q
-    if _base_power(q_s, q_m) is None:
+    if common_power(q_s ** 2, dil.rho) != q_s ** 2:
         return None
-    if isinstance(model, setmodels.GeometricPoints):
-        # past this threshold the nearest candidates stay above the set's
-        # smallest point, so scale-invariance of the selector kicks in
-        floor_val = model.c * q_m ** (model.n0 + 1)
-        target = floor_val / (anchor * c_s)
-        n_star = ipow_floor_log(q_s, target) + 1
-        n_star = max(n_star, 1)
-    else:
-        n_star = 1
+    n_star = 1
+    if dil.reach:
+        side = model if anchor > 0 else setmodels.Reflected(model)
+        floor_val = next(hi for _, hi in setmodels.components(side, dil.reach)
+                         if hi > dil.reach)
+        n_star = max(ipow_floor_log(q_s, floor_val / abs(anchor * c_s)) + 1,
+                     1)
     if n_star % 2 != parity % 2:
         n_star += 1
     probes = [n_star, n_star + 2, n_star + 4]

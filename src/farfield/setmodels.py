@@ -33,7 +33,9 @@ decreasing order of hi. The contract:
 
 What a 1-D set does far out is its eventual shape, `eventual_shape(model)`:
 one rule per leaf kind, with union, finite modification and reflection
-written once; `required_window` and `gap_bound` read fields of it.
+written once; `required_window` and `gap_bound` read fields of it. How it
+rescales onto itself far out is its dilation, `dilation(model)`, built
+the same way but apart from the shape, where a caller reads it.
 
 The porosity probe's gap search, `longest_gaps(model, hs)`, answers an
 ascending horizon list in one ascending walk of the cursor from 0
@@ -58,7 +60,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .errors import InputError, UnsupportedGeometryError
-from .rationals import fmt, integer, ipow_floor_log, rat
+from .rationals import common_power, fmt, integer, ipow_floor_log, rat
 
 WINDOW_CAP = 200_000
 
@@ -500,6 +502,25 @@ def first_point(model, x, direction: int = 1):
     return None if isinstance(end, (float, _ZeroSide)) else end
 
 
+def gaps(model, x, end=INF):
+    """The open gaps (g1, g2) of a 1-D set in increasing order, from the
+    one that ends past x on, up to end: the last one, (g1, inf), opens
+    past end (or at +inf). An unbounded end is -inf or +inf. Union
+    parts may overlap, so g1 is the running right end. The listing stops
+    after the gap that ends at an accumulation at 0 from above, since the
+    blocks beyond it are not listed (see the module docstring)."""
+    g1 = next((c[1] for c in components(model, x, -1) if c[1] < x), -INF)
+    for lo, hi in components(model, x):
+        if lo > g1:
+            yield g1, lo
+        if lo is ZERO_ABOVE:
+            return
+        g1 = max(g1, hi)
+        if g1 > end:
+            break
+    yield g1, INF
+
+
 # ---------------------------------------------------------------------------
 # Membership
 
@@ -837,6 +858,7 @@ class EventualShape:
     cover: {direction: a bound on distance_to_set(x) for every far enough
         x toward direction * inf, None when unbounded}.
     long_runs: whether the set holds intervals of unbounded length.
+    How the set rescales onto itself far out is its Dilation, below.
     """
 
     reach: Fraction
@@ -935,6 +957,92 @@ def eventual_shape(model) -> EventualShape:
     if kind not in _SHAPES:
         raise UnsupportedGeometryError(f"no window law for {kind.__name__}")
     return _SHAPES[kind](model)
+
+
+@dataclass(frozen=True)
+class Dilation:
+    """How a 1-D set rescales onto itself far out on one side: x and rho*x
+    are both in the set or both out of it whenever x lies past reach on
+    that side (side * x > reach). rho == 1 stands for every factor (the
+    set holds all or none of that side past reach), as period 0 does in
+    EventualShape. `dilation(model)` maps each side, -1 and +1, to one of
+    these, or to None when no factor works (a lattice or periodic pattern
+    reaching that side)."""
+
+    rho: Fraction
+    reach: Fraction
+
+
+ONE = Fraction(1)
+_EVERY = Dilation(ONE, ZERO)  # the side is empty or all of it
+
+
+def _union_dilation(m: FiniteUnion):
+    sides = [dilation(p) for p in m.parts]
+    return {d: functools.reduce(_joint, [s[d] for s in sides])
+            for d in (-1, 1)}
+
+
+def _joint(a, b):
+    """The dilation of a union on one side from its parts' dilations."""
+    rho = a and b and common_power(a.rho, b.rho)
+    return rho and Dilation(rho, max(a.reach, b.reach))
+
+
+def _modification_dilation(m: FiniteModification):
+    moved = max(map(abs, m.added + m.removed), default=ZERO)
+    return {d: s and replace(s, reach=max(s.reach, moved))
+            for d, s in dilation(m.base).items()}
+
+
+def _bounded_side(m, side):
+    """Past |offset| a lattice or periodic pattern holds none of the side
+    it does not run to; the side it runs to has no dilation."""
+    return {side: None, -side: Dilation(ONE, abs(m.offset))}
+
+
+_DILATIONS = {
+    Lattice: lambda m: (
+        {-1: None, 1: None} if m.half == "full"
+        else _bounded_side(m, 1 if m.half == "plus" else -1)),
+    Ray: lambda m: dict.fromkeys((-1, 1), Dilation(ONE, abs(m.origin))),
+    FullLine: lambda m: {-1: _EVERY, 1: _EVERY},
+    # x = c*q**(n0 - 1) is out of the set and q*x in it: the reach
+    GeometricPoints: lambda m: {-1: _EVERY, 1: Dilation(m.q, m.first / m.q)},
+    # for every x > 0: block n + 1 is block n scaled by q
+    GeometricBlocks: lambda m: {-1: _EVERY, 1: Dilation(m.q, ZERO)},
+    PeriodicBlocks: lambda m: _bounded_side(m, 1),
+    FiniteUnion: _union_dilation,
+    FiniteModification: _modification_dilation,
+    Reflected: lambda m: {-d: s for d, s in dilation(m.base).items()},
+}
+
+
+def dilation(model) -> dict:
+    """{side: Dilation or None} for side -1 and +1 of a 1-D model (see
+    Dilation): one rule per leaf kind; a union takes the common power of
+    its parts' factors and the largest reach, a finite modification moves
+    the reach past the changed points, and a reflection swaps the sides.
+    Computed on demand, apart from `eventual_shape`, since the exact
+    commensurability test is dearer than the shape's fields."""
+    kind = type(model)
+    if kind not in _DILATIONS:
+        raise UnsupportedGeometryError(f"no window law for {kind.__name__}")
+    return _DILATIONS[kind](model)
+
+
+def log_period_gaps(model):
+    """(rho, gaps): the factor of the dilation on the positive side and the
+    gaps (g1, g2) that open in one log period (a, a*rho] past its reach
+    (a = reach, or 1 at reach 0). A gap that opens past the reach scales
+    into a gap by rho, so these show every gap shape past the reach. None
+    without a factor > 1."""
+    dil = dilation(model)[1]
+    if dil is None or dil.rho == 1:
+        return None
+    a = dil.reach or ONE
+    return dil.rho, [(g1, g2) for g1, g2 in gaps(model, a, a * dil.rho)
+                     if a < g1 <= a * dil.rho]
 
 
 def required_window(model) -> Fraction:

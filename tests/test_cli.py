@@ -72,16 +72,32 @@ def test_porosity_summary_and_trace(tmp_path):
 
 
 def test_porosity_assert_flags_inconclusive_runs(tmp_path):
-    # two interleaved slow scales leave the verdict open at this threshold
+    # two incommensurable slow scales: no closed form, and the probed sup
+    # stays below the threshold
     union = {"kind": "finite_union", "parts": [
         {"kind": "geometric_points", "q": "12/11", "c": "1", "n0": 0},
-        {"kind": "geometric_points", "q": "12/11", "c": "23/22", "n0": 0},
+        {"kind": "geometric_points", "q": "13/12", "c": "1", "n0": 0},
     ]}
     cfg = {"model": union, "threshold": "1/10", "horizon_exponent": 180}
     code, out = run(tmp_path, "porosity", cfg, "--assert")
     assert code == 1
     summary = json.loads((out / "porosity_summary.json").read_text())
     assert summary["status"] == "inconclusive_at_horizon"
+    assert (summary["kind"], summary["value"]) == ("horizon_estimate", "1/13")
+
+
+def test_porosity_of_a_commensurable_union_is_exact(tmp_path):
+    # both parts rescale by 12/11, so one log period gives the value
+    union = {"kind": "finite_union", "parts": [
+        {"kind": "geometric_points", "q": "12/11", "c": "1", "n0": 0},
+        {"kind": "geometric_points", "q": "12/11", "c": "23/22", "n0": 0},
+    ]}
+    cfg = {"model": union, "threshold": "1/10", "horizon_exponent": 180}
+    code, out = run(tmp_path, "porosity", cfg, "--assert")
+    assert code == 0
+    summary = json.loads((out / "porosity_summary.json").read_text())
+    assert (summary["kind"], summary["value"]) == ("exact", "1/23")
+    assert summary["status"] == "porous"
 
 
 def test_porosity_gap_bound_survives_a_too_rich_probe(tmp_path):
@@ -160,6 +176,18 @@ def test_equiv_negative_verdict_and_witness(tmp_path):
     curve = (out / "epsilon_curve.csv").read_text().splitlines()
     assert curve[1].startswith("3/2,")
     assert curve[1].split(",")[8] == "1/3"  # eps(t)/t on the witness row
+
+
+def test_equiv_touching_blocks_against_the_half_line(tmp_path):
+    # the blocks [2**n, 2**(n+1)] cover (0, inf): no gap to certify a
+    # witness with, and every sphere defect is 0
+    blocks = {"kind": "geometric_blocks", "q": "2", "a": "1", "b": "2"}
+    code, out = run(tmp_path, "equiv", {"y_model": blocks, "z_model": RAY},
+                    "--assert")
+    assert code == 0
+    verdict = json.loads((out / "equiv_verdict.json").read_text())
+    assert (verdict["status"], verdict["bound"]) == ("equivalent_exact", "0")
+    assert verdict["witness"] is None
 
 
 NATURALS = {"kind": "finite_modification", "removed": ["0"],

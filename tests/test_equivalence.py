@@ -30,10 +30,26 @@ from farfield import (
     sphere_slice,
     sup_distance,
 )
-from farfield.equivalence import _family_membership_persists
-from farfield.errors import InputError
+from farfield import setmodels
+from farfield.equivalence import (
+    WitnessFamily,
+    _family_membership_persists,
+    _gap_midpoint_family,
+    is_structural_subset,
+)
+from farfield.errors import InputError, InternalInvariantError
+from farfield.rationals import common_power
 from farfield.seqlab import ClosedFormSpec, GeometricScaling
-from test_setmodels_oracle import LEAVES, oracle, trees
+from test_setmodels_oracle import (
+    COMMENSURABLE_PAIRS,
+    LEAVES,
+    TINY,
+    coalesce,
+    member,
+    o_distance,
+    oracle,
+    trees,
+)
 
 
 def eps_pair_oracle(y_model, z_model, p, t):
@@ -122,8 +138,9 @@ def test_blocks_against_full_line_produce_a_witness():
     verdict = decide_strong_equivalence(GB412, FullLine())
     assert verdict.status == "not_equivalent"
     w = verdict.witness
-    assert (w.coef, w.q, w.start, w.c) == (F(3), F(4), 1, F(1, 3))
-    assert w.t_values == (F(12), F(48), F(192))
+    # the gap (2, 4) opens in the first log period (1, 4] past reach 0
+    assert (w.coef, w.q, w.start, w.c) == (F(3), F(4), 0, F(1, 3))
+    assert w.t_values == (F(3), F(12), F(48))
 
 
 @pytest.mark.parametrize("other, coef, q, start", [
@@ -247,6 +264,70 @@ def test_sup_distance_infinite_cases():
     assert sup_distance(FullLine(), Ray(F(0), 1)).kind == "infinite"
     assert sup_distance(FullLine(), GP2).kind == "infinite"
     assert sup_distance(Ray(F(0), 1), GP2).kind == "infinite"
+
+
+B_BLOCKS = GeometricBlocks(F(2), F(1), F(3, 2))
+# the blocks [2**n, 2**(n+1)] cover all of (0, inf)
+TOUCHING = GeometricBlocks(F(2), F(1), F(2))
+
+
+@pytest.mark.parametrize("source, target", [
+    # every 2**n is the left end of a block [2**n, 3/2 * 2**n]
+    (GP2, B_BLOCKS),
+    (GeometricPoints(F(2), F(5, 4), 0), B_BLOCKS),
+    (FiniteUnion((B_BLOCKS, GP2)), B_BLOCKS),
+    (Ray(F(1), 1), TOUCHING),
+    (GP3, TOUCHING),
+])
+def test_sup_distance_into_geometric_blocks(source, target):
+    assert sup_distance(source, target) == sup_distance(target, target)
+    assert sup_distance(source, target).value == 0
+
+
+def test_a_union_with_points_inside_blocks_is_exact():
+    union = FiniteUnion((B_BLOCKS, GP2))
+    assert is_structural_subset(GP2, B_BLOCKS)
+    assert conditional_hausdorff(B_BLOCKS, union, B_BLOCKS, union).value == 0
+    verdict = decide_strong_equivalence(B_BLOCKS, union)
+    assert (verdict.status, verdict.bound) == ("equivalent_exact", 0)
+
+
+@pytest.mark.parametrize("a, b, inside", [
+    # 5/4 is removed from the block [1, 3/2], whose hull stays whole
+    (B_BLOCKS, FiniteModification(B_BLOCKS, removed=(F(5, 4),)), False),
+    (FiniteModification(B_BLOCKS, removed=(F(5, 4),)), B_BLOCKS, True),
+    (GeometricPoints(F(4), F(5, 4), 0),
+     FiniteModification(B_BLOCKS, removed=(F(5, 4),)), False),
+    (GeometricPoints(F(4), F(5, 4), 1),
+     FiniteModification(B_BLOCKS, removed=(F(5, 4),)), True),
+])
+def test_containment_sees_points_removed_inside_a_hull(a, b, inside):
+    assert is_structural_subset(a, b) == inside
+
+
+def test_a_sup_of_zero_is_not_containment():
+    # the ray [0, inf) stays within 0 of the touching blocks, but 0 itself
+    # is only their accumulation point
+    assert sup_distance(Ray(F(0), 1), TOUCHING).value == 0
+    assert not is_structural_subset(Ray(F(0), 1), TOUCHING)
+    assert is_structural_subset(Ray(F(1), 1), TOUCHING)
+
+
+def test_touching_blocks_have_no_gap_to_witness_with():
+    assert _gap_midpoint_family(TOUCHING) is None
+    verdict = decide_strong_equivalence(TOUCHING, Ray(F(0), 1))
+    assert (verdict.status, verdict.bound) == ("equivalent_exact", 0)
+    with pytest.raises(InternalInvariantError):
+        WitnessFamily(F(3), F(2), 0, F(0), ())
+
+
+def test_gap_midpoints_take_the_common_log_period():
+    # GP(4) u GP(8) rescales by 64, not by 4 or 8; of the gaps that open
+    # in one log period past its reach 1/4, (1, 4) and (16, 64) are the
+    # widest, and the first one is taken
+    union = FiniteUnion((GeometricPoints(F(4), F(1), 0),
+                         GeometricPoints(F(8), F(1), 0)))
+    assert _gap_midpoint_family(union) == (F(5, 2), F(64), 0, F(3, 5))
 
 
 def test_sup_distance_dominates_sampled_points():
@@ -606,3 +687,69 @@ def test_residuals_survive_for_a_sparse_target():
 def test_nearest_point_maps_reject_nonpositive_tolerance():
     with pytest.raises(InputError):
         build_nearest_point_maps(FullLine(), FullLine(), eps1=F(0))
+
+
+# -- commensurable geometric trees against a brute-force scan ---------------
+
+
+def removed_points(model):
+    if isinstance(model, FiniteModification):
+        return set(model.removed) | removed_points(model.base)
+    if isinstance(model, FiniteUnion):
+        return set().union(*map(removed_points, model.parts))
+    if isinstance(model, Reflected):
+        return {-x for x in removed_points(model.base)}
+    return set()
+
+
+def scan(source, target, bound, reach):
+    """(sup, far, inside) over the source points in [-bound, bound]: the
+    largest distance to the target's closure, whether a point beyond
+    reach is at a positive distance, and whether every point lies in the
+    target. Over a piece the distance peaks at an end or at the midpoint
+    of a target gap inside it; an accumulation at 0 counts as the point 0
+    for the sup, and the pieces below the oracle's listing scale are left
+    out (their distances are below it)."""
+    pieces, acc = oracle(source, bound)
+    pieces = [(a, b) for a, b in pieces
+              if not 0 < max(abs(a), abs(b)) <= 2 * TINY]
+    t_pieces, t_acc = oracle(target, 2 * bound)
+    hulls = coalesce(t_pieces)
+    mids = [(h1 + l2) / 2 for (_, h1), (l2, _) in zip(hulls, hulls[1:])]
+    holes = [x for x in removed_points(target) if not member(target, x)]
+    best = o_distance(t_pieces, t_acc, F(0)) if acc else F(0)
+    far, inside = False, True
+    for a, b in pieces:
+        for x in [a, b] + [m for m in mids if a < m < b]:
+            d = o_distance(t_pieces, t_acc, x)
+            best = max(best, d)
+            far = far or (d > 0 and abs(x) > reach)
+        inside = inside and any(lo <= a and b <= hi for lo, hi in hulls)
+        inside = inside and not any(a <= x <= b and member(source, x)
+                                    for x in holes)
+    return best, far, inside
+
+
+@settings(max_examples=120, deadline=None)
+@given(pair=COMMENSURABLE_PAIRS)
+def test_dilation_rules_match_a_scan_of_three_log_periods(pair):
+    source, target = pair
+    ds, dt = setmodels.dilation(source), setmodels.dilation(target)
+    sides = [(max(ds[d].reach, dt[d].reach),
+              common_power(ds[d].rho, dt[d].rho)) for d in (-1, 1)]
+    reach = max(r for r, _ in sides)
+    bound = max((r or 1) * max(L, F(2)) ** 3 for r, L in sides)
+    best, far, inside = scan(source, target, bound, reach)
+    accumulates = bool(oracle(source, F(1))[1])
+    got = sup_distance(source, target)
+    if got.kind == "value":
+        assert got.value == best and not far
+    elif got.kind == "infinite":
+        assert far
+    else:
+        assert accumulates, "only a listing of the accumulation stays open"
+    if is_structural_subset(source, target):
+        assert inside
+    else:
+        assert accumulates or not inside
+

@@ -9,6 +9,8 @@ longest_gap, which test_setmodels already pins down by enumeration.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from farfield import (
     FiniteModification,
@@ -24,6 +26,15 @@ from farfield import (
     is_porous_at_infinity,
     longest_gap,
     porosity_at_infinity,
+)
+from farfield import setmodels
+from farfield.porosity import _exact_closed_form
+from test_setmodels_oracle import (
+    NONNEG_HITS,
+    coalesce,
+    fractions,
+    geometric_leaves,
+    oracle,
 )
 
 F = Fraction
@@ -100,6 +111,36 @@ def test_periodic_blocks_are_nonporous():
     m = PeriodicBlocks(F(3), ((F(0), F(1)), (F(3, 2), F(7, 4))))
     r = porosity_at_infinity(m)
     assert r.kind == "exact" and r.value == 0
+
+
+def commensurable_nonneg_trees(rho, depth=2):
+    sub = (geometric_leaves(rho) if depth == 1
+           else commensurable_nonneg_trees(rho, depth - 1))
+    return st.one_of(
+        geometric_leaves(rho),
+        st.lists(sub, min_size=2, max_size=3).map(
+            lambda parts: FiniteUnion(tuple(parts))),
+        st.builds(lambda base, added, removed: FiniteModification(
+            base, tuple(added), tuple(removed)),
+            sub, st.lists(fractions(0, 20, 4), max_size=2),
+            st.lists(NONNEG_HITS, max_size=2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=st.sampled_from([F(2), F(3, 2)]).flatmap(
+    commensurable_nonneg_trees))
+def test_closed_form_matches_three_log_periods_of_gaps(model):
+    # in each of three log periods past the reach, the widest gap over its
+    # right end, read off the oracle's coalesced pieces
+    value, _ = _exact_closed_form(model)
+    dil = setmodels.dilation(model)[1]
+    a = dil.reach or 1
+    hulls = coalesce(oracle(model, a * dil.rho ** 4)[0])
+    for j in range(3):
+        lo, hi = a * dil.rho ** j, a * dil.rho ** (j + 1)
+        ratios = [(l2 - h1) / l2 for (_, h1), (l2, _) in zip(hulls, hulls[1:])
+                  if lo < h1 <= hi and l2 > h1]
+        assert max(ratios, default=F(0)) == value, j
 
 
 # ---------------------------------------------------------------------------
@@ -186,22 +227,46 @@ def test_reflected_sets_certify_nonporosity(model):
 
 
 def test_verdict_porous_estimate_without_closed_form():
-    # interleaved doubling families: no closed form, probed ratio 1/3
+    # incommensurable doubling and tripling points: no closed form, probed
+    # ratio 1/2
     u = FiniteUnion((GeometricPoints(F(2), F(1), 0),
-                     GeometricPoints(F(2), F(4, 3), 0)))
+                     GeometricPoints(F(3), F(1), 0)))
     v = is_porous_at_infinity(u, horizon_exponent=200)
     assert v.status == "porous"
-    assert v.witness_ratio == F(1, 3)
+    assert v.witness_ratio == F(1, 2)
     assert v.result.kind == "horizon_estimate"
 
 
 def test_verdict_inconclusive_below_threshold():
-    # ratios top out at 1/12 < 1/10 and no certificate applies
+    # incommensurable slow scales: ratios top out at 1/13 < 1/10 and no
+    # certificate applies
     u = FiniteUnion((GeometricPoints(F(12, 11), F(1), 0),
-                     GeometricPoints(F(12, 11), F(1), 0)))
+                     GeometricPoints(F(13, 12), F(1), 0)))
     v = is_porous_at_infinity(u, threshold=F(1, 10), horizon_exponent=180)
     assert v.status == "inconclusive_at_horizon"
-    assert v.result.value == F(1, 12)
+    assert v.result.value == F(1, 13)
+
+
+@pytest.mark.parametrize("parts, value", [
+    # interleaved doubling families: the gaps (4/3, 2) and (1, 3/2)
+    ((GeometricPoints(F(2), F(1), 0), GeometricPoints(F(2), F(4, 3), 0)),
+     F(1, 3)),
+    ((GeometricPoints(F(2), F(1), 0), GeometricPoints(F(2), F(3, 2), 0)),
+     F(1, 3)),
+    # the pinned slow union: (12/11, 138/121) over its right end
+    ((GeometricPoints(F(12, 11), F(1), 0),
+      GeometricPoints(F(12, 11), F(23, 22), 0)), F(1, 23)),
+    ((GeometricPoints(F(12, 11), F(1), 0),
+      GeometricPoints(F(12, 11), F(1), 0)), F(1, 12)),
+    # log period 4: the gaps (3, 4), (4, 8), (8, 12)
+    ((GeometricPoints(F(2), F(1), 0), GeometricPoints(F(4), F(3), 0)),
+     F(1, 2)),
+])
+def test_commensurable_unions_are_exact(parts, value):
+    result = porosity_at_infinity(FiniteUnion(parts), 180)
+    assert (result.kind, result.value) == ("exact", value)
+    # the probe's critical horizons land on the widest gap's right end
+    assert max(row[2] for row in result.trace) == value
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from farfield import (
     AffineSpec,
     ClosedFormSpec,
+    FiniteUnion,
     FullLine,
     GeometricPoints,
     GeometricScaling,
@@ -231,9 +232,11 @@ def brute_maximal_cliques(n, edge_set):
 
 
 # Mixed families: closed forms, affine specs and nearest-point selectors.
-# Under GeometricScaling(4) the selectors over GP(2) and GP(4) classify,
-# under GeometricScaling(3, 1/2) the one over GP(3) does; GP(5) never
-# classifies under these scalings, so its selectors take the numeric path.
+# A selector over GP(q) classifies when the scaling ratio squared is a power
+# of q: under GeometricScaling(2) and GeometricScaling(4) the selectors over
+# GP(2) and GP(4) do, under GeometricScaling(3, 1/2) the one over GP(3)
+# does; GP(5) never classifies under these scalings, so its selectors take
+# the numeric path.
 LAB_SCALINGS = SCALINGS + (GeometricScaling(F(4)),)
 COEFS = st.sampled_from((F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2), F(3)))
 UNCLASSIFIED = InSetSpec(GeometricPoints(F(5), F(1), 0), F(1))
@@ -304,6 +307,23 @@ def test_unclassified_selector_takes_the_numeric_path():
     for scaling in LAB_SCALINGS:
         assert not seqlab.classify(UNCLASSIFIED, scaling).ok
         assert tilde_d(UNCLASSIFIED, scaling).status != "exact"
+
+
+@pytest.mark.parametrize("model, anchor, even, odd", [
+    # r_n = 2**n: 4**k itself on even n, the nearer 4**k below 2*4**k on
+    # odd n
+    (GeometricPoints(F(4), F(1), 0), F(1), F(1), F(1, 2)),
+    # a union that rescales by 2: 2**n itself, and 3/2 * 2**n nearest to
+    # 4/3 * 2**n
+    (FiniteUnion((GeometricPoints(F(2), F(1), 0),
+                  GeometricPoints(F(2), F(3, 2), 0))), F(1), F(1), F(1)),
+    (FiniteUnion((GeometricPoints(F(2), F(1), 0),
+                  GeometricPoints(F(2), F(3, 2), 0))), F(4, 3), F(3, 2),
+     F(3, 2)),
+])
+def test_selectors_over_a_dilation_classify(model, anchor, even, odd):
+    form = seqlab.classify(InSetSpec(model, anchor), GeometricScaling(F(2)))
+    assert form.ok and (form.even, form.odd) == (even, odd)
 
 
 @settings(max_examples=60, deadline=None)

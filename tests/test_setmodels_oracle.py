@@ -15,7 +15,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from farfield import (
@@ -265,6 +265,24 @@ def trees(depth, leaves=LEAVES):
     )
 
 
+def geometric_leaves(rho):
+    """GeometricPoints and GeometricBlocks leaves with bases rho**k, k in
+    1..3: any tree over them rescales onto itself by a power of rho."""
+    bases = st.integers(1, 3).map(lambda k: rho ** k)
+    return st.one_of(
+        st.builds(GeometricPoints, bases,
+                  st.sampled_from([F(1, 2), F(1), F(3, 2)]),
+                  st.integers(-1, 2)),
+        st.builds(lambda q, b: GeometricBlocks(q, F(1), b), bases,
+                  st.sampled_from([F(5, 4), F(3, 2)])))
+
+
+# trees whose leaves all have bases in 2**N or in (3/2)**N, and pairs of them
+COMMENSURABLE = st.sampled_from([F(2), F(3, 2)]).flatmap(
+    lambda rho: trees(2, geometric_leaves(rho)))
+COMMENSURABLE_PAIRS = st.sampled_from([F(2), F(3, 2)]).flatmap(
+    lambda rho: st.tuples(*[trees(2, geometric_leaves(rho))] * 2))
+
 POINTS = fractions(-QUERY_SPAN, QUERY_SPAN, 8)
 
 
@@ -457,6 +475,35 @@ def test_eventual_shape_holds_past_the_reach(model, steps):
             if cover is not None:
                 far = side * (x + cover)
                 assert distance_to_set(model, far) <= cover, far
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=st.one_of(trees(3), COMMENSURABLE),
+       steps=st.lists(st.integers(1, 96), min_size=1, max_size=6))
+# log periods 64 (not 8) and none (not 2)
+@example(model=FiniteUnion((GeometricPoints(F(4), F(1), 0),
+                            GeometricPoints(F(8), F(1), 0))), steps=[1])
+@example(model=FiniteUnion((GeometricPoints(F(3, 2), F(1), 0),
+                            GeometricBlocks(F(2), F(1), F(3, 2)))), steps=[1])
+def test_dilation_holds_past_the_reach(model, steps):
+    for side, dil in setmodels.dilation(model).items():
+        if dil is None:
+            continue
+        rho = dil.rho if dil.rho > 1 else F(3, 2)  # 1: every factor
+        top = dil.reach * rho + 12
+        pieces, _ = oracle(model, rho * top + 1)
+
+        def inside(x):  # no added or removed point lies past the reach
+            return any(a <= x <= b for a, b in pieces)
+
+        # where membership changes: the piece ends, and the points that
+        # one factor maps onto them (above the oracle's listing scale)
+        ends = {side * e for piece in pieces for e in piece}
+        xs = {dil.reach + F(k, 8) for k in steps} | {
+            x for e in ends for x in (e, e / rho)
+            if max(dil.reach, F(1, 64)) < x <= top}
+        for x in xs:
+            assert inside(side * x) == inside(side * rho * x), (side, x)
 
 
 @settings(max_examples=150, deadline=None)
