@@ -11,37 +11,44 @@ covering-style bounds give `equivalent_exact`, self-similar gap families
 give `not_equivalent` with a diverging witness, and only the explicitly
 non-certified `equivalent_numerical` rests on finite probing.
 
-The covering bound is sup_{z in Z} d(z, Y), taken both ways. The target is
-chosen by its eventual shape (`setmodels.eventual_shape`), not its kind.
-Against a target with a period (a ray, a lattice, a periodic pattern, and
-every union, finite modification or reflection of those) it is read off the
-source's component cursor, by the first rule that applies:
-1. a source reaching a side of the line that the target does not gives
-   "infinite";
-2. against a ray the distance is monotone, so the sup is the larger
-   distance at the source's finite ends (its first components from -inf
-   and +inf, the accumulation of GeometricBlocks at 0 included);
-3. a source with arbitrarily long runs meets the widest gap of a lattice or
-   periodic-pattern target far out: the sup is the larger of half that gap
-   and the end distances (a union's cover is only a bound, and a
-   modification's holds only far out, so those go on to rule 4 or 5);
-4. a periodic source is walked over both prefixes plus two common periods
-   on each side, in one merged pass with the target's gaps: a component
-   meeting a gap gives the distance at its point nearest the gap's
-   midpoint;
-5. any other source splits into finite points and leaves, each with the
-   points removed above it: periodic leaves go by rule 4, powers c*q^n
-   with integer q by their residue orbit modulo the target's period,
-   anything else is "unknown".
-Against a target that rescales onto itself on both sides
-(`setmodels.dilation`: geometric leaves and their commensurable unions,
-finite modifications and reflections), each side is read in its own frame
-by the rules of `_side_sup`, over [0, R] and one log period past the reach
-R with the same merged walk; the subset test reads those walks too. A
-union or modification source left "unknown" is split into its finite
-points and leaves, since the sup over a union is the largest over its
-parts. Any other union target is exact only when the sup to one of its
-parts is 0.
+The covering bound is sup_{z in Z} d(z, Y), taken both ways. For sets on
+the line it is read one side at a time (side -1 through the reflected
+pair), over the source points in [0, inf), in the target's frame on that
+side: its translation by the period P of its eventual shape
+(`setmodels.eventual_shape`) when there is one, else its dilation by the
+factor L of `setmodels.dilation`; a side with neither (a lattice beside a
+geometric part) is "unknown". Past the frame's reach R the target, and so
+each of its gaps, repeats under x -> x + P (x -> L*x). One rule list,
+`_side_sup`, the first rule that applies:
+1. a source that leaves the side empty far out is walked up to its end;
+   one that reaches a side the target leaves empty is "infinite";
+2. a source with a frame of the same kind repeats with the target past the
+   larger reach R': under translation (a source without long runs) with
+   the least common period p, so a walk over [0, R' + 2p] sees every
+   distance; under dilation with the common power of the factors, so a
+   point at a positive distance in one log period past R' makes the sup
+   "infinite" (the distance scales with it), and otherwise the walk over
+   [0, R'] is the sup;
+3. a target with no gap in one period (log period) past R holds the whole
+   side past it, so the walk stops at R;
+4. under translation, every distance past R + P is at most half the
+   target's widest gap W (the walk of the full line over one period past
+   R + P). A source with long runs on the side meets that gap far out, so
+   the sup is the larger of W/2 and the walk over [0, R + P], as it is
+   when that walk reaches W/2; powers c*q**n of an integer q (and their
+   unions and modifications) keep the residue orbit of their points
+   modulo P; any other source is "unknown", at most that larger value;
+5. under dilation, a source reaching the side with a bounded cover or an
+   incommensurable factor is "infinite" (its log orbit is dense modulo
+   log L, Kronecker, and the gaps widen without bound), else "unknown".
+A walk (`_window_sup`) merges the source components with the target's
+gaps, taking a step per target gap met: the source points in a gap are
+read from those nearest its midpoint. The subset test reads the same
+walks: a sup of 0 with every walked point inside the target's hulls and
+no removed point of the target in the source. A union or modification
+source left "unknown", reflected or not, is split into its finite points
+and leaves (mirrored with it), since the sup over a union is the largest
+over its parts; a union target gives 0 when one of its parts does.
 """
 
 from __future__ import annotations
@@ -51,18 +58,14 @@ from fractions import Fraction
 
 from .errors import (InputError, InternalInvariantError,
                      UnsupportedGeometryError)
-from .rationals import common_power, fmt, rat
+from .rationals import common_power, fmt, lcm, rat
 from . import setmodels
 from .setmodels import (
     FiniteModification,
     FiniteUnion,
     FullLine,
-    GeometricPoints,
     HalfPlaneStrip,
-    Lattice,
-    PeriodicBlocks,
     PlanarRay,
-    Ray,
     Reflected,
     ambient_dim,
     as_rat_point,
@@ -107,8 +110,6 @@ def is_structural_subset(a, b) -> bool:
         return False
     if a == b:
         return True
-    if isinstance(b, FullLine):
-        return ambient_dim(a) == 1
     if isinstance(a, FiniteUnion):
         return all(is_structural_subset(p, b) for p in a.parts)
     if isinstance(b, FiniteUnion):
@@ -121,24 +122,8 @@ def is_structural_subset(a, b) -> bool:
         if (is_structural_subset(a.base, b)
                 and all(contains(b, pt) for pt in a.added)):
             return True
-    if isinstance(b, Ray):
-        # inside a ray exactly when the end on its open side is past it
-        return b.direction * (_end(a, -b.direction) - b.origin) >= 0
-    if isinstance(a, Lattice) and isinstance(b, Lattice):
-        ratio = a.step / b.step
-        if ratio.denominator != 1:
-            return False
-        if (a.offset - b.offset) % b.step != 0:
-            return False
-        if b.half == "full":
-            return True
-        if a.half != b.half:
-            return False
-        if a.half == "plus":
-            return a.offset >= b.offset
-        return a.offset <= b.offset
     if ambient_dim(a) == 1:
-        return _dilation_subset(a, b)
+        return _frame_subset(a, b)
     if isinstance(a, PlanarRay) and isinstance(b, PlanarRay):
         return True
     if isinstance(a, PlanarRay) and isinstance(b, HalfPlaneStrip):
@@ -148,27 +133,12 @@ def is_structural_subset(a, b) -> bool:
     return False
 
 
-def _dilation_subset(a, b) -> bool:
-    """a inside b when b rescales onto itself on both sides: the walks of
-    `_dilation_sup` find every point of a in b's hulls, and no point
-    removed inside those hulls is a point of a."""
-    sup, apart = _dilation_sup(a, b)
+def _frame_subset(a, b) -> bool:
+    """a inside b when the walks of `_frame_sup` find every point of a in
+    b's hulls, and no point removed inside those hulls is a point of a."""
+    sup, apart = _frame_sup(a, b)
     return sup == _VALUE0 and not apart and all(
-        contains(b, x) for x in _holes(b) if contains(a, x))
-
-
-_HOLES = {
-    FiniteModification: lambda m: {*m.removed, *_holes(m.base)},
-    FiniteUnion: lambda m: set().union(*map(_holes, m.parts)),
-    Reflected: lambda m: {-x for x in _holes(m.base)},
-}
-
-
-def _holes(model) -> set:
-    """The points removed anywhere in a 1-D tree, which the hulls of its
-    components may still cover."""
-    kind = type(model)
-    return _HOLES[kind](model) if kind in _HOLES else set()
+        contains(b, x) for x in setmodels.holes(b) if contains(a, x))
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +147,9 @@ def _holes(model) -> set:
 
 @dataclass(frozen=True)
 class SupDistance:
+    """kind "value" with the sup as value, "infinite", or "unknown" with
+    a bound on the sup as value when one is known (else None)."""
+
     kind: str  # "value" | "infinite" | "unknown"
     value: object = None
 
@@ -205,186 +178,192 @@ def _reaches(model, direction: int) -> bool:
     return _end(model, direction) == direction * setmodels.INF
 
 
-def _leaf_target_sup(source, target) -> SupDistance:
-    """sup over the source of the distance to a target with a period, by
-    the rules in the module docstring."""
-    ends = {side: _end(source, side) for side in (-1, 1)}
-    reached = [side for side, end in ends.items()
-               if end == side * setmodels.INF]
-    if not all(_reaches(target, side) for side in reached):
-        return _INF
-    shape = setmodels.eventual_shape(source)
-    if isinstance(target, Ray) or (
-            shape.long_runs and isinstance(target, (Lattice, PeriodicBlocks))):
-        # far out, a ray is at distance 0 and long runs meet the widest gap
-        cover = setmodels.eventual_shape(target).cover
-        return SupDistance("value", max([cover[side] for side in reached] + [
-            distance_to_set(target, Fraction(end))
-            for side, end in ends.items() if side not in reached]))
-    if shape.period is None:
-        return _flattened_sup(source, target)
-    best = _periodic_sup(source, target)
-    return _UNKNOWN if best is None else SupDistance("value", best)
+def _window_sup(source, target, lo, hi, period=None):
+    """(sup, apart) over the source points in [lo, hi], lo >= 0: their
+    largest distance to the target, and whether any lies outside the
+    target's hulls; None after WINDOW_CAP steps, or where the target
+    accumulates at 0 from above and the source has points in every (0, e).
 
-
-def _periodic_sup(source, target):
-    """sup of the distance to the target over a periodic source, or None
-    when the window holds more than WINDOW_CAP components.
-
-    Let R and P be the reach and the period of both shapes together. Past
-    R the source and the target both repeat with period P, and a target
-    reaching that side has a point in every period, so a point past R + P
-    has its nearest target points past R: the distance repeats with P
-    there. (With P = 0 each set holds all or none of each side past R.)
-    So every source point has a translate at the same distance inside
-    [-(R + 2P), R + 2P], and one walk of that window sees the sup.
+    One merged walk of the source components and the target's gaps
+    (`setmodels.gaps`), up to the first gap that opens past the window:
+    over the part of a component inside a gap the distance peaks at
+    `_peak`. Gaps that one step does not bring level with a component are
+    sought afresh; where a second component meets the same gap or hull, or
+    the source accumulates at 0, `_gap_sup` reads the whole gap and the
+    walk goes on past it. With period (start, P) the target repeats with P
+    past start, so a component reaching over 2P past a gap there skips to
+    its last 2P, which show every gap whole.
     """
-    both = setmodels.eventual_shape(FiniteUnion((source, target)))
-    reach = both.reach + 2 * both.period
-    got = _window_sup(source, target, -reach, reach)
-    return got and got[0]
-
-
-def _window_sup(source, target, lo, hi):
-    """(sup, apart) over the source points in [lo, hi]: their largest
-    distance to the target, and whether any of them lies outside the hulls
-    of the target's components (its accumulation point 0 included); None
-    when the window holds more than WINDOW_CAP components or an
-    accumulation at 0 that cannot be listed.
-
-    One merged walk of the source components clipped to the window and the
-    target's gaps (`setmodels.gaps`): over the part of a component inside a
-    gap (g1, g2) the distance peaks at the point nearest the gap's
-    midpoint. Where the gaps stop at the target's accumulation at 0 they
-    are sought afresh from the next component, past 0.
-    """
-    best, apart, gaps, gap = ZERO, False, iter(()), None
-    for count, (c_lo, c_hi) in enumerate(setmodels.components(source, lo)):
-        if c_lo > hi:
-            break
-        if count > setmodels.WINDOW_CAP or c_lo is setmodels.ZERO_ABOVE:
+    best, apart, last, steps = ZERO, False, None, 0
+    walk, gaps, gap = setmodels.components(source, lo), iter(()), None
+    while (c := next(walk, None)) is not None and c[0] <= hi:
+        steps += 1
+        if steps > setmodels.WINDOW_CAP:
             return None
-        c_lo, c_hi = max(c_lo, lo), min(c_hi, hi)
-        # components come in order of lo: a gap passed on an earlier one
-        # meets this one only inside the earlier one
-        while gap is None or gap[1] <= c_lo:
+        marker = c[0] is setmodels.ZERO_ABOVE
+        c_lo, c_hi = lo if marker else max(c[0], lo), min(c[1], hi)
+        if gap is None or gap[1] <= c_lo:
             gap = next(gaps, None)
-            if gap is None:
-                gaps = setmodels.gaps(target, c_lo, hi)
+            if gap is None or gap[1] <= c_lo:
+                gaps, gap = _gaps_from(target, c_lo, hi)
         g1, g2 = gap
+        if g1 >= hi:
+            break
+        if g2 is setmodels.ZERO_ABOVE:  # the target accumulates at 0
+            if c_hi > 0:
+                return None
+            apart = apart or g1 < c_hi
+            continue
+        here = gap, g1 < c_hi
+        if marker or here == last:
+            value = _gap_sup(source, g1, g2, max(g1, lo), min(g2, hi))
+            if value is not None:
+                best, apart = max(best, value), True
+            if g2 >= hi:
+                break
+            lo, last = g2, None
+            walk = setmodels.components(source, lo)
+            continue
+        last = here
         while g1 < c_hi:  # the gap meets [c_lo, c_hi]
-            apart = True
-            if g1 == -setmodels.INF:
-                best = max(best, g2 - c_lo)
-            elif g2 == setmodels.INF:
-                best = max(best, c_hi - g1)
-            else:
-                x = min(max((g1 + g2) / 2, c_lo), c_hi)
-                best = max(best, min(x - g1, g2 - x))
+            steps += 1
+            if steps > setmodels.WINDOW_CAP:
+                return None
+            apart, x = True, _peak(g1, g2, c_lo, c_hi)
+            best = max(best, min(x - g1, g2 - x))
             if g2 > c_hi:
                 break
-            gap = next(gaps, None)
+            if period and g2 >= period[0] and c_hi - g2 > 2 * period[1]:
+                gaps, gap = _gaps_from(target, c_hi - 2 * period[1], hi)
+            else:
+                gap = next(gaps, None)
             if gap is None:
                 return None
             g1, g2 = gap
     return best, apart
 
 
-def _flattened_sup(source, target) -> SupDistance:
-    """sup over a source as the largest over its finite points and its
-    leaves, each without the points removed above it. Against a target
-    with a period, periodic leaves go by `_periodic_sup` and powers c*q^n
-    by `_geometric_mod_sup`; against any other target every leaf goes by
-    `sup_distance`, where removing points can only lower a sup, so a leaf
-    with points removed counts only at sup 0 or infinity."""
-    points, leaves = set(), []
-    _flatten(source, frozenset(), points, leaves)
-    periodic = setmodels.eventual_shape(target).period is not None
-    sups = [SupDistance("value", max(
-        (distance_to_set(target, pt) for pt in points), default=ZERO))]
-    for leaf, removed in leaves:
-        if not periodic:
-            got = sup_distance(leaf, target)
-            sups.append(_UNKNOWN if removed and got.finite and got.value
-                        else got)
-            continue
-        best = None
-        if setmodels.eventual_shape(leaf).period is not None:
-            best = _periodic_sup(
-                FiniteModification(leaf, (), tuple(removed)), target)
-        elif isinstance(leaf, GeometricPoints):
-            best = _geometric_mod_sup(leaf, target, removed)
-        sups.append(_UNKNOWN if best is None else SupDistance("value", best))
-    return _worst(sups)
+def _gaps_from(target, x, hi):
+    """The target's gaps (`setmodels.gaps`) from x up to hi, and the first
+    of them that ends past x."""
+    gaps = setmodels.gaps(target, x, hi)
+    return gaps, next(g for g in gaps if g[1] > x)
+
+
+def _peak(g1, g2, a, b):
+    """The point of [a, b] where the distance min(x - g1, g2 - x) to the
+    ends of the gap (g1, g2) is largest: it rises up to the midpoint."""
+    if g1 == -setmodels.INF:
+        return a
+    if g2 == setmodels.INF:
+        return b
+    return min(max((g1 + g2) / 2, a), b)
+
+
+def _gap_sup(source, g1, g2, a, b):
+    """The sup of the distance to the target over the source points in
+    [a, b] inside its gap (g1, g2), or None when there are none: at those
+    nearest `_peak` on either side, 0 among them where they accumulate."""
+    mid, best = _peak(g1, g2, a, b), None
+    for direction in (-1, 1):
+        c = next(setmodels.components(source, mid, direction), None)
+        x = c and (min(mid, c[1]) if direction == -1 else max(mid, c[0]))
+        if c is not None and g1 < x < g2 and a <= x <= b:
+            best = max(best or ZERO, min(x - g1, g2 - x))
+    return best
+
+
+def _walk(source, target, top, period=None):
+    """`_window_sup` over [0, top] as (sup, apart)."""
+    got = _window_sup(source, target, ZERO, top, period)
+    if got is None:
+        return _UNKNOWN, True
+    return SupDistance("value", got[0]), got[1]
 
 
 def _worst(sups) -> SupDistance:
-    """The sup over a union of the pieces with these sups."""
-    for outcome in (_INF, _UNKNOWN):
-        if outcome in sups:
-            return outcome
-    return SupDistance("value", max(sup.value for sup in sups))
+    """The sup over a union of the pieces with these sups: "infinite" when
+    one is, the largest value when it reaches every unknown piece's bound,
+    else "unknown" (with the largest bound when each has one)."""
+    if _INF in sups:
+        return _INF
+    best = max((sup.value for sup in sups if sup.finite), default=ZERO)
+    bounds = [sup.value for sup in sups if not sup.finite]
+    if None in bounds:
+        return _UNKNOWN
+    if bounds and max(bounds) > best:
+        return SupDistance("unknown", max(bounds))
+    return SupDistance("value", best)
 
 
-def _flatten(model, removed, points, leaves):
+def _flatten(model, removed, points, leaves, sign=1):
     """Collect the finite points that modifications add and survive, and
     the leaves (anything but a union or modification), each with the points
-    removed above it."""
+    removed above it, all mirrored when sign is -1."""
     if isinstance(model, FiniteUnion):
         for part in model.parts:
-            _flatten(part, removed, points, leaves)
+            _flatten(part, removed, points, leaves, sign)
     elif isinstance(model, FiniteModification):
-        removed = removed | frozenset(model.removed)
-        points.update(a for a in model.added if a not in removed)
-        _flatten(model.base, removed, points, leaves)
+        removed = removed | {sign * x for x in model.removed}
+        points.update(sign * a for a in model.added
+                      if sign * a not in removed)
+        _flatten(model.base, removed, points, leaves, sign)
     else:
-        leaves.append((model, removed))
+        leaves.append((model if sign == 1 else Reflected(model), removed))
 
 
-def _geometric_mod_sup(source: GeometricPoints, target, removed):
-    """sup over the points c*q^n outside `removed` of the distance to a
-    target with a period L, via exact residue cycling, or None.
+def _flattened_sup(source, target) -> SupDistance:
+    """sup over a union or modification source, reflected or not, as the
+    largest over its finite points and its leaves, each by `sup_distance`
+    (None for any other source); removing points can only lower a sup, so
+    a leaf with points removed above it and a positive sup is read again
+    by its frame without them."""
+    points, leaves, sign = set(), [], 1
+    while isinstance(source, Reflected):
+        source, sign = source.base, -sign
+    if not isinstance(source, (FiniteUnion, FiniteModification)):
+        return None
+    _flatten(source, frozenset(), points, leaves, sign)
+    sups = [SupDistance("value", max(
+        (distance_to_set(target, pt) for pt in points), default=ZERO))]
+    for leaf, removed in leaves:
+        got = sup_distance(leaf, target)
+        if removed and got.finite and got.value:
+            got = _frame_sup(FiniteModification(leaf, (), tuple(removed)),
+                             target)[0]
+        sups.append(got)
+    return _worst(sups)
 
-    Needs integer q so the residues of c*q^n modulo L form an eventually
-    periodic orbit. Past reach + L the distance to the target repeats with
-    L (see `_periodic_sup`); with L = 0 it is 0 there.
+
+def _geometric_mod_sup(source, target, dil, top, period):
+    """(sup, apart) over a source that rescales onto itself by an integer
+    factor q past the reach of its dilation `dil`, against a target whose
+    distance repeats with the period P past top, or None.
+
+    Past a = max(top, reach) every source point is p*q**k for a point p in
+    (a, a*q], and its distance is that of its residue modulo P, so a walk
+    up to a*q and the residue orbits r -> r*q mod P of those points give
+    the sup: once a residue repeats, its orbit only revisits seen ones.
     """
-    if source.q.denominator != 1:
+    q, a = dil.rho, max(top, dil.reach)
+    got = _window_sup(source, target, ZERO, a * q)
+    if got is None:
         return None
-    q = source.q.numerator
-    shape = setmodels.eventual_shape(target)
-    period = shape.period
-    best = ZERO
-    # fractional-exponent points (n < 0) and points up to reach + L or the
-    # last removed one are finitely many; evaluate them directly and start
-    # the orbit after them
-    far = max([shape.reach + period, *removed])
-    n = source.n0
-    p = source.point(n)
-    while n < 0 or p <= far:
-        if n - max(source.n0, 0) > 256:
-            return None
-        if p not in removed:
-            best = max(best, distance_to_set(target, p))
-        n, p = n + 1, p * q
-    if not period:
-        return best
-    # scale to integers: the residue of c*q^n modulo L, times denom
-    denom = source.c.denominator * period.denominator
-    modulus = (period * denom).numerator
-    if modulus > 100000:
-        return None
-    start = period * (far // period + 1)  # residue 0 past far
-    seen = set()
-    residue = ((source.c * denom).numerator * pow(q, n, modulus)) % modulus
-    # walk the orbit r -> r*q mod L; once a value repeats the orbit can
-    # only revisit seen values, so the max over `seen` is the exact sup
-    while residue not in seen:
-        seen.add(residue)
-        best = max(best, distance_to_set(
-            target, start + Fraction(residue, denom)))
-        residue = (residue * q) % modulus
-    return best
+    best, seen = got[0], set()
+    start = period * (a // period + 1)  # residue 0 past a
+    for lo, _ in setmodels.components(source, a):
+        if lo > a * q:
+            break
+        if lo <= a:
+            continue
+        residue = lo % period
+        while residue not in seen:
+            if len(seen) == setmodels.WINDOW_CAP:
+                return None
+            seen.add(residue)
+            best = max(best, distance_to_set(target, start + residue))
+            residue = residue * q % period
+    return best, got[1] or best > 0
 
 
 def sup_distance(source, target) -> SupDistance:
@@ -392,20 +371,17 @@ def sup_distance(source, target) -> SupDistance:
     pairs; "infinite" and "unknown" are explicit outcomes."""
     if ambient_dim(source) != ambient_dim(target):
         raise InputError("cannot compare sets in different ambient spaces")
+    if source == target:
+        return _VALUE0
     if ambient_dim(source) == 2:
         return _VALUE0 if is_structural_subset(source, target) \
             else _sup_distance_2d(source, target)
-    if setmodels.eventual_shape(target).period is not None:
-        return _VALUE0 if is_structural_subset(source, target) \
-            else _leaf_target_sup(source, target)
-    # the walks against a target with a dilation see containment as 0
-    got = _dilation_sup(source, target)[0]
-    if got is _UNKNOWN and is_structural_subset(source, target):
+    got = _frame_sup(source, target)[0]
+    if got.kind == "unknown" and is_structural_subset(source, target):
         return _VALUE0
-    if got is _UNKNOWN and isinstance(source, (FiniteUnion,
-                                               FiniteModification)):
-        got = _flattened_sup(source, target)
-    if got is _UNKNOWN and isinstance(target, FiniteUnion) and any(
+    if got.kind == "unknown":
+        got = _flattened_sup(source, target) or got
+    if got.kind == "unknown" and isinstance(target, FiniteUnion) and any(
             sup_distance(source, part) == _VALUE0 for part in target.parts):
         # distance to a union is <= distance to any part, so only the
         # zero case transfers exactly; anything else would overstate
@@ -413,17 +389,15 @@ def sup_distance(source, target) -> SupDistance:
     return got
 
 
-def _dilation_sup(source, target):
-    """(sup, apart) against a 1-D target that rescales onto itself on both
-    sides, one side at a time by `_side_sup` on the side's frame (the
-    reflected pair for side -1); apart tells whether a walked source point
-    lies outside the target's hulls. ("unknown", _) without a dilation."""
-    dt = setmodels.dilation(target)
-    if None in dt.values():
-        return _UNKNOWN, True
-    ds = setmodels.dilation(source)
+def _frame_sup(source, target):
+    """(sup, apart) against a 1-D target, one side at a time by `_side_sup`
+    on the pair reflected for side -1; apart tells whether a walked source
+    point lies outside the target's hulls."""
+    shapes = setmodels.eventual_shape(source), setmodels.eventual_shape(target)
+    dils = None if shapes[1].period is not None else (
+        setmodels.dilation(source), setmodels.dilation(target))
     sides = [_side_sup(*(m if side == 1 else Reflected(m)
-                         for m in (source, target)), ds[side], dt[side])
+                         for m in (source, target)), side, shapes, dils)
              for side in (-1, 1)]
     return (_worst([sup for sup, _ in sides]),
             any(apart for _, apart in sides))
@@ -436,43 +410,55 @@ def _log_window(reach, rho):
     return a * rho, a * rho * rho
 
 
-def _side_sup(source, target, dil, tdil):
-    """(sup, apart) over the source points in [0, inf), with tdil the
-    target's dilation on that side (factor L, reach R) and dil the
-    source's, or None. Past R every target gap scales into a gap by L:
-    1. a source reaching a side the target does not is "infinite";
-    2. a source with a dilation of factor commensurable with L repeats
-       with their common power past the larger reach R': a point with a
-       positive distance in one log period past R' is "infinite" (the
-       distance scales with it), and otherwise only [0, R'] counts;
-    3. a target with no gap in one log period past R holds everything
-       past it, so only the source points in [0, R] count;
-    4. any other source is "infinite" when it reaches that side with a
-       bounded cover or an incommensurable factor (its log orbit is dense
-       modulo log L, Kronecker), since the gaps widen without bound;
-       else "unknown".
-    """
-    top = tdil.reach
-    rho = dil and common_power(dil.rho, tdil.rho)
+def _side_sup(source, target, side, shapes, dils):
+    """(sup, apart) over the source points in [0, inf) by the rules of the
+    module docstring, for the pair as seen from `side`. shapes are the
+    eventual shapes of source and target; dils their dilations, or None
+    when the target's frame is its translation by its period."""
+    shape, tshape = shapes
+    additive = dils is None
+    frame = tshape if additive else dils[1][side]
+    if frame is None:
+        return _UNKNOWN, True
+    reach, step = frame.reach, frame.period if additive else frame.rho
+    period = (reach + step, step) if additive and step else None
+    if not _reaches(source, 1):
+        return _walk(source, target, max(ZERO, _end(source, 1)), period)
     if not _reaches(target, 1):
-        if _reaches(source, 1):
-            return _INF, True
-        top = max(ZERO, _end(source, 1))
-    elif rho is not None:
-        top = max(dil.reach, tdil.reach)
+        return _INF, True
+    if additive and shape.period is not None and not shape.long_runs[side]:
+        return _walk(source, target, max(shape.reach, reach)
+                     + 2 * lcm(shape.period, step), period)
+    dil = None if additive else dils[0][side]
+    rho = dil and common_power(dil.rho, step)
+    if rho is not None:
+        top = max(dil.reach, reach)
         got = _window_sup(source, target, *_log_window(top, rho))
         if got is None or got[0] > 0:
             return (_UNKNOWN if got is None else _INF), True
-    elif _window_sup(FullLine(), target,
-                     *_log_window(tdil.reach, tdil.rho))[1]:
-        far = _reaches(source, 1) and (
-            setmodels.eventual_shape(source).cover[1] is not None
-            or (dil is not None and dil.rho > 1))
-        return (_INF if far else _UNKNOWN), True
+        return _walk(source, target, top)
+    far = _window_sup(FullLine(), target, *(
+        (reach + step, reach + 2 * step) if additive
+        else _log_window(reach, step)))
+    if not far[1]:
+        return _walk(source, target, reach)
+    if not additive:
+        unbounded = shape.cover[side] is not None or (
+            dil is not None and dil.rho > 1)
+        return (_INF if unbounded else _UNKNOWN), True
+    top = reach + step
     got = _window_sup(source, target, ZERO, top)
     if got is None:
         return _UNKNOWN, True
-    return SupDistance("value", got[0]), got[1]
+    bound = max(got[0], far[0])
+    if shape.long_runs[side] or got[0] >= far[0]:
+        return SupDistance("value", bound), True
+    dil = setmodels.dilation(source)[1]
+    if dil is not None and dil.rho > 1 and dil.rho.denominator == 1:
+        orbit = _geometric_mod_sup(source, target, dil, top, step)
+        if orbit is not None:
+            return SupDistance("value", orbit[0]), orbit[1]
+    return SupDistance("unknown", bound), True
 
 
 def _sup_distance_2d(source, target) -> SupDistance:

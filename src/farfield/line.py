@@ -24,13 +24,11 @@ from .errors import (InputError, InternalInvariantError,
                      UnsupportedGeometryError, WindowTooSmallError)
 from .rationals import fmt, rat
 from .setmodels import (
-    FiniteModification,
-    FiniteUnion,
-    Reflected,
     ambient_dim,
     contains,
     distance_to_set,
     first_point,
+    holes,
     required_window,
     scale_model,
     window_structure,
@@ -49,21 +47,16 @@ MAX_MAP_CANDIDATES = 4096
 #
 # For continuum variants the returned value is the infimum (supremum) of set
 # points on the requested side, which is exactly what a complement component
-# endpoint is; finitely many removed points never move it, so `excluded`
-# only steps over isolated points.
+# endpoint is; finitely many removed points never move it.
 
 
-def next_point_ge(model, x, excluded=frozenset()):
+def next_point_ge(model, x):
     """Smallest set point >= x, or None when there is none on that side."""
-    if excluded:
-        model = FiniteModification(model, (), tuple(excluded))
     return first_point(model, rat(x), 1)
 
 
-def prev_point_le(model, x, excluded=frozenset()):
+def prev_point_le(model, x):
     """Largest set point <= x, or None when there is none on that side."""
-    if excluded:
-        model = FiniteModification(model, (), tuple(excluded))
     return first_point(model, rat(x), -1)
 
 
@@ -93,16 +86,6 @@ class ComponentReport:
     @property
     def length_multiset(self):
         return tuple(sorted(hi - lo for lo, hi in self.bounded))
-
-
-def _removed_points(model):
-    if isinstance(model, FiniteModification):
-        return list(model.removed) + _removed_points(model.base)
-    if isinstance(model, FiniteUnion):
-        return [r for part in model.parts for r in _removed_points(part)]
-    if isinstance(model, Reflected):
-        return [-r for r in _removed_points(model.base)]
-    return []
 
 
 def complement_components(model, window) -> ComponentReport:
@@ -169,7 +152,7 @@ def complement_components(model, window) -> ComponentReport:
                    if not (g[0] < trunc and g[1] > -trunc)]
 
     # a removed point still in the closure of the set punctures a run
-    punctures = {p for p in _removed_points(model) if -h <= p <= h
+    punctures = {p for p in holes(model) if -h <= p <= h
                  and distance_to_set(model, p) == 0 and not contains(model, p)}
     if trunc is not None:
         punctures = {p for p in punctures if abs(p) >= trunc}

@@ -109,6 +109,14 @@ def _primitive_root(q: Fraction):
     return q, 1
 
 
+def lcm(a: Fraction, b: Fraction) -> Fraction:
+    """Least common multiple of two rationals, 0 standing for any."""
+    if not a or not b:
+        return a or b
+    return Fraction(math.lcm(a.numerator, b.numerator),
+                    math.gcd(a.denominator, b.denominator))
+
+
 def common_power(p: Fraction, q: Fraction):
     """The least r > 1 lying in both p**Z and q**Z, exact, or None when p
     and q are incommensurable (no common power). The factor 1 stands for

@@ -60,7 +60,8 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .errors import InputError, UnsupportedGeometryError
-from .rationals import common_power, fmt, integer, ipow_floor_log, rat
+from .rationals import (common_power, fmt, integer, ipow_floor_log, lcm,
+                        rat)
 
 WINDOW_CAP = 200_000
 
@@ -508,17 +509,39 @@ def gaps(model, x, end=INF):
     past end (or at +inf). An unbounded end is -inf or +inf. Union
     parts may overlap, so g1 is the running right end. The listing stops
     after the gap that ends at an accumulation at 0 from above, since the
-    blocks beyond it are not listed (see the module docstring)."""
+    blocks beyond it are not listed (see the module docstring); an
+    accumulation inside a hull is passed over from the hull's end."""
     g1 = next((c[1] for c in components(model, x, -1) if c[1] < x), -INF)
-    for lo, hi in components(model, x):
+    walk = components(model, x)
+    while (c := next(walk, None)) is not None:
+        lo, hi = c
         if lo > g1:
             yield g1, lo
         if lo is ZERO_ABOVE:
-            return
+            if g1 <= 0:
+                return
+            if g1 == INF:
+                break
+            walk = components(model, g1)
+            continue
         g1 = max(g1, hi)
         if g1 > end:
             break
     yield g1, INF
+
+
+_HOLES = {
+    FiniteModification: lambda m: {*m.removed, *holes(m.base)},
+    FiniteUnion: lambda m: set().union(*map(holes, m.parts)),
+    Reflected: lambda m: {-x for x in holes(m.base)},
+}
+
+
+def holes(model) -> set:
+    """The points removed anywhere in a 1-D tree, which the hulls of its
+    components may still cover."""
+    kind = type(model)
+    return _HOLES[kind](model) if kind in _HOLES else set()
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +880,8 @@ class EventualShape:
         a finite bound certifies nonporosity.
     cover: {direction: a bound on distance_to_set(x) for every far enough
         x toward direction * inf, None when unbounded}.
-    long_runs: whether the set holds intervals of unbounded length.
+    long_runs: {direction: whether the set holds intervals of unbounded
+        length toward direction * inf}.
     How the set rescales onto itself far out is its Dilation, below.
     """
 
@@ -865,7 +889,7 @@ class EventualShape:
     period: object
     gap: object
     cover: dict
-    long_runs: bool
+    long_runs: dict
 
 
 def _lattice_shape(m: Lattice):
@@ -874,7 +898,8 @@ def _lattice_shape(m: Lattice):
         abs(m.offset) + 2 * m.step, m.step,
         max(m.step, m.offset) if m.half == "plus" else None,
         {-1: None if m.half == "plus" else cover,
-         1: None if m.half == "minus" else cover}, False)
+         1: None if m.half == "minus" else cover},
+        {-1: False, 1: False})
 
 
 def _ray_shape(m: Ray):
@@ -882,7 +907,7 @@ def _ray_shape(m: Ray):
     return EventualShape(abs(m.origin) + 1, ZERO,
                          max(ZERO, m.origin) if up else None,
                          {-1: None if up else ZERO, 1: ZERO if up else None},
-                         True)
+                         {-1: not up, 1: up})
 
 
 def _periodic_shape(m: PeriodicBlocks):
@@ -891,7 +916,8 @@ def _periodic_shape(m: PeriodicBlocks):
     gaps.append(m.period - m.blocks[-1][1] + m.blocks[0][0])
     return EventualShape(abs(m.offset) + 2 * m.period, m.period,
                          max([m.offset + m.blocks[0][0]] + gaps),
-                         {-1: None, 1: max(gaps) / 2}, False)
+                         {-1: None, 1: max(gaps) / 2},
+                         {-1: False, 1: False})
 
 
 def _min_known(values):
@@ -903,10 +929,10 @@ def _union_shape(m: FiniteUnion):
     periods = [s.period for s in shapes]
     return EventualShape(
         max(s.reach for s in shapes),
-        None if None in periods else functools.reduce(_lcm, periods),
+        None if None in periods else functools.reduce(lcm, periods),
         _min_known(s.gap for s in shapes),
         {d: _min_known(s.cover[d] for s in shapes) for d in (-1, 1)},
-        any(s.long_runs for s in shapes))
+        {d: any(s.long_runs[d] for s in shapes) for d in (-1, 1)})
 
 
 def _modification_shape(m: FiniteModification):
@@ -930,19 +956,23 @@ def _reflected_shape(m: Reflected):
     base = eventual_shape(m.base)
     cover = {-d: c for d, c in base.cover.items()}
     return replace(base, cover=cover,
-                   gap=None if cover[1] is None else base.reach + 2 * cover[1])
+                   gap=None if cover[1] is None else base.reach + 2 * cover[1],
+                   long_runs={-d: r for d, r in base.long_runs.items()})
 
 
 _SHAPES = {
     Lattice: _lattice_shape,
     Ray: _ray_shape,
     FullLine: lambda m: EventualShape(Fraction(1), ZERO, None,
-                                      {-1: ZERO, 1: ZERO}, True),
+                                      {-1: ZERO, 1: ZERO},
+                                      {-1: True, 1: True}),
     GeometricPoints: lambda m: EventualShape(
-        abs(m.point(m.n0 + 1)) + 1, None, None, {-1: None, 1: None}, False),
+        abs(m.point(m.n0 + 1)) + 1, None, None, {-1: None, 1: None},
+        {-1: False, 1: False}),
     # block lengths (b - a) * q**n grow without bound
     GeometricBlocks: lambda m: EventualShape(m.b * m.q, None, None,
-                                             {-1: None, 1: None}, True),
+                                             {-1: None, 1: None},
+                                             {-1: False, 1: True}),
     PeriodicBlocks: _periodic_shape,
     FiniteUnion: _union_shape,
     FiniteModification: _modification_shape,
@@ -1048,14 +1078,6 @@ def log_period_gaps(model):
 def required_window(model) -> Fraction:
     """The reach of the model's eventual shape."""
     return eventual_shape(model).reach
-
-
-def _lcm(a: Fraction, b: Fraction) -> Fraction:
-    """Least common multiple of two rationals, 0 standing for any."""
-    if not a or not b:
-        return a or b
-    return Fraction(math.lcm(a.numerator, b.numerator),
-                    math.gcd(a.denominator, b.denominator))
 
 
 # ---------------------------------------------------------------------------

@@ -183,8 +183,6 @@ def test_window_must_cover_the_structural_prefix():
 
 def test_next_and_previous_points():
     assert next_point_ge(UNIT_LATTICE, F(1, 2)) == F(1)
-    assert next_point_ge(UNIT_LATTICE, F(1, 2),
-                         excluded=frozenset({F(1)})) == F(2)
     assert prev_point_le(UNIT_LATTICE, F(1, 2)) == F(0)
     gp = GeometricPoints(F(2), F(1), 0)
     assert prev_point_le(gp, F(5)) == F(4)
