@@ -19,6 +19,10 @@ all of its rescaled limits off the resulting phase forms; `_tilde` and
 subsequence push classifies the pushed specs afresh under the pushed
 scaling rather than mapping the old phases across, so the carry-over check
 compares two separate computations.
+
+Each scaling and spec kind declares its fields once, each with its JSON
+codec (`setmodels.Codec`); `*_from_dict` and `*_to_dict` are the generic
+read and write over one kind-name table per family.
 """
 
 from __future__ import annotations
@@ -30,14 +34,18 @@ from itertools import combinations
 
 from .errors import InputError, InternalInvariantError
 from .pseudometric import make_space, metric_identify
-from .rationals import common_power, flog, fmt, integer, ipow_floor_log, rat
+from .rationals import common_power, flog, fmt, ipow_floor_log, rat
 from . import setmodels
 from .setmodels import (
+    INTEGER,
+    MODEL,
+    RATIO,
+    Codec,
+    Kinds,
+    codec,
     eventual_shape,
     max_element,
     min_element,
-    model_from_dict,
-    model_to_dict,
     nearest_point,
 )
 
@@ -50,7 +58,17 @@ MAX_GRAPH_VERTICES = 20
 ATOMS = ("r", "alt_r", "sqrt_r", "alt_sqrt_r", "log_r", "alt_log_r",
          "one", "alt_one")
 
-_PHASE_ATOMS = {"r": (1, 1), "alt_r": (1, -1)}  # (even sign, odd sign)
+
+def _read_terms(value):
+    if not isinstance(value, dict):
+        raise InputError("closed-form terms must be an object")
+    return value
+
+
+_SCALING = Codec(lambda v: scaling_from_dict(v), lambda s: scaling_to_dict(s))
+_AS_IS = Codec(lambda v: v, lambda v: v)  # checked by the constructor
+_TERMS = Codec(_read_terms, lambda terms: {a: fmt(c) for a, c in terms})
+_OPTIONAL_RATIO = Codec(lambda v: None if v is None else rat(v), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +79,8 @@ _PHASE_ATOMS = {"r": (1, 1), "alt_r": (1, -1)}  # (even sign, odd sign)
 class GeometricScaling:
     """r_n = c * q**n with q > 1, c > 0."""
 
-    q: Fraction
-    c: Fraction = Fraction(1)
+    q: Fraction = codec(RATIO)
+    c: Fraction = codec(RATIO, default=Fraction(1))
 
     def __post_init__(self):
         object.__setattr__(self, "q", rat(self.q))
@@ -81,8 +99,8 @@ class GeometricScaling:
 class PolynomialScaling:
     """r_n = c * n**degree with integer degree >= 1, c > 0."""
 
-    degree: int
-    c: Fraction = Fraction(1)
+    degree: int = codec(INTEGER)
+    c: Fraction = codec(RATIO, default=Fraction(1))
 
     def __post_init__(self):
         object.__setattr__(self, "c", rat(self.c))
@@ -101,8 +119,8 @@ class InterleaveScaling:
     """Alternates two divergent scalings: odd n from `first`, even from
     `second`, each consumed in order."""
 
-    first: object
-    second: object
+    first: object = codec(_SCALING)
+    second: object = codec(_SCALING)
 
     def __post_init__(self):
         for part in (self.first, self.second):
@@ -123,9 +141,9 @@ class SubsequenceScaling:
     """r'_k = base(stride * k + offset), an affine strictly increasing
     re-indexing of another scaling."""
 
-    base: object
-    stride: int
-    offset: int = 0
+    base: object = codec(_SCALING)
+    stride: int = codec(INTEGER)
+    offset: int = codec(INTEGER, default=0)
 
     def __post_init__(self):
         if not hasattr(self.base, "eval"):
@@ -168,10 +186,10 @@ class AffineSpec:
     """x_n = sign(n) * (a * r_n + b * u_n) with u_n one of 1, sqrt(r_n),
     log(1 + r_n); sign is +1 always or (-1)**n."""
 
-    a: Fraction
-    sub: str = "const"
-    b: Fraction = Fraction(0)
-    sign: str = "plus"
+    a: Fraction = codec(RATIO)
+    sub: str = codec(_AS_IS, default="const")
+    b: Fraction = codec(RATIO, default=Fraction(0))
+    sign: str = codec(_AS_IS, default="plus")
 
     def __post_init__(self):
         object.__setattr__(self, "a", rat(self.a))
@@ -194,15 +212,11 @@ class AffineSpec:
 class ClosedFormSpec:
     """x_n as an exact-coefficient combination of the supported atoms."""
 
-    terms: tuple
+    terms: tuple = codec(_TERMS)
 
     def __init__(self, terms):
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
         norm = []
-        for atom, coef in items:
+        for atom, coef in terms.items() if isinstance(terms, dict) else terms:
             if atom not in ATOMS:
                 raise InputError(f"unknown atom {atom!r}")
             coef = rat(coef)
@@ -227,9 +241,9 @@ class InSetSpec:
     Ties at equal distance take the smaller point, deterministically.
     """
 
-    model: object
-    a: Fraction
-    a_odd: object = None
+    model: object = codec(MODEL)
+    a: Fraction = codec(RATIO)
+    a_odd: object = codec(_OPTIONAL_RATIO, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "a", rat(self.a))
@@ -955,72 +969,26 @@ def scaling_from_spec(spec, base_scaling, p=0) -> SpecDerivedScaling:
 # Serialization
 
 
+_SCALING_KINDS = Kinds("scaling", {
+    "geometric": GeometricScaling, "polynomial": PolynomialScaling,
+    "interleave": InterleaveScaling, "subsequence": SubsequenceScaling,
+})
+_SPEC_KINDS = Kinds("sequence spec", {
+    "affine": AffineSpec, "closed_form": ClosedFormSpec, "in_set": InSetSpec,
+})
+
+
 def scaling_to_dict(scaling):
-    if isinstance(scaling, GeometricScaling):
-        return {"kind": "geometric", "q": fmt(scaling.q), "c": fmt(scaling.c)}
-    if isinstance(scaling, PolynomialScaling):
-        return {"kind": "polynomial", "degree": scaling.degree,
-                "c": fmt(scaling.c)}
-    if isinstance(scaling, InterleaveScaling):
-        return {"kind": "interleave",
-                "first": scaling_to_dict(scaling.first),
-                "second": scaling_to_dict(scaling.second)}
-    if isinstance(scaling, SubsequenceScaling):
-        return {"kind": "subsequence", "base": scaling_to_dict(scaling.base),
-                "stride": scaling.stride, "offset": scaling.offset}
-    raise InputError(f"unsupported scaling {type(scaling).__name__}")
+    return _SCALING_KINDS.write(scaling)
 
 
 def scaling_from_dict(data):
-    if not isinstance(data, dict):
-        raise InputError("scaling JSON must be an object")
-    kind = data.get("kind")
-    if kind == "geometric":
-        return GeometricScaling(rat(data["q"]), rat(data.get("c", 1)))
-    if kind == "polynomial":
-        return PolynomialScaling(integer(data["degree"]),
-                                 rat(data.get("c", 1)))
-    if kind == "interleave":
-        return InterleaveScaling(scaling_from_dict(data["first"]),
-                                 scaling_from_dict(data["second"]))
-    if kind == "subsequence":
-        return SubsequenceScaling(scaling_from_dict(data["base"]),
-                                  integer(data["stride"]),
-                                  integer(data.get("offset", 0)))
-    raise InputError(f"unknown scaling kind {kind!r}")
+    return _SCALING_KINDS.read(data)
 
 
 def spec_to_dict(spec):
-    if isinstance(spec, AffineSpec):
-        return {"kind": "affine", "a": fmt(spec.a), "sub": spec.sub,
-                "b": fmt(spec.b), "sign": spec.sign}
-    if isinstance(spec, ClosedFormSpec):
-        return {"kind": "closed_form",
-                "terms": {atom: fmt(coef) for atom, coef in spec.terms}}
-    if isinstance(spec, InSetSpec):
-        out = {"kind": "in_set", "model": model_to_dict(spec.model),
-               "a": fmt(spec.a)}
-        if spec.a_odd is not None:
-            out["a_odd"] = fmt(spec.a_odd)
-        return out
-    raise InputError(f"unsupported sequence spec {type(spec).__name__}")
+    return _SPEC_KINDS.write(spec)
 
 
 def spec_from_dict(data):
-    if not isinstance(data, dict):
-        raise InputError("sequence spec JSON must be an object")
-    kind = data.get("kind")
-    if kind == "affine":
-        return AffineSpec(rat(data["a"]), data.get("sub", "const"),
-                          rat(data.get("b", 0)), data.get("sign", "plus"))
-    if kind == "closed_form":
-        terms = data["terms"]
-        if not isinstance(terms, dict):
-            raise InputError("closed-form terms must be an object")
-        return ClosedFormSpec({atom: rat(coef)
-                               for atom, coef in terms.items()})
-    if kind == "in_set":
-        a_odd = data.get("a_odd")
-        return InSetSpec(model_from_dict(data["model"]), rat(data["a"]),
-                         None if a_odd is None else rat(a_odd))
-    raise InputError(f"unknown sequence spec kind {kind!r}")
+    return _SPEC_KINDS.read(data)

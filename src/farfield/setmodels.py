@@ -3,7 +3,9 @@
 Every variant describes an unbounded set exactly, with rational parameters.
 Membership, point-to-set distance, sphere slices, window decompositions and
 gap searches are all closed-form; nothing here samples. Magnitudes like
-q**200 stay exact on bigint rationals.
+q**200 stay exact on bigint rationals. Each kind declares its fields once,
+each with its codec (`Codec`): `model_from_dict`, `model_to_dict` and
+`scale_model` are generic loops over them.
 
 1-D points are Fractions, 2-D points are (Fraction, Fraction) pairs.
 GeometricBlocks spans all integer scales (it is exactly self-similar under
@@ -54,10 +56,10 @@ import functools
 import heapq
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import InputError, UnsupportedGeometryError
 from .rationals import (common_power, fmt, integer, ipow_floor_log, lcm,
@@ -94,14 +96,104 @@ def _rat_sqrt(value: Fraction):
 
 
 # ---------------------------------------------------------------------------
+# JSON fields
+
+
+@dataclass(frozen=True)
+class Codec:
+    """How one dataclass field travels through JSON, declared once on the
+    field with `codec(...)`: `read` turns the JSON value into the field's
+    value and raises on a wrong one, `write` turns it back, and
+    `scale(value, k)` moves a model field under x -> k*x (None: it stays)."""
+
+    read: object
+    write: object
+    scale: object = None
+
+
+def codec(how: Codec, **kwargs):
+    """A dataclass field that carries its JSON codec."""
+    return field(metadata={"codec": how}, **kwargs)
+
+
+class Kinds:
+    """One family's kind-name table, with the generic JSON read and write
+    over the codecs of each kind's fields. A field missing from the JSON
+    takes the dataclass default, a field written back as None is left out,
+    and a wrong value raises InputError naming the kind and the field."""
+
+    def __init__(self, what: str, table: dict):
+        self.what, self.table = what, table
+        self.names = {cls: name for name, cls in table.items()}
+
+    def read(self, data):
+        if not isinstance(data, dict):
+            raise InputError(f"{self.what} JSON must be an object")
+        kind = data.get("kind")
+        cls = self.table.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise InputError(f"unknown {self.what} kind {kind!r}")
+        values = {}
+        for f in fields(cls):
+            if f.name in data:
+                try:
+                    values[f.name] = f.metadata["codec"].read(data[f.name])
+                except (TypeError, ValueError) as exc:
+                    raise InputError(f"{kind} {self.what} field {f.name!r}: "
+                                     f"{exc}") from exc
+            elif f.default is MISSING:
+                raise InputError(f"{kind} {self.what} JSON missing field "
+                                 f"{f.name!r}")
+        return cls(**values)
+
+    def write(self, obj) -> dict:
+        if type(obj) not in self.names:
+            raise InputError(f"not a {self.what}: {obj!r}")
+        out = {"kind": self.names[type(obj)]}
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if value is not None:
+                out[f.name] = f.metadata["codec"].write(value)
+        return out
+
+
+_SIGNS = {"+": 1, "-": -1, 1: 1, -1: -1}
+
+
+def _read_direction(value):
+    if type(value) not in (str, int) or value not in _SIGNS:
+        raise InputError(f"bad ray direction {value!r}: use '+', '-', 1 or -1")
+    return _SIGNS[value]
+
+
+RATIO = Codec(rat, fmt)  # a rational that x -> k*x leaves alone
+INTEGER = Codec(integer, int)
+MODEL = Codec(lambda v: model_from_dict(v), lambda m: model_to_dict(m),
+              lambda m, k: scale_model(m, k))
+_LENGTH = Codec(rat, fmt, mul)  # a coordinate or a length
+_POINTS = Codec(lambda v: tuple(map(rat, v)), lambda v: list(map(fmt, v)),
+                lambda v, k: tuple(x * k for x in v))
+_BLOCKS = Codec(lambda v: tuple((rat(lo), rat(hi)) for lo, hi in v),
+                lambda v: [[fmt(lo), fmt(hi)] for lo, hi in v],
+                lambda v, k: tuple((lo * k, hi * k) for lo, hi in v))
+_MODELS = Codec(lambda v: tuple(map(model_from_dict, v)),
+                lambda v: list(map(model_to_dict, v)),
+                lambda v, k: tuple(scale_model(m, k) for m in v))
+# legacy configs spell the half lattice as a boolean
+_HALF = Codec(lambda v: "plus" if v is True else "full" if v is False else v,
+              str)
+_DIRECTION = Codec(_read_direction, lambda d: "+" if d == 1 else "-")
+
+
+# ---------------------------------------------------------------------------
 # Variants
 
 
 @dataclass(frozen=True)
 class Lattice:
-    step: Fraction
-    offset: Fraction
-    half: str = "full"  # full | plus | minus
+    step: Fraction = codec(_LENGTH)
+    offset: Fraction = codec(_LENGTH)
+    half: str = codec(_HALF, default="full")  # full | plus | minus
 
     def __post_init__(self):
         if self.step <= 0:
@@ -122,8 +214,9 @@ class Lattice:
 
 @dataclass(frozen=True)
 class Ray:
-    origin: Fraction
-    direction: int  # +1 -> [origin, inf), -1 -> (-inf, origin]
+    origin: Fraction = codec(_LENGTH)
+    # +1 -> [origin, inf), -1 -> (-inf, origin]
+    direction: int = codec(_DIRECTION, default=1)
 
     def __post_init__(self):
         if self.direction not in (1, -1):
@@ -137,9 +230,9 @@ class FullLine:
 
 @dataclass(frozen=True)
 class GeometricPoints:
-    q: Fraction
-    c: Fraction
-    n0: int
+    q: Fraction = codec(RATIO)
+    c: Fraction = codec(_LENGTH)
+    n0: int = codec(INTEGER, default=0)
 
     def __post_init__(self):
         if self.q <= 1:
@@ -159,9 +252,9 @@ class GeometricPoints:
 class GeometricBlocks:
     """Union of [a*q**n, b*q**n] over all integers n; a normalized to [1, q)."""
 
-    q: Fraction
-    a: Fraction
-    b: Fraction
+    q: Fraction = codec(RATIO)
+    a: Fraction = codec(_LENGTH)
+    b: Fraction = codec(_LENGTH)
 
     def __post_init__(self):
         if self.q <= 1:
@@ -185,9 +278,9 @@ class GeometricBlocks:
 
 @dataclass(frozen=True)
 class PeriodicBlocks:
-    period: Fraction
-    blocks: tuple[tuple[Fraction, Fraction], ...]
-    offset: Fraction = ZERO
+    period: Fraction = codec(_LENGTH)
+    blocks: tuple[tuple[Fraction, Fraction], ...] = codec(_BLOCKS)
+    offset: Fraction = codec(_LENGTH, default=ZERO)
 
     def __post_init__(self):
         if self.period <= 0:
@@ -205,7 +298,7 @@ class PeriodicBlocks:
 
 @dataclass(frozen=True)
 class FiniteUnion:
-    parts: tuple
+    parts: tuple = codec(_MODELS)
 
     def __post_init__(self):
         if not self.parts:
@@ -217,9 +310,9 @@ class FiniteUnion:
 
 @dataclass(frozen=True)
 class FiniteModification:
-    base: object
-    added: tuple = ()
-    removed: tuple = ()
+    base: object = codec(MODEL)
+    added: tuple = codec(_POINTS, default=())
+    removed: tuple = codec(_POINTS, default=())
 
     def __post_init__(self):
         if ambient_dim(self.base) != 1:
@@ -228,7 +321,7 @@ class FiniteModification:
 
 @dataclass(frozen=True)
 class Reflected:
-    base: object
+    base: object = codec(MODEL)
 
     def __post_init__(self):
         if ambient_dim(self.base) != 1:
@@ -239,8 +332,8 @@ class Reflected:
 class HalfPlaneStrip:
     """{(u, v): u >= 0, c1 <= v <= c2} with c1 < 0 < c2."""
 
-    c1: Fraction
-    c2: Fraction
+    c1: Fraction = codec(_LENGTH)
+    c2: Fraction = codec(_LENGTH)
 
     def __post_init__(self):
         if not (self.c1 < 0 < self.c2):
@@ -254,8 +347,8 @@ class PlanarRay:
 
 @dataclass(frozen=True)
 class Product2D:
-    x: object
-    y: object
+    x: object = codec(MODEL)
+    y: object = codec(MODEL)
 
     def __post_init__(self):
         if ambient_dim(self.x) != 1 or ambient_dim(self.y) != 1:
@@ -729,43 +822,16 @@ def sphere_slice(model, p, t) -> SphereSlice:
 
 
 def scale_model(model, k):
-    """Image under x -> k*x, exact; k must be a positive rational."""
+    """Image under x -> k*x, exact; k must be a positive rational. Each
+    field moves by its codec's scale."""
     k = rat(k)
     if k <= 0:
         raise InputError("scale factor must be positive")
-    if isinstance(model, Lattice):
-        return Lattice(model.step * k, model.offset * k, model.half)
-    if isinstance(model, Ray):
-        return Ray(model.origin * k, model.direction)
-    if isinstance(model, FullLine):
-        return model
-    if isinstance(model, GeometricPoints):
-        return GeometricPoints(model.q, model.c * k, model.n0)
-    if isinstance(model, GeometricBlocks):
-        return GeometricBlocks(model.q, model.a * k, model.b * k)
-    if isinstance(model, PeriodicBlocks):
-        return PeriodicBlocks(
-            model.period * k,
-            tuple((lo * k, hi * k) for lo, hi in model.blocks),
-            model.offset * k,
-        )
-    if isinstance(model, FiniteUnion):
-        return FiniteUnion(tuple(scale_model(p, k) for p in model.parts))
-    if isinstance(model, FiniteModification):
-        return FiniteModification(
-            scale_model(model.base, k),
-            tuple(a * k for a in model.added),
-            tuple(r * k for r in model.removed),
-        )
-    if isinstance(model, Reflected):
-        return Reflected(scale_model(model.base, k))
-    if isinstance(model, HalfPlaneStrip):
-        return HalfPlaneStrip(model.c1 * k, model.c2 * k)
-    if isinstance(model, PlanarRay):
-        return model
-    if isinstance(model, Product2D):
-        return Product2D(scale_model(model.x, k), scale_model(model.y, k))
-    raise InputError(f"not a set model: {model!r}")
+    if type(model) not in _MODEL_KINDS.names:
+        raise InputError(f"not a set model: {model!r}")
+    return replace(model, **{
+        f.name: f.metadata["codec"].scale(getattr(model, f.name), k)
+        for f in fields(model) if f.metadata["codec"].scale})
 
 
 # ---------------------------------------------------------------------------
@@ -1130,7 +1196,9 @@ def longest_gaps(model, hs) -> list:
     With a period p in the eventual shape, the walk stops at reach + 2p:
     no gap past reach is longer than p, and one that starts past reach + p
     repeats the one p before it. A horizon past the stop takes its
-    trailing gap from one step of `components(model, h, -1)`.
+    trailing gap from one step of `components(model, h, -1)`. With a gap
+    bound, the walk stops once the longest gap reaches it: l(h) never
+    decreases and never exceeds the bound, so every later h reads it.
 
     Where the set accumulates at 0 from above, l(h) is read as on
     `window_structure(model, 0, h)`: the components at 0 and those with
@@ -1152,6 +1220,7 @@ def longest_gaps(model, hs) -> list:
         raise InputError("gap search needs a model inside [0, inf)")
     shape = eventual_shape(model)
     stop = None if shape.period is None else shape.reach + 2 * shape.period
+    bound = shape.gap
     walk = components(model, ZERO)
     at_zero, prev_hi, c = 0, ZERO, next(walk, None)
     while c is not None and c[0] == 0:  # listed at every h
@@ -1170,7 +1239,8 @@ def longest_gaps(model, hs) -> list:
             while kept and kept[0] < start:
                 heapq.heappop(kept)
         end = h if stop is None else min(h, stop)
-        while c is not None and c[0] <= end:
+        while (bound is None or best < bound) and c is not None \
+                and c[0] <= end:
             if c[0] > prev_hi:  # prev_hi may be inf: no float arithmetic
                 best = max(best, c[0] - prev_hi)
             prev_hi = max(prev_hi, c[1])
@@ -1181,7 +1251,7 @@ def longest_gaps(model, hs) -> list:
             c = next(walk, None)
         if end < h:
             prev_hi = next(components(model, h, -1))[1]
-        gap = max(best, h - min(prev_hi, h))
+        gap = best if best == bound else max(best, h - min(prev_hi, h))
         if trunc is not None and gap < trunc:
             raise UnsupportedGeometryError(
                 "gap search inconclusive below the truncation scale"
@@ -1279,102 +1349,22 @@ def intersections(model, windows) -> list:
 # Serialization
 
 
+_MODEL_KINDS = Kinds("model", {
+    "lattice": Lattice, "ray": Ray, "full_line": FullLine,
+    "geometric_points": GeometricPoints, "geometric_blocks": GeometricBlocks,
+    "periodic_blocks": PeriodicBlocks, "finite_union": FiniteUnion,
+    "finite_modification": FiniteModification, "reflected": Reflected,
+    "half_plane_strip": HalfPlaneStrip, "planar_ray": PlanarRay,
+    "product": Product2D,
+})
+
+
 def model_to_dict(model) -> dict:
-    if isinstance(model, Lattice):
-        return {"kind": "lattice", "step": fmt(model.step),
-                "offset": fmt(model.offset), "half": model.half}
-    if isinstance(model, Ray):
-        return {"kind": "ray", "origin": fmt(model.origin),
-                "direction": "+" if model.direction == 1 else "-"}
-    if isinstance(model, FullLine):
-        return {"kind": "full_line"}
-    if isinstance(model, GeometricPoints):
-        return {"kind": "geometric_points", "q": fmt(model.q),
-                "c": fmt(model.c), "n0": model.n0}
-    if isinstance(model, GeometricBlocks):
-        return {"kind": "geometric_blocks", "q": fmt(model.q),
-                "a": fmt(model.a), "b": fmt(model.b)}
-    if isinstance(model, PeriodicBlocks):
-        return {"kind": "periodic_blocks", "period": fmt(model.period),
-                "blocks": [[fmt(lo), fmt(hi)] for lo, hi in model.blocks],
-                "offset": fmt(model.offset)}
-    if isinstance(model, FiniteUnion):
-        return {"kind": "finite_union",
-                "parts": [model_to_dict(p) for p in model.parts]}
-    if isinstance(model, FiniteModification):
-        return {"kind": "finite_modification",
-                "base": model_to_dict(model.base),
-                "added": [fmt(a) for a in model.added],
-                "removed": [fmt(r) for r in model.removed]}
-    if isinstance(model, Reflected):
-        return {"kind": "reflected", "base": model_to_dict(model.base)}
-    if isinstance(model, HalfPlaneStrip):
-        return {"kind": "half_plane_strip", "c1": fmt(model.c1),
-                "c2": fmt(model.c2)}
-    if isinstance(model, PlanarRay):
-        return {"kind": "planar_ray"}
-    if isinstance(model, Product2D):
-        return {"kind": "product", "x": model_to_dict(model.x),
-                "y": model_to_dict(model.y)}
-    raise InputError(f"not a set model: {model!r}")
-
-
-_SIGNS = {"+": 1, "-": -1, 1: 1, -1: -1}
+    return _MODEL_KINDS.write(model)
 
 
 def model_from_dict(data) -> object:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise InputError("model JSON needs a 'kind'")
-    kind = data["kind"]
-    try:
-        if kind == "lattice":
-            half = data.get("half", "full")
-            if half is True:
-                half = "plus"
-            if half is False:
-                half = "full"
-            return Lattice(rat(data["step"]), rat(data["offset"]), half)
-        if kind == "ray":
-            direction = data.get("direction", "+")
-            if type(direction) not in (str, int) or direction not in _SIGNS:
-                raise InputError(f"bad ray direction {direction!r}: use "
-                                 "'+', '-', 1 or -1")
-            return Ray(rat(data["origin"]), _SIGNS[direction])
-        if kind == "full_line":
-            return FullLine()
-        if kind == "geometric_points":
-            return GeometricPoints(rat(data["q"]), rat(data["c"]),
-                                   integer(data.get("n0", 0)))
-        if kind == "geometric_blocks":
-            return GeometricBlocks(rat(data["q"]), rat(data["a"]),
-                                   rat(data["b"]))
-        if kind == "periodic_blocks":
-            return PeriodicBlocks(
-                rat(data["period"]),
-                tuple((rat(lo), rat(hi)) for lo, hi in data["blocks"]),
-                rat(data.get("offset", 0)),
-            )
-        if kind == "finite_union":
-            return FiniteUnion(tuple(model_from_dict(p)
-                                     for p in data["parts"]))
-        if kind == "finite_modification":
-            return FiniteModification(
-                model_from_dict(data["base"]),
-                tuple(rat(a) for a in data.get("added", [])),
-                tuple(rat(r) for r in data.get("removed", [])),
-            )
-        if kind == "reflected":
-            return Reflected(model_from_dict(data["base"]))
-        if kind == "half_plane_strip":
-            return HalfPlaneStrip(rat(data["c1"]), rat(data["c2"]))
-        if kind == "planar_ray":
-            return PlanarRay()
-        if kind == "product":
-            return Product2D(model_from_dict(data["x"]),
-                             model_from_dict(data["y"]))
-    except KeyError as exc:
-        raise InputError(f"model JSON missing field {exc}") from exc
-    raise InputError(f"unknown model kind {kind!r}")
+    return _MODEL_KINDS.read(data)
 
 
 def model_to_json(model) -> str:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from farfield import setmodels
 from farfield.cli import main
 
 GP2 = {"kind": "geometric_points", "q": "2", "c": "1", "n0": 0}
@@ -100,11 +101,13 @@ def test_porosity_of_a_commensurable_union_is_exact(tmp_path):
     assert summary["status"] == "porous"
 
 
-def test_porosity_gap_bound_survives_a_too_rich_probe(tmp_path):
-    # the step-1 lattice lists too many points for the grid probe, but its
-    # gap bound already certifies the exact value 0
+def test_porosity_gap_bound_survives_a_too_rich_probe(tmp_path, monkeypatch):
+    # the lattice from 10**6 lists too many points for the grid probe, and
+    # the GP(2) points split its lead gap, so the walk never meets the gap
+    # bound 10**6; the bound still certifies the exact value 0
+    monkeypatch.setattr(setmodels, "WINDOW_CAP", 60)
     union = {"kind": "finite_union", "parts": [
-        {"kind": "lattice", "step": "1", "offset": "0", "half": "plus"},
+        {"kind": "lattice", "step": "1", "offset": "1000000", "half": "plus"},
         GP2,
     ]}
     code, out = run(tmp_path, "porosity", {"model": union})
@@ -116,6 +119,23 @@ def test_porosity_gap_bound_survives_a_too_rich_probe(tmp_path):
     assert "grid probe skipped" in summary["notes"]
     lines = (out / "porosity_trace.csv").read_text().splitlines()
     assert len(lines) == 1  # header only
+
+
+def test_porosity_walk_stops_at_the_gap_bound(tmp_path):
+    # the step-1 lattice meets its gap bound 1 at its first gap, so the
+    # walk stops there instead of listing every point up to each horizon
+    union = {"kind": "finite_union", "parts": [
+        {"kind": "lattice", "step": "1", "offset": "0", "half": "plus"},
+        GP2,
+    ]}
+    code, out = run(tmp_path, "porosity", {"model": union})
+    assert code == 0
+    summary = json.loads((out / "porosity_summary.json").read_text())
+    assert (summary["value"], summary["kind"]) == ("0", "exact")
+    assert summary["notes"] == "all gaps bounded by 1"
+    lines = (out / "porosity_trace.csv").read_text().splitlines()
+    assert len(lines) == 82
+    assert all(line.split(",")[2] == "1" for line in lines[1:])
 
 
 def test_porosity_of_a_lattice_union_keeps_its_trace(tmp_path):
@@ -384,6 +404,27 @@ def test_fractional_counts_exit_two(tmp_path, command, cfg):
     code, out = run(tmp_path, command, cfg)
     assert code == 2
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, cfg, kind, name", [
+    ("porosity", {"model": {"kind": "finite_union", "parts": 5}},
+     "finite_union", "parts"),
+    ("porosity", {"model": {"kind": "periodic_blocks", "period": "2",
+                            "blocks": [["1"]]}}, "periodic_blocks", "blocks"),
+    ("porosity", {"model": {"kind": "finite_modification", "base": GP2,
+                            "added": 7}}, "finite_modification", "added"),
+    ("lab", dict(LAB_CONFIG, scaling={"kind": "geometric"}), "geometric", "q"),
+    ("lab", dict(LAB_CONFIG, families=[
+        {"label": "x0", "spec": {"kind": "in_set", "a": "1"}}]),
+     "in_set", "model"),
+])
+def test_malformed_fields_name_the_kind_and_the_field(
+        tmp_path, capsys, command, cfg, kind, name):
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error: "), message
+    assert kind in message and repr(name) in message, message
 
 
 def test_unknown_scaling_kind_exits_two(tmp_path):

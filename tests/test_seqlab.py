@@ -26,6 +26,7 @@ from farfield import (
     GeometricScaling,
     InSetSpec,
     InputError,
+    InterleaveScaling,
     Lattice,
     PolynomialScaling,
     SubsequenceScaling,
@@ -50,6 +51,7 @@ from farfield import (
 from farfield import seqlab
 from farfield.cli import main as cli_main
 from farfield.seqlab import ATOMS, _push_spec
+from test_setmodels_oracle import trees
 
 F = Fraction
 
@@ -719,3 +721,39 @@ def test_serialization_roundtrips():
     ]
     for sp in specs:
         assert spec_from_dict(spec_to_dict(sp)) == sp
+
+
+RATIOS = st.sampled_from([F(1, 3), F(1), F(3, 2), F(7, 2)])
+GEOMETRIC = st.builds(GeometricScaling, st.sampled_from([F(3, 2), F(2), F(5)]),
+                      RATIOS)
+POLYNOMIAL = st.builds(PolynomialScaling, st.integers(1, 3), RATIOS)
+NESTED = st.builds(
+    SubsequenceScaling,
+    st.builds(InterleaveScaling, st.one_of(GEOMETRIC, POLYNOMIAL),
+              st.one_of(GEOMETRIC, POLYNOMIAL)),
+    st.integers(1, 3), st.integers(0, 2))
+SPECS = st.one_of(
+    st.builds(AffineSpec, RATIOS, st.sampled_from(["const", "sqrt", "log"]),
+              st.sampled_from([F(0), F(-2), F(1, 2)]),
+              st.sampled_from(["plus", "alternating"])),
+    st.builds(ClosedFormSpec, st.dictionaries(st.sampled_from(ATOMS),
+                                              RATIOS, max_size=3)),
+    st.builds(InSetSpec, trees(2), RATIOS, st.one_of(st.none(), RATIOS)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scaling=st.one_of(GEOMETRIC, POLYNOMIAL, NESTED), spec=SPECS)
+def test_scalings_and_specs_round_trip(scaling, spec):
+    for to_dict, from_dict, value in ((scaling_to_dict, scaling_from_dict,
+                                       scaling),
+                                      (spec_to_dict, spec_from_dict, spec)):
+        data = to_dict(value)
+        assert from_dict(data) == value
+        assert from_dict(json.loads(json.dumps(data))) == value
+    if isinstance(spec, InSetSpec):
+        # an unset odd anchor is left out, and JSON null reads as unset
+        data = spec_to_dict(spec)
+        assert ("a_odd" in data) == (spec.a_odd is not None)
+        assert spec_from_dict(dict(data, a_odd=None)) == InSetSpec(
+            spec.model, spec.a)

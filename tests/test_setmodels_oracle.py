@@ -8,7 +8,8 @@ the combinators to those finite lists and answers every query by scanning
 them; it never goes through the cursor. The porosity walk `longest_gaps` is
 also checked against per-horizon window decompositions on random
 nonnegative trees, and the fields of `eventual_shape` against the oracle
-past the reach.
+past the reach. The same trees, with the planar kinds, check the JSON
+round trips and `scale_model` at the oracle's piece ends.
 """
 
 import math
@@ -24,8 +25,11 @@ from farfield import (
     FullLine,
     GeometricBlocks,
     GeometricPoints,
+    HalfPlaneStrip,
     Lattice,
     PeriodicBlocks,
+    PlanarRay,
+    Product2D,
     Ray,
     Reflected,
     InputError,
@@ -36,14 +40,20 @@ from farfield import (
     longest_gaps,
     max_element,
     min_element,
+    model_from_dict,
+    model_from_json,
+    model_to_dict,
+    model_to_json,
     nearest_point,
     next_point_ge,
     prev_point_le,
     porosity_at_infinity,
+    scale_model,
     window_structure,
 )
 from farfield import setmodels
 from farfield.setmodels import (
+    ambient_dim,
     intersects_open_interval,
     is_nonnegative_model,
 )
@@ -430,20 +440,23 @@ HORIZONS = st.sets(st.integers(1, 1600), min_size=1, max_size=6).map(
        cap=st.sampled_from([60, setmodels.WINDOW_CAP]))
 def test_longest_gaps_walk_matches_the_windows_and_the_oracle(model, hs,
                                                               cap):
-    # A model with a period is walked only up to reach + 2 periods, so it
-    # gets its exact gaps even where a window lists too many components,
-    # and it may raise "too rich" only where the windows do.
-    periodic = setmodels.eventual_shape(model).period is not None
+    # A model with a period is walked only up to reach + 2 periods, and one
+    # with a gap bound only until its longest gap meets the bound, so it
+    # gets its exact gaps even where a window lists too many components.
+    # It gives up only where the windows do: with "too rich", or with a
+    # gap bound also by the truncation check of a later horizon.
+    shape = setmodels.eventual_shape(model)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(setmodels, "WINDOW_CAP", cap)
-        if not periodic:
+        if shape.period is None and shape.gap is None:
             gaps, message = assert_walk_matches_windows(model, hs)
         else:
             window_gaps, window_message = per_horizon(model, hs)
             try:
                 gaps, message = longest_gaps(model, hs), None
             except UnsupportedGeometryError as exc:
-                assert str(exc) == window_message
+                assert str(exc) == window_message or (
+                    shape.gap is not None and "truncation" in str(exc))
                 gaps, message = window_gaps, window_message
                 assert longest_gaps(model, hs[:len(gaps)]) == gaps
     pieces, acc = oracle(model)
@@ -562,14 +575,15 @@ GP2 = GeometricPoints(F(2), F(1), 0)
 
 
 @pytest.mark.parametrize("model, hs, expected", [
-    # 41 lattice points up to 20, 81 up to 40
+    # 41 lattice points up to 20, 81 up to 40: the windows give up at 40,
+    # the walk stops at the gap bound 1/2 and answers every horizon
     (FiniteUnion((Lattice(F(1, 2), F(0), "plus"), GP2)),
-     [F(1), F(10), F(20), F(40), F(80)], [F(1, 2)] * 3),
+     [F(1), F(10), F(20), F(40), F(80)], [F(1, 2)] * 5),
     # the window up to 2**30 lists only the blocks above 2**10, while the
     # walk from the scale of h = 1 has passed 20 blocks more
     (FiniteUnion((GB2, GP2)), [F(1), F(2) ** 30], [F(1, 4), F(2) ** 28]),
     (FiniteUnion((GB2, Lattice(F(1), F(0), "plus"))),
-     [F(1), F(16), F(32), F(64)], [F(1, 4), F(1), F(1)]),
+     [F(1), F(16), F(32), F(64)], [F(1, 4), F(1), F(1), F(1)]),
     (FiniteModification(FiniteUnion((GB2, GeometricPoints(F(3), F(1), 0))),
                         added=(F(5),), removed=(F(1),)),
      [F(1, 4), F(3), F(2) ** 20, F(2) ** 40],
@@ -578,7 +592,11 @@ GP2 = GeometricPoints(F(2), F(1), 0)
 def test_longest_gaps_applies_the_window_cap_as_the_windows_do(
         monkeypatch, model, hs, expected):
     monkeypatch.setattr(setmodels, "WINDOW_CAP", 60)
-    assert_walk_matches_windows(model, hs)
+    if setmodels.gap_bound(model) is None:
+        assert_walk_matches_windows(model, hs)
+    else:  # it may answer where the windows give up
+        gaps, _ = per_horizon(model, hs)
+        assert longest_gaps(model, hs)[:len(gaps)] == gaps
     if len(expected) < len(hs):
         with pytest.raises(UnsupportedGeometryError,
                            match="window structure too rich"):
@@ -679,3 +697,41 @@ def test_carried_sweep_steps_past_the_accumulation_at_zero():
 def test_carried_sweep_rejects_a_descending_lower_end():
     with pytest.raises(InputError, match="ascend"):
         setmodels.intersections(GP2, [(F(2), F(3)), (F(1), F(4))])
+
+
+# ---------------------------------------------------------------------------
+# JSON round trips and rescaling
+
+
+PLANAR = st.one_of(
+    st.builds(HalfPlaneStrip, fractions(-3, -1, 4), fractions(1, 3, 4)),
+    st.just(PlanarRay()),
+    st.builds(Product2D, trees(1), trees(1)),
+)
+
+
+def piece_ends(model):
+    """The ends of the oracle's pieces inside [-12, 12] of a 1-D model; in
+    the plane, pairs of a few of the factors' ends, or a grid that holds
+    the edges of a strip or ray."""
+    if isinstance(model, Product2D):
+        xs, ys = piece_ends(model.x), piece_ends(model.y)
+        return [(a, b) for a in xs[::len(xs) // 6 + 1]
+                for b in ys[::len(ys) // 6 + 1]]
+    if ambient_dim(model) == 2:
+        return [(u, F(v, 4)) for u in (F(-1), F(0), F(1))
+                for v in range(-13, 14)]
+    pieces, _ = oracle(model, F(QUERY_SPAN))
+    return sorted({end for piece in pieces for end in piece})
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=st.one_of(trees(3), PLANAR),
+       k=st.sampled_from([F(1, 2), F(2), F(3, 5), F(7, 3)]))
+def test_models_round_trip_and_rescale(model, k):
+    assert model_from_dict(model_to_dict(model)) == model
+    assert model_from_json(model_to_json(model)) == model
+    scaled = scale_model(model, k)
+    for x in piece_ends(model):
+        kx = (k * x[0], k * x[1]) if isinstance(x, tuple) else k * x
+        assert contains(scaled, kx) == contains(model, x), x
