@@ -93,9 +93,9 @@ def _point(value):
     return rat(value)
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise InputError(f"config is missing the required key {key!r}")
+def _require(cfg, key: str, where: str = "config"):
+    if not isinstance(cfg, dict) or key not in cfg:
+        raise InputError(f"{where} is missing the required key {key!r}")
     return cfg[key]
 
 
@@ -220,7 +220,8 @@ def _limit_payload(res):
 
 
 def _cmd_lab(cfg, args, out: Path) -> int:
-    family = [(item["label"], sl.spec_from_dict(item["spec"]))
+    family = [(_require(item, "label", "lab family item"),
+               sl.spec_from_dict(_require(item, "spec", "lab family item")))
               for item in _require(cfg, "families")]
     scaling = sl.scaling_from_dict(_require(cfg, "scaling"))
     graph = sl.stability_graph(family, scaling)
@@ -246,7 +247,8 @@ def _cmd_lab(cfg, args, out: Path) -> int:
                        in report.member_blocks],
         })
     for entry in cfg.get("index_maps", ()):
-        push = sl.subsequence_push(family, scaling, integer(entry["stride"]),
+        stride = _require(entry, "stride", "index_maps entry")
+        push = sl.subsequence_push(family, scaling, integer(stride),
                                    integer(entry.get("offset", 0)))
         payload["pushes"].append({
             "stride": push.stride,
@@ -297,6 +299,8 @@ def _cmd_pseudo(cfg, args, out: Path) -> int:
         import random
 
         spec = cfg["fuzz"]
+        if not isinstance(spec, dict):
+            raise InputError("config key 'fuzz' must be a JSON object")
         count = integer(spec.get("count", 100))
         max_points = integer(spec.get("max_points", 5))
         seed = args.seed if args.seed is not None else integer(

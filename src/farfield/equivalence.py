@@ -45,8 +45,11 @@ A walk (`_window_sup`) merges the source components with the target's
 gaps, taking a step per target gap met: the source points in a gap are
 read from those nearest its midpoint. The subset test reads the same
 walks: a sup of 0 with every walked point inside the target's hulls and
-no removed point of the target in the source. A union or modification
-source left "unknown", reflected or not, is split into its finite points
+no removed point of the target in the source. In the plane a band
+source lies within max(0, s.c2 - t.c2, t.c1 - s.c1) of a band target
+(`setmodels.BANDS`). In either dimension a pair left "unknown" reads 0
+when the subset test places the source inside the target; a union or
+modification source, reflected or not, is split into its finite points
 and leaves (mirrored with it), since the sup over a union is the largest
 over its parts; a union target gives 0 when one of its parts does.
 """
@@ -61,11 +64,10 @@ from .errors import (InputError, InternalInvariantError,
 from .rationals import common_power, fmt, lcm, rat
 from . import setmodels
 from .setmodels import (
+    BANDS,
     FiniteModification,
     FiniteUnion,
     FullLine,
-    HalfPlaneStrip,
-    PlanarRay,
     Reflected,
     ambient_dim,
     as_rat_point,
@@ -124,11 +126,7 @@ def is_structural_subset(a, b) -> bool:
             return True
     if ambient_dim(a) == 1:
         return _frame_subset(a, b)
-    if isinstance(a, PlanarRay) and isinstance(b, PlanarRay):
-        return True
-    if isinstance(a, PlanarRay) and isinstance(b, HalfPlaneStrip):
-        return True  # strips contain the nonnegative axis by construction
-    if isinstance(a, HalfPlaneStrip) and isinstance(b, HalfPlaneStrip):
+    if isinstance(a, BANDS) and isinstance(b, BANDS):
         return b.c1 <= a.c1 and a.c2 <= b.c2
     return False
 
@@ -172,9 +170,8 @@ def _end(model, side: int):
 
 
 def _reaches(model, direction: int) -> bool:
-    """Whether the set has points arbitrarily far toward direction*inf."""
-    if ambient_dim(model) != 1:
-        return direction == 1  # planar variants extend along +u only
+    """Whether the 1-D set has points arbitrarily far toward
+    direction*inf."""
     return _end(model, direction) == direction * setmodels.INF
 
 
@@ -373,10 +370,8 @@ def sup_distance(source, target) -> SupDistance:
         raise InputError("cannot compare sets in different ambient spaces")
     if source == target:
         return _VALUE0
-    if ambient_dim(source) == 2:
-        return _VALUE0 if is_structural_subset(source, target) \
-            else _sup_distance_2d(source, target)
-    got = _frame_sup(source, target)[0]
+    got = (_frame_sup(source, target)[0] if ambient_dim(source) == 1
+           else _sup_distance_2d(source, target))
     if got.kind == "unknown" and is_structural_subset(source, target):
         return _VALUE0
     if got.kind == "unknown":
@@ -462,19 +457,17 @@ def _side_sup(source, target, side, shapes, dils):
 
 
 def _sup_distance_2d(source, target) -> SupDistance:
-    if isinstance(target, HalfPlaneStrip):
-        if isinstance(source, PlanarRay):
-            return _VALUE0
-        if isinstance(source, HalfPlaneStrip):
-            over = max(ZERO, source.c2 - target.c2)
-            under = max(ZERO, target.c1 - source.c1)
-            return SupDistance("value", max(over, under))
-    if isinstance(target, PlanarRay):
-        if isinstance(source, PlanarRay):
-            return _VALUE0
-        if isinstance(source, HalfPlaneStrip):
-            return SupDistance("value", max(abs(source.c1), source.c2))
+    """Band against band by `_band_sup` on the source's edges; any other
+    pair is "unknown"."""
+    if isinstance(source, BANDS) and isinstance(target, BANDS):
+        return SupDistance("value", _band_sup(source.c1, source.c2, target))
     return _UNKNOWN
+
+
+def _band_sup(lo, hi, band) -> Fraction:
+    """The largest distance from a point (u, v), u >= 0 and lo <= v <= hi,
+    to a band: that of v to [c1, c2], largest at lo or hi."""
+    return max(ZERO, hi - band.c2, band.c1 - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -489,12 +482,8 @@ def _slice_sup(slice_obj, other) -> Fraction:
         return max(distance_to_set(other, pt) for pt in slice_obj.points)
     # vertical arc slice: points (u0 + sqrt(t^2 - v^2), v), v in [lo, hi],
     # all with nonnegative first coordinate
-    if isinstance(other, PlanarRay):
-        return max(abs(slice_obj.v_lo), abs(slice_obj.v_hi))
-    if isinstance(other, HalfPlaneStrip):
-        def excess(v):
-            return max(ZERO, v - other.c2, other.c1 - v)
-        return max(excess(slice_obj.v_lo), excess(slice_obj.v_hi))
+    if isinstance(other, BANDS):
+        return _band_sup(slice_obj.v_lo, slice_obj.v_hi, other)
     raise UnsupportedGeometryError(
         f"no closed-form arc supremum against {type(other).__name__}")
 

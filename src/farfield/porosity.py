@@ -25,9 +25,10 @@ The grid is probed in one `setmodels.longest_gaps` call. A geometric leaf
 answers each horizon by its closed form; any other model is walked once,
 ascending from 0 across the sorted grid with the running longest gap and
 right end, only up to two periods past its reach when it has a period,
-and only until its longest gap meets its gap bound when it has one. Where GeometricBlocks accumulates at 0, l(h) counts only the
-gaps above the truncation scale trunc(h) < h/2**20, and a horizon whose
-longest gap is shorter than trunc(h) raises UnsupportedGeometryError.
+and only until its longest gap meets its gap bound when it has one.
+Where GeometricBlocks accumulates at 0, l(h) counts only the gaps above
+the truncation scale trunc(h) < h/2**20, and a horizon whose longest gap
+is shorter than trunc(h) raises UnsupportedGeometryError.
 """
 
 from __future__ import annotations

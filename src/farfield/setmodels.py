@@ -8,6 +8,9 @@ each with its codec (`Codec`): `model_from_dict`, `model_to_dict` and
 `scale_model` are generic loops over them.
 
 1-D points are Fractions, 2-D points are (Fraction, Fraction) pairs.
+Every planar leaf but a product is a band {(u, v): u >= 0, c1 <= v <= c2}
+(`BANDS`), the planar ray being the band of width 0, so membership,
+distance, nearest points and sphere slices read one formula on (c1, c2).
 GeometricBlocks spans all integer scales (it is exactly self-similar under
 its base), so it accumulates at 0; window decompositions that would have to
 list infinitely many tiny components report a truncation scale instead.
@@ -60,6 +63,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter, mul
+from typing import ClassVar
 
 from .errors import InputError, UnsupportedGeometryError
 from .rationals import (common_power, fmt, integer, ipow_floor_log, lcm,
@@ -82,17 +86,6 @@ def as_rat_point(value):
 
 def point_dim(value) -> int:
     return 2 if isinstance(value, tuple) else 1
-
-
-def _rat_sqrt(value: Fraction):
-    """Exact square root of a rational, or None if irrational."""
-    if value < 0:
-        return None
-    ns = math.isqrt(value.numerator)
-    ds = math.isqrt(value.denominator)
-    if ns * ns == value.numerator and ds * ds == value.denominator:
-        return Fraction(ns, ds)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +113,14 @@ class Kinds:
     """One family's kind-name table, with the generic JSON read and write
     over the codecs of each kind's fields. A field missing from the JSON
     takes the dataclass default, a field written back as None is left out,
-    and a wrong value raises InputError naming the kind and the field."""
+    and a wrong value or an unknown key raises InputError naming the kind
+    and the field or key."""
 
     def __init__(self, what: str, table: dict):
         self.what, self.table = what, table
         self.names = {cls: name for name, cls in table.items()}
+        self.keys = {cls: {f.name for f in fields(cls)} | {"kind"}
+                     for cls in self.names}
 
     def read(self, data):
         if not isinstance(data, dict):
@@ -133,6 +129,10 @@ class Kinds:
         cls = self.table.get(kind) if isinstance(kind, str) else None
         if cls is None:
             raise InputError(f"unknown {self.what} kind {kind!r}")
+        unknown = data.keys() - self.keys[cls]
+        if unknown:
+            raise InputError(f"{kind} {self.what} JSON has unknown keys "
+                             f"{sorted(unknown)}")
         values = {}
         for f in fields(cls):
             if f.name in data:
@@ -166,17 +166,25 @@ def _read_direction(value):
     return _SIGNS[value]
 
 
+def _list(value):  # a string would pass as a list of its characters
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON list, got {value!r}")
+    return value
+
+
 RATIO = Codec(rat, fmt)  # a rational that x -> k*x leaves alone
 INTEGER = Codec(integer, int)
 MODEL = Codec(lambda v: model_from_dict(v), lambda m: model_to_dict(m),
               lambda m, k: scale_model(m, k))
 _LENGTH = Codec(rat, fmt, mul)  # a coordinate or a length
-_POINTS = Codec(lambda v: tuple(map(rat, v)), lambda v: list(map(fmt, v)),
+_POINTS = Codec(lambda v: tuple(map(rat, _list(v))),
+                lambda v: list(map(fmt, v)),
                 lambda v, k: tuple(x * k for x in v))
-_BLOCKS = Codec(lambda v: tuple((rat(lo), rat(hi)) for lo, hi in v),
+_BLOCKS = Codec(lambda v: tuple((rat(lo), rat(hi))
+                                for lo, hi in map(_list, _list(v))),
                 lambda v: [[fmt(lo), fmt(hi)] for lo, hi in v],
                 lambda v, k: tuple((lo * k, hi * k) for lo, hi in v))
-_MODELS = Codec(lambda v: tuple(map(model_from_dict, v)),
+_MODELS = Codec(lambda v: tuple(map(model_from_dict, _list(v))),
                 lambda v: list(map(model_to_dict, v)),
                 lambda v, k: tuple(scale_model(m, k) for m in v))
 # legacy configs spell the half lattice as a boolean
@@ -342,7 +350,11 @@ class HalfPlaneStrip:
 
 @dataclass(frozen=True)
 class PlanarRay:
-    """The nonnegative first-coordinate axis in the plane."""
+    """The nonnegative first-coordinate axis in the plane: the band of
+    width 0, whose edges are constants rather than fields."""
+
+    c1: ClassVar[Fraction] = ZERO
+    c2: ClassVar[Fraction] = ZERO
 
 
 @dataclass(frozen=True)
@@ -355,21 +367,16 @@ class Product2D:
             raise InputError("product factors must be 1-D models")
 
 
-_ONE_D = (Lattice, Ray, FullLine, GeometricPoints, GeometricBlocks,
-          PeriodicBlocks, Reflected)
-_TWO_D = (HalfPlaneStrip, PlanarRay, Product2D)
+BANDS = (HalfPlaneStrip, PlanarRay)  # {(u, v): u >= 0, c1 <= v <= c2}
 
 
 def ambient_dim(model) -> int:
-    if isinstance(model, _TWO_D):
-        return 2
-    if isinstance(model, FiniteUnion):
+    kind = type(model)
+    if kind is FiniteUnion:
         return ambient_dim(model.parts[0])
-    if isinstance(model, FiniteModification):
-        return 1
-    if isinstance(model, _ONE_D):
-        return 1
-    raise InputError(f"not a set model: {model!r}")
+    if kind not in _MODEL_KINDS.names:
+        raise InputError(f"not a set model: {model!r}")
+    return 2 if kind in BANDS or kind is Product2D else 1
 
 
 # ---------------------------------------------------------------------------
@@ -657,12 +664,9 @@ def _member(model, point) -> bool:
         return any(_member(p, point) for p in model.parts)
     if isinstance(model, Reflected):
         return _member(model.base, -point)
-    if isinstance(model, HalfPlaneStrip):
+    if isinstance(model, BANDS):
         u, v = point
         return u >= 0 and model.c1 <= v <= model.c2
-    if isinstance(model, PlanarRay):
-        u, v = point
-        return v == 0 and u >= 0
     if isinstance(model, Product2D):
         return _member(model.x, point[0]) and _member(model.y, point[1])
     c = next(components(model, point), None)
@@ -686,30 +690,12 @@ def distance_to_set(model, point) -> Fraction:
         return _distance_1d(model, point)
     if isinstance(model, FiniteUnion):
         return min(distance_to_set(p, point) for p in model.parts)
-    if isinstance(model, HalfPlaneStrip):
-        u, v = point
-        dv = max(ZERO, v - model.c2, model.c1 - v)
-        if u >= 0:
-            return dv
-        if dv == 0:
-            return -u
-        return _pythagoras(-u, dv)
-    if isinstance(model, PlanarRay):
-        u, v = point
-        if u >= 0:
-            return abs(v)
-        if v == 0:
-            return -u
-        return _pythagoras(-u, abs(v))
-    if isinstance(model, Product2D):
-        dx = _distance_1d(model.x, point[0])
-        dy = _distance_1d(model.y, point[1])
-        if dx == 0:
-            return dy
-        if dy == 0:
-            return dx
-        return _pythagoras(dx, dy)
-    raise InputError(f"not a set model: {model!r}")
+    u, v = point
+    if isinstance(model, BANDS):
+        dx, dy = max(ZERO, -u), max(ZERO, v - model.c2, model.c1 - v)
+    else:  # a product
+        dx, dy = _distance_1d(model.x, u), _distance_1d(model.y, v)
+    return _hypot(dx, dy)
 
 
 def _distance_1d(model, x) -> Fraction:
@@ -725,13 +711,17 @@ def _distance_1d(model, x) -> Fraction:
     return min(gaps)
 
 
-def _pythagoras(dx: Fraction, dy: Fraction) -> Fraction:
-    root = _rat_sqrt(dx * dx + dy * dy)
-    if root is None:
+def _hypot(dx: Fraction, dy: Fraction) -> Fraction:
+    """sqrt(dx**2 + dy**2) for dx, dy >= 0, exact: dx + dy where one is 0."""
+    if dx == 0 or dy == 0:
+        return dx + dy
+    square = dx * dx + dy * dy
+    ns, ds = math.isqrt(square.numerator), math.isqrt(square.denominator)
+    if ns * ns != square.numerator or ds * ds != square.denominator:
         raise UnsupportedGeometryError(
             "exact distance is irrational for this corner configuration"
         )
-    return root
+    return Fraction(ns, ds)
 
 
 def nearest_point(model, point, eps: Fraction = ZERO):
@@ -755,12 +745,9 @@ def nearest_point(model, point, eps: Fraction = ZERO):
                     return cand
             step = step / 2
         raise UnsupportedGeometryError("no set point within eps of infimum")
-    if isinstance(model, HalfPlaneStrip):
+    if isinstance(model, BANDS):
         u, v = point
         return (max(ZERO, u), min(max(v, model.c1), model.c2))
-    if isinstance(model, PlanarRay):
-        u, v = point
-        return (max(ZERO, u), ZERO)
     raise UnsupportedGeometryError("nearest point unsupported for this model")
 
 
@@ -770,8 +757,9 @@ def nearest_point(model, point, eps: Fraction = ZERO):
 
 @dataclass(frozen=True)
 class SphereSlice:
-    """S(p, t) intersected with a model: a finite point set, or for the
-    2-D strip an arc described by its reachable second-coordinate range."""
+    """S(p, t) intersected with a model: a finite point set, or for a band
+    of positive width an arc described by its reachable second-coordinate
+    range."""
 
     kind: str  # points | arc
     points: tuple = ()
@@ -792,29 +780,29 @@ def sphere_slice(model, p, t) -> SphereSlice:
     if ambient_dim(model) == 1:
         if point_dim(p) != 1:
             raise InputError("base point dimension mismatch")
-        cands = (p - t, p + t) if t > 0 else (p,)
-        pts = tuple(x for x in dict.fromkeys(cands) if contains(model, x))
-        return SphereSlice("points", points=pts)
-    if isinstance(model, PlanarRay):
+        cands = (p - t, p + t)
+    elif not isinstance(model, BANDS):
+        raise UnsupportedGeometryError(
+            "sphere slice unsupported for this model")
+    else:
         u0, v0 = p
-        if v0 != 0:
-            raise UnsupportedGeometryError("base point must sit on the axis")
-        cands = ((u0 - t, ZERO), (u0 + t, ZERO)) if t > 0 else ((u0, ZERO),)
-        pts = tuple(x for x in dict.fromkeys(cands) if contains(model, x))
-        return SphereSlice("points", points=pts)
-    if isinstance(model, HalfPlaneStrip):
-        u0, v0 = p
-        if v0 != 0 or u0 < 0:
+        if model.c1 == model.c2:  # width 0: at most two points of the axis
+            if v0 != 0:
+                raise UnsupportedGeometryError(
+                    "base point must sit on the axis")
+        elif v0 != 0 or u0 < 0:
             raise UnsupportedGeometryError(
                 "strip slices need a base point on the nonnegative axis"
             )
-        if t == 0:
-            return SphereSlice("points", points=((u0, ZERO),))
-        v_lo = max(-t, model.c1)
-        v_hi = min(t, model.c2)
-        # every v in [v_lo, v_hi] is reached at u = u0 + sqrt(t^2 - v^2) >= 0
-        return SphereSlice("arc", center=p, radius=t, v_lo=v_lo, v_hi=v_hi)
-    raise UnsupportedGeometryError("sphere slice unsupported for this model")
+        elif t > 0:
+            v_lo = max(-t, model.c1)
+            v_hi = min(t, model.c2)
+            # every v in [v_lo, v_hi] is reached at u = u0 + sqrt(t^2 - v^2)
+            return SphereSlice("arc", center=p, radius=t, v_lo=v_lo,
+                               v_hi=v_hi)
+        cands = ((u0 - t, ZERO), (u0 + t, ZERO))
+    pts = tuple(x for x in dict.fromkeys(cands) if contains(model, x))
+    return SphereSlice("points", points=pts)
 
 
 # ---------------------------------------------------------------------------

@@ -105,10 +105,9 @@ def _distance_set_plane(model, p):
         raise UnsupportedGeometryError(
             "plane distance sets need a base point on the nonnegative axis"
         )
-    if isinstance(model, sm.HalfPlaneStrip):
-        # the axis ray beyond p lies inside the strip, so every t >= 0 occurs
-        return sm.Ray(Fraction(0), 1)
-    if isinstance(model, sm.PlanarRay):
+    if isinstance(model, sm.BANDS):
+        # the axis ray beyond p lies inside every band, so every t >= 0
+        # occurs
         return sm.Ray(Fraction(0), 1)
     raise UnsupportedGeometryError(
         "distance set unsupported for this (model, p) pair"

@@ -231,6 +231,25 @@ def test_equiv_modification_and_union_targets_are_exact(tmp_path, y_model,
     assert (verdict["status"], verdict["bound"]) == ("equivalent_exact", bound)
 
 
+PLANAR_RAY = {"kind": "planar_ray"}
+STRIP_OR_RAY = {"kind": "finite_union", "parts": [
+    {"kind": "half_plane_strip", "c1": "-1", "c2": "2"}, PLANAR_RAY]}
+
+
+@pytest.mark.parametrize("y_model, z_model", [
+    (STRIP_OR_RAY, PLANAR_RAY),
+    (PLANAR_RAY, STRIP_OR_RAY),
+])
+def test_equiv_strip_or_ray_against_the_ray(tmp_path, y_model, z_model):
+    # the union lies within 2 of the ray (the strip's top edge), and the
+    # ray lies inside the union
+    code, out = run(tmp_path, "equiv",
+                    {"y_model": y_model, "z_model": z_model}, "--assert")
+    assert code == 0
+    verdict = json.loads((out / "equiv_verdict.json").read_text())
+    assert (verdict["status"], verdict["bound"]) == ("equivalent_exact", "2")
+
+
 # -- spectra ---------------------------------------------------------------------
 
 
@@ -417,6 +436,19 @@ def test_fractional_counts_exit_two(tmp_path, command, cfg):
     ("lab", dict(LAB_CONFIG, families=[
         {"label": "x0", "spec": {"kind": "in_set", "a": "1"}}]),
      "in_set", "model"),
+    # a misspelt key is refused, not read as the default
+    ("porosity", {"model": {"kind": "ray", "origin": "1", "direcion": "-"}},
+     "ray", "direcion"),
+    ("lab", dict(LAB_CONFIG, scaling={"kind": "geometric", "q": "2",
+                                      "c": "1", "offset": "3"}),
+     "geometric", "offset"),
+    # a string where a list belongs is refused, not read per character
+    ("porosity", {"model": {"kind": "finite_modification", "base": GP2,
+                            "added": "12"}}, "finite_modification", "added"),
+    ("porosity", {"model": {"kind": "periodic_blocks", "period": "3",
+                            "blocks": ["12"]}}, "periodic_blocks", "blocks"),
+    ("porosity", {"model": {"kind": "finite_union", "parts": "ab"}},
+     "finite_union", "parts"),
 ])
 def test_malformed_fields_name_the_kind_and_the_field(
         tmp_path, capsys, command, cfg, kind, name):
@@ -425,6 +457,23 @@ def test_malformed_fields_name_the_kind_and_the_field(
     message = capsys.readouterr().err
     assert message.startswith("error: "), message
     assert kind in message and repr(name) in message, message
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("pseudo", {"fuzz": 5}, "fuzz"),
+    ("lab", dict(LAB_CONFIG, families=[{"label": "x0"}]), "spec"),
+    ("lab", dict(LAB_CONFIG, families=[{"spec": {"kind": "closed_form",
+                                                 "terms": {}}}]), "label"),
+    ("lab", dict(LAB_CONFIG, index_maps=[{"offset": 1}]), "stride"),
+])
+def test_config_errors_name_the_key(tmp_path, capsys, command, cfg, key):
+    # never a traceback (exit 1 is a negative verdict) nor a bare KeyError
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    assert not any(out.iterdir())
+    message = capsys.readouterr().err
+    assert message.startswith("error: "), message
+    assert repr(key) in message, message
 
 
 def test_unknown_scaling_kind_exits_two(tmp_path):
