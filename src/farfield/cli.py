@@ -14,9 +14,11 @@ classification, invalid pseudometric), 2 on config or geometry errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import equivalence as eq
@@ -65,9 +67,51 @@ def write_curve(path: Path, columns, rows) -> None:
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
+def _json_key(key) -> str:
+    # the key rule of json.dumps
+    if isinstance(key, str):
+        return _quote(key)
+    if key is None or isinstance(key, (int, float)):
+        return _quote(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _json_text(value, indent: str = "") -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2).
+
+    Given an indent, json.dumps runs its pure-Python encoder, a generator
+    per container; joining the pieces here takes about half the time.
+    Strings are quoted by the same function json.dumps uses, and every
+    other scalar but the frequent None is rendered by json.dumps itself.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return ("[\n" + inner
+                + (",\n" + inner).join([_json_text(v, inner) for v in value])
+                + "\n" + indent + "]")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        return ("{\n" + inner
+                + (",\n" + inner).join([
+                    _json_key(k) + ": " + _json_text(v, inner)
+                    for k, v in sorted(value.items())])
+                + "\n" + indent + "}")
+    return json.dumps(value)
+
+
 def write_json(path: Path, payload) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    path.write_bytes(text.encode("utf-8"))
+    """JSON with sorted keys and an indent of 2: the bytes of
+    json.dumps(payload, sort_keys=True, indent=2) plus a newline."""
+    path.write_bytes((_json_text(payload) + "\n").encode("utf-8"))
 
 
 def _load_config(path: str) -> dict:
@@ -112,6 +156,9 @@ def _cmd_porosity(cfg, args, out: Path) -> int:
     exponent = args.horizon if args.horizon is not None else integer(
         cfg.get("horizon_exponent", por.DEFAULT_HORIZON_EXPONENT))
     threshold = rat(cfg.get("threshold", Fraction(1, 100)))
+    if threshold <= 0:
+        raise InputError(f"config key 'threshold' must be positive, "
+                         f"not {fmt(threshold)}")
     result = por.porosity_at_infinity(model, exponent)
     verdict = por.is_porous_at_infinity(model, threshold, exponent)
     write_curve(out / "porosity_trace.csv",
@@ -302,7 +349,13 @@ def _cmd_pseudo(cfg, args, out: Path) -> int:
         if not isinstance(spec, dict):
             raise InputError("config key 'fuzz' must be a JSON object")
         count = integer(spec.get("count", 100))
+        if count < 0:
+            raise InputError(f"fuzz key 'count' must be at least 0, "
+                             f"not {count}")
         max_points = integer(spec.get("max_points", 5))
+        if max_points < 2:
+            raise InputError(f"fuzz key 'max_points' must be at least 2, "
+                             f"not {max_points}")
         seed = args.seed if args.seed is not None else integer(
             spec.get("seed", 0))
         rng = random.Random(seed)
@@ -361,6 +414,7 @@ _HANDLERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the farfield command line."""
     parser = argparse.ArgumentParser(
         prog="farfield",
         description="Asymptotic invariants of unbounded sets, batch mode.")
@@ -381,8 +435,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # main() may run many times in one process (perfbench calls it once per
+    # job), and building the parser costs about 1 ms, as much as a small
+    # job. parse_args keeps no state between calls: each returns a new
+    # Namespace, and no option has a mutable default.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
         out = Path(args.out)

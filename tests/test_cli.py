@@ -5,9 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from farfield import setmodels
-from farfield.cli import main
+from farfield.cli import build_parser, main, write_json
 
 GP2 = {"kind": "geometric_points", "q": "2", "c": "1", "n0": 0}
 RAY = {"kind": "ray", "origin": "0", "direction": "+"}
@@ -465,6 +467,13 @@ def test_malformed_fields_name_the_kind_and_the_field(
     ("lab", dict(LAB_CONFIG, families=[{"spec": {"kind": "closed_form",
                                                  "terms": {}}}]), "label"),
     ("lab", dict(LAB_CONFIG, index_maps=[{"offset": 1}]), "stride"),
+    # values out of range are refused, not run (a negative case count was
+    # written out, one point raised from randrange, and every sampled
+    # ratio passes a threshold of -1 or 0)
+    ("pseudo", {"fuzz": {"count": -5}}, "count"),
+    ("pseudo", {"fuzz": {"max_points": 1}}, "max_points"),
+    ("porosity", {"model": GP2, "threshold": "-1"}, "threshold"),
+    ("porosity", {"model": GP2, "threshold": 0}, "threshold"),
 ])
 def test_config_errors_name_the_key(tmp_path, capsys, command, cfg, key):
     # never a traceback (exit 1 is a negative verdict) nor a bare KeyError
@@ -486,7 +495,8 @@ def test_unknown_scaling_kind_exits_two(tmp_path):
 # -- determinism across reruns ---------------------------------------------------
 
 
-@pytest.mark.parametrize("command,cfg,flags", [
+# one successful run of each subcommand
+COMMAND_RUNS = [
     ("porosity", {"model": GP2}, ("--horizon", "80")),
     ("epsilon", {"y_model": LINE, "z_model": LATTICE,
                  "t_grid": ["3/2", "5/2"]}, ()),
@@ -497,7 +507,10 @@ def test_unknown_scaling_kind_exits_two(tmp_path):
     ("classify-line", {"model": {"kind": "ray", "origin": "5",
                                  "direction": "+"}}, ()),
     ("pseudo", {"fuzz": {"count": 25, "max_points": 5, "seed": 7}}, ()),
-])
+]
+
+
+@pytest.mark.parametrize("command,cfg,flags", COMMAND_RUNS)
 def test_reruns_are_byte_identical(tmp_path, command, cfg, flags):
     rerun_is_byte_identical(tmp_path, command, cfg, *flags)
 
@@ -511,3 +524,121 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "out" / "equiv_verdict.json").exists()
+
+
+# -- one parser per process ----------------------------------------------------
+
+# Counts the top-level parsers built while importing farfield.cli and while
+# running main() on each argv of the JSON list in argv[1], three times over.
+PARSER_COUNT = """
+import argparse, json, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    if kwargs.get("prog") == "farfield":
+        built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import farfield.cli
+at_import = len(built)
+codes = [farfield.cli.main(argv) for argv in json.loads(sys.argv[1]) * 3]
+print(json.dumps({"at_import": at_import, "built": len(built),
+                  "codes": codes}))
+"""
+
+
+def test_main_builds_one_parser_per_process(tmp_path):
+    runs = []
+    for command, cfg, flags in COMMAND_RUNS:
+        cfg_path = tmp_path / f"{command}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        runs.append([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path / command), *flags])
+    proc = subprocess.run([sys.executable, "-c", PARSER_COUNT,
+                           json.dumps(runs)],
+                          capture_output=True, text=True, check=True)
+    got = json.loads(proc.stdout)
+    assert len({argv[0] for argv in runs}) == 7
+    # equiv GP2 against the ray is a negative verdict, but without --assert
+    assert got == {"at_import": 0, "built": 1, "codes": [0] * 21}
+
+
+@pytest.mark.parametrize("argv", [
+    ["porosity", "--out", "x"],            # no --config
+    ["no-such-command", "--config", "x"],  # not a subcommand
+])
+def test_bad_argv_reads_the_same_before_and_after_a_run(tmp_path, capsys,
+                                                        argv):
+    def refusal(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, capsys.readouterr()
+
+    fresh = refusal(build_parser().parse_args)
+    before = refusal(main)
+    code, _ = run(tmp_path, "porosity", {"model": GP2}, "--horizon", "80")
+    assert code == 0
+    capsys.readouterr()
+    after = refusal(main)
+    assert fresh == before == after
+    status, (out, err) = fresh
+    assert status == 2 and out == ""
+    assert err.startswith("usage: farfield"), err
+
+
+def test_flags_do_not_reach_the_next_call(tmp_path):
+    def summary(out, name):
+        return json.loads((out / name).read_text())
+
+    fuzz = {"fuzz": {"count": 3, "seed": 7}}
+    _, out = run(tmp_path, "pseudo", fuzz, "--seed", "9", out="seeded")
+    assert summary(out, "pseudo_fuzz.json")["seed"] == 9
+    _, out = run(tmp_path, "pseudo", fuzz, out="unseeded")
+    assert summary(out, "pseudo_fuzz.json")["seed"] == 7
+
+    _, out = run(tmp_path, "spectrum", SPECTRUM_CONFIG, "--horizon", "5",
+                 out="short")
+    assert summary(out, "spectrum_summary.json")["horizon"] == 5
+    _, out = run(tmp_path, "spectrum", SPECTRUM_CONFIG, out="configured")
+    assert summary(out, "spectrum_summary.json")["horizon"] == 12
+
+    refuted = {"y_model": GP2, "z_model": RAY, "p": "0"}
+    assert run(tmp_path, "equiv", refuted, "--assert", out="strict")[0] == 1
+    assert run(tmp_path, "equiv", refuted, out="lenient")[0] == 0
+
+
+def test_build_parser_returns_a_new_parser():
+    assert build_parser() is not build_parser()
+
+
+# -- JSON writer -----------------------------------------------------------------
+
+JSON_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé \U0001f600'),
+    st.characters()))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=10 ** 30, max_value=10 ** 60), st.floats(),
+    JSON_TEXT)
+
+
+def _json_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_TEXT, children, max_size=4),
+        # keys that json.dumps renders as strings; pseudo labels read
+        # from a config may be numbers, booleans or null
+        st.dictionaries(st.one_of(st.integers(), st.booleans()), children,
+                        max_size=4),
+        st.dictionaries(st.none(), children, max_size=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=st.recursive(JSON_SCALARS, _json_containers, max_leaves=30))
+def test_write_json_writes_the_bytes_of_json_dumps(tmp_path_factory,
+                                                   payload):
+    path = tmp_path_factory.mktemp("json") / "payload.json"
+    write_json(path, payload)
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
