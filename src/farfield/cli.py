@@ -143,6 +143,27 @@ def _require(cfg, key: str, where: str = "config"):
     return cfg[key]
 
 
+def _read(cfg, key: str, read=rat, default=None):
+    """read(cfg[key]), or of the default when one is given and the key is
+    missing; a value that read refuses is an InputError naming the key."""
+    value = _require(cfg, key) if default is None else cfg.get(key, default)
+    try:
+        return read(value)
+    except InputError as exc:
+        raise InputError(f"config key {key!r}: {exc}") from None
+
+
+def _listed(value) -> list:
+    # a string would pass as a list of its characters
+    if not isinstance(value, list):
+        raise InputError(f"must be a JSON list, not {value!r}")
+    return value
+
+
+def _rationals(value) -> list:
+    return [rat(t) for t in _listed(value)]
+
+
 _EPS_COLUMNS = (("t", "rat"), ("eps_ZY", "rat"), ("eps_YZ", "rat"),
                 ("eps", "rat"), ("ratio", "rat"))
 
@@ -153,9 +174,9 @@ _EPS_COLUMNS = (("t", "rat"), ("eps_ZY", "rat"), ("eps_YZ", "rat"),
 
 def _cmd_porosity(cfg, args, out: Path) -> int:
     model = sm.model_from_dict(_require(cfg, "model"))
-    exponent = args.horizon if args.horizon is not None else integer(
-        cfg.get("horizon_exponent", por.DEFAULT_HORIZON_EXPONENT))
-    threshold = rat(cfg.get("threshold", Fraction(1, 100)))
+    exponent = args.horizon if args.horizon is not None else _read(
+        cfg, "horizon_exponent", integer, por.DEFAULT_HORIZON_EXPONENT)
+    threshold = _read(cfg, "threshold", rat, Fraction(1, 100))
     if threshold <= 0:
         raise InputError(f"config key 'threshold' must be positive, "
                          f"not {fmt(threshold)}")
@@ -181,7 +202,7 @@ def _cmd_epsilon(cfg, args, out: Path) -> int:
     y = sm.model_from_dict(_require(cfg, "y_model"))
     z = sm.model_from_dict(_require(cfg, "z_model"))
     p = _point(cfg.get("p"))
-    grid = [rat(t) for t in _require(cfg, "t_grid")]
+    grid = _read(cfg, "t_grid", _rationals)
     curve = eq.epsilon_curve(y, z, p, grid)
     write_curve(out / "epsilon_curve.csv", _EPS_COLUMNS, curve.samples)
     return 0
@@ -205,13 +226,14 @@ def _cmd_equiv(cfg, args, out: Path) -> int:
     y = sm.model_from_dict(_require(cfg, "y_model"))
     z = sm.model_from_dict(_require(cfg, "z_model"))
     p = _point(cfg.get("p"))
-    horizon = args.horizon if args.horizon is not None else integer(
-        cfg.get("horizon", eq.DEFAULT_HORIZON))
+    grid = _read(cfg, "t_grid", _rationals) if "t_grid" in cfg else None
+    horizon = args.horizon if args.horizon is not None else _read(
+        cfg, "horizon", integer, eq.DEFAULT_HORIZON)
     verdict = eq.decide_strong_equivalence(
         y, z, p,
-        growth=rat(cfg.get("growth", eq.DEFAULT_GROWTH)),
+        growth=_read(cfg, "growth", rat, eq.DEFAULT_GROWTH),
         horizon=horizon,
-        threshold=rat(cfg.get("threshold", eq.DEFAULT_THRESHOLD)))
+        threshold=_read(cfg, "threshold", rat, eq.DEFAULT_THRESHOLD))
     write_json(out / "equiv_verdict.json", {
         "status": verdict.status,
         "bound": _fmt_or_none(verdict.bound),
@@ -221,8 +243,7 @@ def _cmd_equiv(cfg, args, out: Path) -> int:
                       else dec(verdict.max_ratio)),
         "note": verdict.note,
     })
-    if "t_grid" in cfg:
-        grid = [rat(t) for t in cfg["t_grid"]]
+    if grid is not None:
         curve = eq.epsilon_curve(y, z, p, grid)
         write_curve(out / "epsilon_curve.csv", _EPS_COLUMNS, curve.samples)
     if args.assert_ and verdict.status not in ("equivalent_exact",
@@ -236,11 +257,11 @@ def _cmd_spectrum(cfg, args, out: Path) -> int:
     p = _point(cfg.get("p", "0"))
     scaling_1 = sl.scaling_from_dict(_require(cfg, "scaling_1"))
     scaling_2 = sl.scaling_from_dict(_require(cfg, "scaling_2"))
-    grid = [rat(t) for t in _require(cfg, "t_grid")]
-    epsilon = rat(_require(cfg, "epsilon"))
-    horizon = args.horizon if args.horizon is not None else integer(
-        cfg.get("horizon", sp.DEFAULT_HORIZON))
-    persistence = integer(cfg.get("persistence", sp.DEFAULT_PERSISTENCE))
+    grid = _read(cfg, "t_grid", _rationals)
+    epsilon = _read(cfg, "epsilon")
+    horizon = args.horizon if args.horizon is not None else _read(
+        cfg, "horizon", integer, sp.DEFAULT_HORIZON)
+    persistence = _read(cfg, "persistence", integer, sp.DEFAULT_PERSISTENCE)
     comp = sp.compare_spectra(model, p, scaling_1, scaling_2, grid, epsilon,
                               horizon, persistence)
     write_curve(out / "spectrum.csv",
@@ -317,8 +338,8 @@ def _cmd_classify_line(cfg, args, out: Path) -> int:
     window = cfg.get("window")
     verdict = line_mod.classify_line_subspace(
         model,
-        [rat(k) for k in ks] if ks else None,
-        rat(window) if window is not None else None)
+        _read(cfg, "k_samples", _rationals) if ks else None,
+        _read(cfg, "window") if window is not None else None)
     write_json(out / "classify_line.json", {
         "status": verdict.status,
         "k": _fmt_or_none(verdict.k),
@@ -380,8 +401,9 @@ def _cmd_pseudo(cfg, args, out: Path) -> int:
             return 1
         return 0
 
-    labels = _require(cfg, "labels")
-    table = [[rat(v) for v in row] for row in _require(cfg, "table")]
+    labels = _read(cfg, "labels", _listed)
+    table = _read(cfg, "table",
+                  lambda rows: [_rationals(row) for row in _listed(rows)])
     report = pm.validate_pseudometric(tuple(labels), table)
     if not report.ok:
         write_json(out / "pseudo_quotient.json", {

@@ -55,6 +55,7 @@ than trunc(h).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import json
@@ -1288,49 +1289,107 @@ SEEK_AFTER = 4  # components one window may step over before a re-seek
 
 
 def intersects_open_interval(model, lo, hi) -> bool:
-    """Does E meet the open interval (lo, hi)? Exact for 1-D models."""
-    return intersections(model, [(lo, hi)])[0]
+    """Does E meet the open interval (lo, hi)? Exact for 1-D models: the
+    first component from lo that ends past lo must start below hi."""
+    lo, hi = rat(lo), rat(hi)
+    if hi <= lo:
+        return False
+    c = next((c for c in components(model, lo) if c[1] > lo), None)
+    return c is not None and c[0] < hi
 
 
-def intersections(model, windows) -> list:
-    """intersects_open_interval(model, lo, hi) for each open window (lo, hi)
-    of a list whose lo never decreases, read off one carried cursor.
+def grid_hits(model, p, t_grid, epsilon, radii) -> list:
+    """For each t of t_grid (in any order, repeats allowed), the positions
+    i, ascending, of the radii r_i whose open window
+    (p + (t - eps) * r_i, p + (t + eps) * r_i) meets the 1-D model; eps and
+    every radius are positive. Each radius is one ascending cursor walk
+    over the distinct t.
 
-    A component that ends at or below a window's lo is never looked at
-    again. From lo0 <= lo the cursor lists every component with hi >= lo
-    that `components(model, lo)` does, in the same order, except after
-    the accumulation marker at 0 (GeometricBlocks lists nothing past it),
-    so it re-seeks with `components(model, lo)` when it steps over that
-    marker. It also re-seeks when one window has stepped over SEEK_AFTER
-    components, and from then on re-seeks at once for every window that
-    it trails: windows that outrun the components once (a step-1 lattice
-    under radii c*4**n) keep outrunning them as they grow. A cursor seeked
-    at the window's own lo steps on without a limit.
+    The walk reads in integer units: with L the lcm of the denominators of
+    the grid and of eps, T_k = t_k * L and E = eps * L, a component
+    [c0, c1] meets window k exactly when c0 < p + (t_k + eps) * r and
+    c1 > p + (t_k - eps) * r, that is when
+        floor((c0 - p) * L / r) - E < T_k < ceil((c1 - p) * L / r) + E,
+    a run of consecutive k that two bisections find. The marker at 0 (an
+    ascending cursor lists ZERO_ABOVE only; ZERO_BELOW comes from
+    descending ones) reads as 0 approached from above: ZERO_ABOVE < hi
+    means 0 < hi, but ZERO_ABOVE > lo means lo <= 0, so where
+    (0 - p) * L / r is an integer the ceiling above is one larger.
+    Components come in ascending order of c0, so the windows below a run
+    are decided for good. Once SEEK_AFTER components in a row end at or
+    below the lower end of the first undecided window, the walk re-seeks
+    the cursor there, and from then on (for dense sets, whose windows keep
+    outrunning the cursor) at once; it also re-seeks past the marker,
+    after which GeometricBlocks lists nothing. A cursor seeked at that
+    window steps on without a limit.
+
+    Cover rule: let C = eventual_shape(model).cover[+1] and R its reach.
+    Every open interval (lo, hi) with lo > R and hi - lo > 2C meets the
+    set. For a leaf, every x > R lies within C of a set point (of the
+    lattice, the ray, the line or a block of the period), so the
+    interval's midpoint does, and that point lies inside the interval. A
+    finite modification keeps its base's cover, and its reach lies past
+    every point it adds or removes, so the base points inside (lo, hi) are
+    all kept. A union's reach bounds its parts' reaches, and its cover is
+    one part's cover; a reflection swaps the sides. So at a radius with
+    eps * r > C, every window with p + (t - eps) * r > R, that is with
+    T_k > floor((R - p) * L / r) + E, is a hit without a walk.
     """
-    out, walk, c, seeked = [], None, None, None
-    budget, prev_lo = SEEK_AFTER, -INF
-    for lo, hi in windows:
-        lo, hi = rat(lo), rat(hi)
-        if lo < prev_lo:
-            raise InputError("window lower ends must ascend")
-        prev_lo = lo
-        if hi <= lo:
-            out.append(False)
-            continue
-        if walk is None:
-            walk, seeked = components(model, lo), lo
+    ts = sorted(set(t_grid))
+    scale = math.lcm(epsilon.denominator, *(t.denominator for t in ts))
+    units = [t.numerator * (scale // t.denominator) for t in ts]
+    e = epsilon.numerator * (scale // epsilon.denominator)
+    shape = eventual_shape(model)
+    cover, reach = shape.cover[1], shape.reach
+    rows = [[] for _ in ts]
+    budget = SEEK_AFTER
+    for i, r in enumerate(radii):
+        # (x - p) * L / r = (x.num * a - x.den * b) / (x.den * d)
+        a = p.denominator * scale * r.denominator
+        b, d = p.numerator * scale * r.denominator, p.denominator * r.numerator
+        end = len(ts)
+        if cover is not None and epsilon * r > cover:
+            q = ((reach.numerator * a - reach.denominator * b)
+                 // (reach.denominator * d))
+            end = bisect.bisect_right(units, q + e)
+            for k in range(end, len(ts)):
+                rows[k].append(i)
+        j, walk, seeked, stepped = 0, None, None, 0
+        while j < end:  # windows below j are decided
+            if walk is None:
+                walk, seeked = components(model, p + (ts[j] - epsilon) * r), j
             c = next(walk, None)
-        stepped = 0
-        while c is not None and c[1] <= lo:  # so c[0] < hi as well
-            behind = stepped == budget
-            if (behind or c[0] is ZERO_ABOVE) and seeked != lo:
+            if c is None:
+                break
+            c0, c1 = c
+            k0 = j
+            if type(c0) is not float:  # not -inf
+                q = ((c0.numerator * a - c0.denominator * b)
+                     // (c0.denominator * d))
+                k0 = bisect.bisect_right(units, q - e, j, end)
+                if k0 == end:
+                    break
+            k1 = end
+            if type(c1) is not float:  # not +inf
+                q, rem = divmod(c1.numerator * a - c1.denominator * b,
+                                c1.denominator * d)
+                if rem or c1 is ZERO_ABOVE:
+                    q += 1
+                k1 = bisect.bisect_left(units, q + e, k0, end)
+            behind = False
+            if k1 > j:
+                for k in range(k0, k1):
+                    rows[k].append(i)
+                j, stepped = k1, 0
+            else:  # c ends at or below the lower end of window j
+                behind = stepped == budget
+                stepped += 1
+            if (behind or c0 is ZERO_ABOVE) and seeked != j:
                 if behind:
                     budget = 0
-                walk, seeked = components(model, lo), lo
-            stepped += 1
-            c = next(walk, None)
-        out.append(c is not None and c[0] < hi)
-    return out
+                walk = None
+    index = {t: tuple(row) for t, row in zip(ts, rows)}
+    return [index[t] for t in t_grid]
 
 
 # ---------------------------------------------------------------------------

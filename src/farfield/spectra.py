@@ -11,12 +11,13 @@ in (lo - p, hi - p), which the set models decide exactly. distance_set
 itself returns a structured model and supports a deliberately small
 (model, p) matrix; everything else raises rather than approximating.
 
-A scan checks its inputs and builds its probe once per call, and sorts
-each scaling's radii once (an interleaved scaling is not monotone). For
-t >= eps the windows of one t only move right as r grows, so each side is
-one `setmodels.intersections` sweep: one component cursor carried across
-the ascending windows, on the set for the right side and on its mirror
-image for the left (skipped when p = 0 and the set is nonnegative). For
+A scan checks its inputs and builds its probe once per call, and evaluates
+each scaling's radii once. For t >= eps each side is one
+`setmodels.grid_hits` call for the whole grid: one ascending cursor walk
+per radius over the windows of every t, in integer units, on the set for
+the right side and on its mirror image for the left (skipped when p = 0
+and the set is nonnegative); past the set's reach, a radius whose windows
+are wider than twice its cover bound marks them without a walk. For
 t < eps the windows (p - (t+eps)r, p + (t+eps)r) are nested, so a window
 hits exactly when (t+eps)r exceeds the distance from p to the set.
 """
@@ -129,8 +130,8 @@ class SpectrumVerdict:
 
 def window_hits(model, p, t, epsilon, scaling, horizon: int) -> tuple:
     """Indices n (1-based) whose window ((t-eps)r_n, (t+eps)r_n) meets Sp."""
-    (t,), epsilon, probe = _window_probe(model, p, [t], epsilon, horizon)
-    return _scan(probe, t, epsilon, _radii(scaling, horizon))
+    t_grid, epsilon, probe = _window_probe(model, p, [t], epsilon, horizon)
+    return _scan(probe, t_grid, epsilon, _radii(scaling, horizon))[0]
 
 
 def _window_probe(model, p, t_grid, epsilon, horizon: int):
@@ -162,34 +163,37 @@ def _window_probe(model, p, t_grid, epsilon, horizon: int):
     return t_grid, epsilon, (model, mirror, p, dist)
 
 
-def _radii(scaling, horizon: int) -> tuple:
-    """(ns, rs): the indices 1..horizon and their radii r_n, in ascending
-    order of r_n (an interleaved scaling is not monotone)."""
-    pairs = sorted((scaling.eval(n), n) for n in range(1, horizon + 1))
-    return [n for _, n in pairs], [r for r, _ in pairs]
+def _radii(scaling, horizon: int) -> list:
+    """The radii r_1..r_horizon."""
+    return [scaling.eval(n) for n in range(1, horizon + 1)]
 
 
-def _scan(probe, t, epsilon, radii) -> tuple:
-    """Indices n whose window ((t-eps)r_n, (t+eps)r_n) meets the probe,
-    one carried cursor sweep per side over the ascending radii."""
+def _scan(probe, t_grid, epsilon, radii) -> list:
+    """For each t of the grid, the indices n (ascending) whose window
+    ((t-eps)r_n, (t+eps)r_n) meets the probe: one grid_hits call per side
+    for every t >= eps."""
     model, mirror, p, dist = probe
-    ns, rs = radii
-    a, b = t - epsilon, t + epsilon
-    if a < 0:
-        # the windows (p - b*r, p + b*r) are nested: one meets the set
-        # exactly when b*r exceeds the distance from p to the set
-        hits = [b * r > dist for r in rs]
-    else:
+    wide = [t for t in t_grid if t >= epsilon]
+    if wide:
         # |x - p| lies in (a*r, b*r) when x lies in (p + a*r, p + b*r) or
-        # -x lies in (a*r - p, b*r - p)
-        windows = [(a * r, b * r) for r in rs]
-        hits = sm.intersections(
-            model, [(p + lo, p + hi) for lo, hi in windows] if p else windows)
+        # -x lies in (-p + a*r, -p + b*r)
+        rows = sm.grid_hits(model, p, wide, epsilon, radii)
         if mirror is not None:
-            left = sm.intersections(mirror,
-                                    [(lo - p, hi - p) for lo, hi in windows])
-            hits = [hit or mirrored for hit, mirrored in zip(hits, left)]
-    return tuple(sorted(n for n, hit in zip(ns, hits) if hit))
+            left = sm.grid_hits(mirror, -p, wide, epsilon, radii)
+            rows = [tuple(sorted({*hits, *mirrored}))
+                    for hits, mirrored in zip(rows, left)]
+        far = dict(zip(wide, rows))
+    out = []
+    for t in t_grid:
+        if t < epsilon:
+            # the windows (p - b*r, p + b*r) are nested: one meets the set
+            # exactly when b*r exceeds the distance from p to the set
+            b = t + epsilon
+            out.append(tuple(n for n, r in enumerate(radii, 1)
+                             if b * r > dist))
+        else:
+            out.append(tuple(i + 1 for i in far[t]))
+    return out
 
 
 def spectrum_contains(model, p, t, epsilon, scaling,
@@ -214,16 +218,16 @@ def compare_spectra(model, p, scaling_1, scaling_2, t_grid, epsilon,
                     persistence: int = DEFAULT_PERSISTENCE) -> SpectrumComparison:
     """Probe both scalings over a t grid and report where verdicts differ.
     The inputs are checked, the probe is built, and each scaling's radii
-    r_1..r_horizon are evaluated and sorted once for the grid."""
+    r_1..r_horizon are evaluated once and scanned for the whole grid."""
     if persistence < 1:
         raise InputError("persistence must be at least 1")
     t_grid, epsilon, probe = _window_probe(model, p, t_grid, epsilon, horizon)
     radii = (_radii(scaling_1, horizon), _radii(scaling_2, horizon))
+    hits = [_scan(probe, t_grid, epsilon, rs) for rs in radii]
     rows = []
     differing = []
-    for t in t_grid:
-        hits_1 = set(_scan(probe, t, epsilon, radii[0]))
-        hits_2 = set(_scan(probe, t, epsilon, radii[1]))
+    for t, hits_1, hits_2 in zip(t_grid, *hits):
+        hits_1, hits_2 = set(hits_1), set(hits_2)
         status_1 = ("present" if len(hits_1) >= persistence
                     else "absent_at_horizon")
         status_2 = ("present" if len(hits_2) >= persistence

@@ -474,6 +474,26 @@ def test_malformed_fields_name_the_kind_and_the_field(
     ("pseudo", {"fuzz": {"max_points": 1}}, "max_points"),
     ("porosity", {"model": GP2, "threshold": "-1"}, "threshold"),
     ("porosity", {"model": GP2, "threshold": 0}, "threshold"),
+    # a t grid must be a list: a string was read one character at a time
+    ("epsilon", {"y_model": LINE, "z_model": LATTICE, "t_grid": "48"},
+     "t_grid"),
+    ("equiv", {"y_model": GP2, "z_model": RAY, "t_grid": "12"}, "t_grid"),
+    ("spectrum", dict(SPECTRUM_CONFIG, t_grid="12"), "t_grid"),
+    ("spectrum", dict(SPECTRUM_CONFIG, t_grid=5), "t_grid"),
+    ("spectrum", dict(SPECTRUM_CONFIG, t_grid=["1/2", "x"]), "t_grid"),
+    # a scalar that is not a rational names its key
+    ("spectrum", dict(SPECTRUM_CONFIG, epsilon="abc"), "epsilon"),
+    ("spectrum", dict(SPECTRUM_CONFIG, persistence="abc"), "persistence"),
+    ("spectrum", dict(SPECTRUM_CONFIG, horizon="abc"), "horizon"),
+    ("equiv", {"y_model": GP2, "z_model": RAY, "growth": "abc"}, "growth"),
+    ("porosity", {"model": GP2, "horizon_exponent": "1/2"},
+     "horizon_exponent"),
+    # so must the other lists of rationals, and the pseudo labels
+    ("classify-line", {"model": LATTICE, "k_samples": "48"}, "k_samples"),
+    ("classify-line", {"model": LATTICE, "window": "abc"}, "window"),
+    ("pseudo", {"labels": ["a", "b"], "table": ["00", "00"]}, "table"),
+    ("pseudo", {"labels": ["a", "b"], "table": "12"}, "table"),
+    ("pseudo", {"labels": "ab", "table": [[0, 1], [1, 0]]}, "labels"),
 ])
 def test_config_errors_name_the_key(tmp_path, capsys, command, cfg, key):
     # never a traceback (exit 1 is a negative verdict) nor a bare KeyError

@@ -641,15 +641,15 @@ def test_porosity_of_the_pinned_union_lists_no_window(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The carried-cursor sweep against the oracle
+# The grid walk against the oracle
 
 
-# how one window's lo moves on from the last: not at all (a repeated
-# window), a short step, a power-of-2 jump that leaves the cursor behind
-# (it must re-seek), or up to the next component end (None)
-MOVES = st.one_of(st.just(F(0)), fractions(0, 1, 8),
-                  st.integers(0, 5).map(lambda k: F(2) ** k), st.just(None))
-WIDTHS = fractions(-1, 3, 8)  # hi - lo; a width <= 0 is an empty window
+# a grid point: a repeat, a close neighbour (windows that overlap) or a
+# jump that leaves the cursor behind (it must re-seek), and t < 0 as well,
+# since grid_hits answers any window (p + (t - eps) r, p + (t + eps) r)
+GRID_TS = fractions(-2, 6, 8)
+RADII = st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), F(4), F(8)])
+EPSILONS = st.sampled_from([F(1, 16), F(1, 8), F(1, 4), F(3, 4)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -659,44 +659,58 @@ def test_carried_sweep_matches_the_oracle(model, data, budget):
     pieces, acc = oracle(model)
     ends = sorted({e for piece in pieces for e in piece})
     near = [e for e in ends if abs(e) <= QUERY_SPAN]
-    # start at a query point, at 0 (where GeometricBlocks accumulates), or
-    # at a component end
-    lo = data.draw(st.one_of(POINTS, st.just(F(0)),
-                             st.sampled_from(near or [F(0)])))
-    hi, windows = lo, []
-    for move, width in data.draw(st.lists(st.tuples(MOVES, WIDTHS),
-                                          min_size=1, max_size=12)):
-        if move is None:
-            lo = next((e for e in ends if e > lo), lo)
-        else:
-            lo += move
-        hi = max(hi, lo + width)
-        if hi > B / 2:  # the oracle lists the set inside [-B, B] only
-            break
-        windows.append((lo, hi))
+    # a base point at a query point, at 0 (where GeometricBlocks
+    # accumulates) or at a component end; windows stay inside [-B/2, B/2]
+    p = data.draw(st.one_of(POINTS, st.just(F(0)),
+                            st.sampled_from(near or [F(0)])))
+    eps = data.draw(EPSILONS)
+    grid = data.draw(st.lists(GRID_TS, min_size=1, max_size=12))
+    radii = data.draw(st.lists(RADII, min_size=1, max_size=4))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(setmodels, "SEEK_AFTER", budget)
-        got = setmodels.intersections(model, windows)
-    assert got == [lo < hi and o_intersects(pieces, acc, lo, hi)
-                   for lo, hi in windows]
-    assert got == [intersects_open_interval(model, lo, hi)
-                   for lo, hi in windows]
+        got = setmodels.grid_hits(model, p, grid, eps, radii)
+    windows = [[(p + (t - eps) * r, p + (t + eps) * r) for r in radii]
+               for t in grid]
+    assert got == [tuple(i for i, (lo, hi) in enumerate(row)
+                         if o_intersects(pieces, acc, lo, hi))
+                   for row in windows]
+    assert got == [tuple(i for i, (lo, hi) in enumerate(row)
+                         if intersects_open_interval(model, lo, hi))
+                   for row in windows]
 
 
 def test_carried_sweep_steps_past_the_accumulation_at_zero():
-    # from lo <= 0 the blocks' cursor stops at the marker at 0; the sweep
-    # must re-seek to see the blocks above it
+    # from lo <= 0 the blocks' cursor stops at the marker at 0; the walk
+    # must re-seek to see the blocks above it. At r = 1 and eps = 1/16 the
+    # windows are (-1/8, 0), (0, 1/8), (5/4, 11/8) twice, (31/16, 33/16)
+    # and 2**20 -+ 1/16
     model = FiniteUnion((GB2, GeometricPoints(F(3), F(1), 0)))
-    windows = [(F(-1), F(0)), (F(0), F(1, 8)), (F(5, 4), F(11, 8)),
-               (F(5, 4), F(11, 8)), (F(2), F(5, 2)), (F(2) ** 20, F(2) ** 21)]
-    assert setmodels.intersections(model, windows) == [
-        False, True, True, True, True, True]
-    assert setmodels.intersections(GB2, windows[2:3]) == [True]
+    grid = [F(-1, 16), F(1, 16), F(21, 16), F(21, 16), F(2), F(2) ** 20]
+    assert setmodels.grid_hits(model, F(0), grid, F(1, 16), [F(1)]) == [
+        (), (0,), (0,), (0,), (0,), (0,)]
+    assert setmodels.grid_hits(GB2, F(0), grid[2:3], F(1, 16), [F(1)]) \
+        == [(0,)]
 
 
-def test_carried_sweep_rejects_a_descending_lower_end():
-    with pytest.raises(InputError, match="ascend"):
-        setmodels.intersections(GP2, [(F(2), F(3)), (F(1), F(4))])
+def test_cover_rule_needs_windows_wider_than_twice_the_cover():
+    # past the reach 2 of a step-1 lattice (cover 1/2), the window (3, 4)
+    # of eps * r = 1/2 holds no point; the wider (15/4, 5) holds 4
+    lattice = Lattice(F(1), F(0), "plus")
+    assert setmodels.grid_hits(lattice, F(0), [F(7, 4)], F(1, 4),
+                               [F(2), F(5, 2)]) == [(1,)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=trees(3), p=POINTS, eps=EPSILONS,
+       grid=st.lists(GRID_TS, min_size=1, max_size=5).flatmap(
+           lambda ts: st.permutations(ts * 2)),
+       radii=st.lists(RADII, min_size=1, max_size=4))
+def test_grid_hits_answer_an_unsorted_grid_like_its_sorted_set(
+        model, p, eps, grid, radii):
+    ts = sorted(set(grid))
+    rows = dict(zip(ts, setmodels.grid_hits(model, p, ts, eps, radii)))
+    assert setmodels.grid_hits(model, p, grid, eps, radii) \
+        == [rows[t] for t in grid]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from farfield import (
     FiniteModification,
@@ -33,6 +35,7 @@ from farfield import (
     window_hits,
 )
 from farfield import setmodels
+from test_setmodels_oracle import fractions, trees
 
 F = Fraction
 
@@ -279,7 +282,7 @@ def test_window_hits_match_direct_distances(model, p):
 
 
 # ---------------------------------------------------------------------------
-# The carried sweep against one query per window
+# The grid walk against one query per window
 
 
 def per_window_hits(model, p, t, eps, scaling, horizon):
@@ -348,8 +351,10 @@ def test_sweep_matches_one_query_per_window(model, p, scaling):
         assert first == min(hits_1 ^ hits_2, default=None), t
 
 
-def test_union_grid_sweeps_instead_of_querying_each_window(monkeypatch):
-    calls = {"intersects_open_interval": 0, "ipow_floor_log": 0}
+def count_calls(monkeypatch, *names):
+    """A dict counting the calls of each named setmodels function from
+    here on (calls from inside setmodels too)."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         original = getattr(setmodels, name)
@@ -359,8 +364,14 @@ def test_union_grid_sweeps_instead_of_querying_each_window(monkeypatch):
             return original(*args)
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(setmodels, name, counted(name))
+    return calls
+
+
+def test_union_grid_sweeps_instead_of_querying_each_window(monkeypatch):
+    calls = count_calls(monkeypatch, "intersects_open_interval",
+                        "ipow_floor_log")
     # the union spectrum slot of the benchmark's query mix
     model = FiniteUnion((GP2, GeometricPoints(F(3), F(3, 2), 0)))
     s1 = PolynomialScaling(2, F(3, 2))
@@ -370,3 +381,62 @@ def test_union_grid_sweeps_instead_of_querying_each_window(monkeypatch):
     compare_spectra(model, F(0), s1, s2, grid, F(1, 50), 50, 8)
     assert calls["intersects_open_interval"] == 0
     assert calls["ipow_floor_log"] <= 2000
+
+
+def test_cover_rule_marks_a_dense_grid_without_a_walk(monkeypatch):
+    calls = count_calls(monkeypatch, "components",
+                        "intersects_open_interval", "ipow_floor_log")
+    # the lattice spectrum slot of the benchmark's query mix: from r = 4**2
+    # on, 2*eps*r exceeds the step, and from r = 4**4 on every window lies
+    # past the reach 2, where each one meets a lattice point
+    model = Lattice(F(1), F(0), "plus")
+    grid = [F(k, 16) for k in range(21)]
+    eps, horizon = F(1, 25), 50
+    scalings = GeometricScaling(F(4)), GeometricScaling(F(4), F(2))
+    comp = compare_spectra(model, F(0), *scalings, grid, eps, horizon, 40)
+    # two for the distance from p (t = 0 < eps), then at most one walk for
+    # each radius
+    assert calls["components"] <= 2 + 2 * horizon
+    assert calls["intersects_open_interval"] == 0
+    assert calls["ipow_floor_log"] <= 2000
+    for t, status_1, status_2, first in comp.rows:
+        hits = [set(per_window_hits(model, F(0), t, eps, scaling, horizon))
+                for scaling in scalings]
+        assert (status_1, status_2) == ("present", "present"), t
+        assert first == min(hits[0] ^ hits[1], default=None), t
+
+
+# scalings whose radii are geometric, polynomial and interleaved (out of
+# order); the oracle's queries stay cheap up to the horizon
+ORACLE_SCALINGS = st.sampled_from([
+    GEO, GeometricScaling(F(3, 2), F(1, 2)), PolynomialScaling(2, F(1, 2)),
+    PolynomialScaling(1, F(3)), MIXED])
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=trees(3), p=fractions(-6, 6, 4), data=st.data(),
+       scalings=st.tuples(ORACLE_SCALINGS, ORACLE_SCALINGS))
+def test_grid_scan_matches_one_query_per_window(model, p, data, scalings):
+    # p of either sign, so both sides are scanned; a grid with repeats,
+    # t < eps, t = eps (the window's lower end at p) and t past the reach
+    eps = data.draw(st.sampled_from([F(1, 20), F(1, 8), F(1, 2)]))
+    reach = setmodels.eventual_shape(model).reach
+    ts = st.one_of(fractions(0, 3, 8), st.sampled_from(
+        [F(0), eps / 2, eps, reach, reach + 1, 2 * reach + eps]))
+    grid = data.draw(st.lists(ts, min_size=1, max_size=8))
+    grid += data.draw(st.lists(st.sampled_from(grid), max_size=2))
+    horizon = 10
+    want = [{t: per_window_hits(model, p, t, eps, scaling, horizon)
+             for t in grid} for scaling in scalings]
+    for t in grid:
+        assert window_hits(model, p, t, eps, scalings[0], horizon) \
+            == want[0][t], t
+    comp = compare_spectra(model, p, *scalings, grid, eps, horizon, 3)
+    assert [row[0] for row in comp.rows] == grid
+    for t, status_1, status_2, first in comp.rows:
+        hits_1, hits_2 = set(want[0][t]), set(want[1][t])
+        assert status_1 == ("present" if len(hits_1) >= 3
+                            else "absent_at_horizon"), t
+        assert status_2 == ("present" if len(hits_2) >= 3
+                            else "absent_at_horizon"), t
+        assert first == min(hits_1 ^ hits_2, default=None), t
