@@ -130,11 +130,7 @@ def _fmt_or_none(value):
 
 
 def _point(value):
-    if value is None:
-        return None
-    if isinstance(value, (list, tuple)):
-        return sm.as_rat_point(value)
-    return rat(value)
+    return None if value is None else sm.as_rat_point(value)
 
 
 def _require(cfg, key: str, where: str = "config"):
@@ -201,7 +197,7 @@ def _cmd_porosity(cfg, args, out: Path) -> int:
 def _cmd_epsilon(cfg, args, out: Path) -> int:
     y = sm.model_from_dict(_require(cfg, "y_model"))
     z = sm.model_from_dict(_require(cfg, "z_model"))
-    p = _point(cfg.get("p"))
+    p = _read(cfg, "p", _point) if "p" in cfg else None
     grid = _read(cfg, "t_grid", _rationals)
     curve = eq.epsilon_curve(y, z, p, grid)
     write_curve(out / "epsilon_curve.csv", _EPS_COLUMNS, curve.samples)
@@ -225,7 +221,7 @@ def _witness_payload(witness):
 def _cmd_equiv(cfg, args, out: Path) -> int:
     y = sm.model_from_dict(_require(cfg, "y_model"))
     z = sm.model_from_dict(_require(cfg, "z_model"))
-    p = _point(cfg.get("p"))
+    p = _read(cfg, "p", _point) if "p" in cfg else None
     grid = _read(cfg, "t_grid", _rationals) if "t_grid" in cfg else None
     horizon = args.horizon if args.horizon is not None else _read(
         cfg, "horizon", integer, eq.DEFAULT_HORIZON)
@@ -254,7 +250,7 @@ def _cmd_equiv(cfg, args, out: Path) -> int:
 
 def _cmd_spectrum(cfg, args, out: Path) -> int:
     model = sm.model_from_dict(_require(cfg, "model"))
-    p = _point(cfg.get("p", "0"))
+    p = _read(cfg, "p", _point, "0")
     scaling_1 = sl.scaling_from_dict(_require(cfg, "scaling_1"))
     scaling_2 = sl.scaling_from_dict(_require(cfg, "scaling_2"))
     grid = _read(cfg, "t_grid", _rationals)

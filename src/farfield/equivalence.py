@@ -45,9 +45,11 @@ A walk (`_window_sup`) merges the source components with the target's
 gaps, taking a step per target gap met: the source points in a gap are
 read from those nearest its midpoint. The subset test reads the same
 walks: a sup of 0 with every walked point inside the target's hulls and
-no removed point of the target in the source. In the plane a band
-source lies within max(0, s.c2 - t.c2, t.c1 - s.c1) of a band target
-(`setmodels.BANDS`). In either dimension a pair left "unknown" reads 0
+no removed point of the target in the source. In the plane both sets are
+read as products X x Y (`setmodels.factors`); the coordinates vary
+independently, so the sup is the hypotenuse of the factor sups (see
+`_sup_distance_2d`), and the subset test takes both factors. In either
+dimension a pair left "unknown" reads 0
 when the subset test places the source inside the target; a union or
 modification source, reflected or not, is split into its finite points
 and leaves (mirrored with it), since the sup over a union is the largest
@@ -64,11 +66,12 @@ from .errors import (InputError, InternalInvariantError,
 from .rationals import common_power, fmt, lcm, rat
 from . import setmodels
 from .setmodels import (
-    BANDS,
     FiniteModification,
     FiniteUnion,
     FullLine,
+    HALF_LINE,
     Reflected,
+    Segment,
     ambient_dim,
     as_rat_point,
     point_dim,
@@ -126,9 +129,8 @@ def is_structural_subset(a, b) -> bool:
             return True
     if ambient_dim(a) == 1:
         return _frame_subset(a, b)
-    if isinstance(a, BANDS) and isinstance(b, BANDS):
-        return b.c1 <= a.c1 and a.c2 <= b.c2
-    return False
+    pairs = setmodels.factors(a), setmodels.factors(b)
+    return None not in pairs and all(map(is_structural_subset, *pairs))
 
 
 def _frame_subset(a, b) -> bool:
@@ -457,17 +459,25 @@ def _side_sup(source, target, side, shapes, dils):
 
 
 def _sup_distance_2d(source, target) -> SupDistance:
-    """Band against band by `_band_sup` on the source's edges; any other
-    pair is "unknown"."""
-    if isinstance(source, BANDS) and isinstance(target, BANDS):
-        return SupDistance("value", _band_sup(source.c1, source.c2, target))
-    return _UNKNOWN
-
-
-def _band_sup(lo, hi, band) -> Fraction:
-    """The largest distance from a point (u, v), u >= 0 and lo <= v <= hi,
-    to a band: that of v to [c1, c2], largest at lo or hi."""
-    return max(ZERO, hi - band.c2, band.c1 - lo)
+    """X x Y against X' x Y' (`setmodels.factors`; "unknown" without them):
+    the distance from (x, y) is the hypotenuse of d(x, X') and d(y, Y'),
+    which vary independently, so the sup is the hypotenuse of the factor
+    sups. "infinite" when either is; "unknown", bounded by their sum, where
+    one is unknown or the hypotenuse is irrational."""
+    pairs = setmodels.factors(source), setmodels.factors(target)
+    if None in pairs:
+        return _UNKNOWN
+    sups = [sup_distance(*pair) for pair in zip(*pairs)]
+    if _INF in sups:
+        return _INF
+    values = [sup.value for sup in sups]
+    if None in values:
+        return _UNKNOWN
+    if all(sup.finite for sup in sups):
+        exact = setmodels.hypot(*values)
+        if exact is not None:
+            return SupDistance("value", exact)
+    return SupDistance("unknown", sum(values))
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +491,12 @@ def _slice_sup(slice_obj, other) -> Fraction:
     if slice_obj.kind == "points":
         return max(distance_to_set(other, pt) for pt in slice_obj.points)
     # vertical arc slice: points (u0 + sqrt(t^2 - v^2), v), v in [lo, hi],
-    # all with nonnegative first coordinate
-    if isinstance(other, BANDS):
-        return _band_sup(slice_obj.v_lo, slice_obj.v_hi, other)
+    # all with nonnegative first coordinate, so all in X where [0, inf) is
+    x, y = setmodels.factors(other) or (None, None)
+    if x is not None and is_structural_subset(HALF_LINE, x):
+        got = sup_distance(Segment(slice_obj.v_lo, slice_obj.v_hi), y)
+        if got.finite:
+            return got.value
     raise UnsupportedGeometryError(
         f"no closed-form arc supremum against {type(other).__name__}")
 

@@ -28,13 +28,5 @@ class SearchBudgetExceeded(RuntimeError):
     """An exhaustive search was aborted because it passed its size bound."""
 
 
-class GraphConstructionError(RuntimeError):
-    """Kept for API compatibility; no stability graph raises it any more."""
-
-    def __init__(self, message: str, pair: tuple = ()):
-        super().__init__(message)
-        self.pair = pair
-
-
 class InternalInvariantError(RuntimeError):
     """A self-check that should hold by construction failed."""

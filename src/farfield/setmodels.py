@@ -8,9 +8,11 @@ each with its codec (`Codec`): `model_from_dict`, `model_to_dict` and
 `scale_model` are generic loops over them.
 
 1-D points are Fractions, 2-D points are (Fraction, Fraction) pairs.
-Every planar leaf but a product is a band {(u, v): u >= 0, c1 <= v <= c2}
-(`BANDS`), the planar ray being the band of width 0, so membership,
-distance, nearest points and sphere slices read one formula on (c1, c2).
+Every planar model that `factors` reads is a product X x Y of 1-D models: a
+strip is [0, inf) x [c1, c2] (the second factor a `Segment`, which has no
+JSON kind), the planar ray [0, inf) x [0, 0], and a union whose parts share
+X is X x the union of their Ys. Membership, distance and nearest points
+are read per factor; sphere slices take [0, inf) x Segment only.
 GeometricBlocks spans all integer scales (it is exactly self-similar under
 its base), so it accumulates at 0; window decompositions that would have to
 list infinitely many tiny components report a truncation scale instead.
@@ -231,10 +233,32 @@ class Ray:
         if self.direction not in (1, -1):
             raise InputError("ray direction must be +1 or -1")
 
+    @property
+    def ends(self):
+        return ((self.origin, INF) if self.direction == 1
+                else (-INF, self.origin))
+
 
 @dataclass(frozen=True)
 class FullLine:
-    pass
+    ends: ClassVar[tuple] = (-INF, INF)
+
+
+@dataclass(frozen=True)
+class Segment:
+    """The interval [lo, hi]: the second factor of a strip or of the planar
+    ray. It has no JSON kind."""
+
+    lo: Fraction
+    hi: Fraction
+
+    @property
+    def ends(self):
+        return (self.lo, self.hi)
+
+
+INTERVALS = (Ray, FullLine, Segment)  # each with its ends, +-inf if open
+HALF_LINE = Ray(ZERO)
 
 
 @dataclass(frozen=True)
@@ -351,11 +375,7 @@ class HalfPlaneStrip:
 
 @dataclass(frozen=True)
 class PlanarRay:
-    """The nonnegative first-coordinate axis in the plane: the band of
-    width 0, whose edges are constants rather than fields."""
-
-    c1: ClassVar[Fraction] = ZERO
-    c2: ClassVar[Fraction] = ZERO
+    """The nonnegative first-coordinate axis in the plane."""
 
 
 @dataclass(frozen=True)
@@ -368,16 +388,32 @@ class Product2D:
             raise InputError("product factors must be 1-D models")
 
 
-BANDS = (HalfPlaneStrip, PlanarRay)  # {(u, v): u >= 0, c1 <= v <= c2}
+_FACTORS = {
+    HalfPlaneStrip: lambda m: (HALF_LINE, Segment(m.c1, m.c2)),
+    PlanarRay: lambda m: (HALF_LINE, Segment(ZERO, ZERO)),
+    Product2D: lambda m: (m.x, m.y),
+}
+
+
+def factors(model):
+    """(X, Y) with the planar model equal to X x Y, both 1-D models, or
+    None: a union takes X x the union of its parts' Ys where they share X."""
+    kind = type(model)
+    if kind is not FiniteUnion:
+        return _FACTORS[kind](model) if kind in _FACTORS else None
+    pairs = [factors(p) for p in model.parts]
+    if None in pairs or len({x for x, _ in pairs}) > 1:
+        return None
+    return pairs[0][0], FiniteUnion(tuple(y for _, y in pairs))
 
 
 def ambient_dim(model) -> int:
     kind = type(model)
     if kind is FiniteUnion:
         return ambient_dim(model.parts[0])
-    if kind not in _MODEL_KINDS.names:
+    if kind not in _MODEL_KINDS.names and kind is not Segment:
         raise InputError(f"not a set model: {model!r}")
-    return 2 if kind in BANDS or kind is Product2D else 1
+    return 2 if kind in _FACTORS else 1
 
 
 # ---------------------------------------------------------------------------
@@ -446,19 +482,14 @@ def _lattice_down(m: Lattice, x):
     return _negated(_lattice_up(mirror, -x))
 
 
-def _ray_up(m: Ray, x):
-    if m.direction == 1:
-        yield (m.origin, INF)
-    elif x <= m.origin:
-        yield (-INF, m.origin)
+def _interval_up(m, x):  # one of INTERVALS
+    if x <= m.ends[1]:
+        yield m.ends
 
 
-def _ray_down(m: Ray, x):
-    return _negated(_ray_up(Ray(-m.origin, -m.direction), -x))
-
-
-def _full_line(m: FullLine, x):
-    yield (-INF, INF)
+def _interval_down(m, x):
+    if x >= m.ends[0]:
+        yield m.ends
 
 
 def _geometric_points_up(m: GeometricPoints, x):
@@ -569,8 +600,7 @@ def _reflected(m: Reflected, x, direction):
 
 _CURSORS = {
     Lattice: (_lattice_up, _lattice_down),
-    Ray: (_ray_up, _ray_down),
-    FullLine: (_full_line, _full_line),
+    **dict.fromkeys(INTERVALS, (_interval_up, _interval_down)),
     GeometricPoints: (_geometric_points_up, _geometric_points_down),
     GeometricBlocks: (_geometric_blocks_up, _geometric_blocks_down),
     PeriodicBlocks: (_periodic_up, _periodic_down),
@@ -665,11 +695,9 @@ def _member(model, point) -> bool:
         return any(_member(p, point) for p in model.parts)
     if isinstance(model, Reflected):
         return _member(model.base, -point)
-    if isinstance(model, BANDS):
-        u, v = point
-        return u >= 0 and model.c1 <= v <= model.c2
-    if isinstance(model, Product2D):
-        return _member(model.x, point[0]) and _member(model.y, point[1])
+    if type(model) in _FACTORS:
+        x, y = _FACTORS[type(model)](model)
+        return _member(x, point[0]) and _member(y, point[1])
     c = next(components(model, point), None)
     return c is not None and c[0] <= point
 
@@ -689,14 +717,14 @@ def distance_to_set(model, point) -> Fraction:
         raise InputError("point dimension does not match model")
     if point_dim(point) == 1:
         return _distance_1d(model, point)
-    if isinstance(model, FiniteUnion):
+    pair = factors(model)
+    if pair is None:  # a union of products over different X
         return min(distance_to_set(p, point) for p in model.parts)
-    u, v = point
-    if isinstance(model, BANDS):
-        dx, dy = max(ZERO, -u), max(ZERO, v - model.c2, model.c1 - v)
-    else:  # a product
-        dx, dy = _distance_1d(model.x, u), _distance_1d(model.y, v)
-    return _hypot(dx, dy)
+    d = hypot(*map(_distance_1d, pair, point))
+    if d is None:
+        raise UnsupportedGeometryError(
+            "exact distance is irrational for this corner configuration")
+    return d
 
 
 def _distance_1d(model, x) -> Fraction:
@@ -712,44 +740,46 @@ def _distance_1d(model, x) -> Fraction:
     return min(gaps)
 
 
-def _hypot(dx: Fraction, dy: Fraction) -> Fraction:
-    """sqrt(dx**2 + dy**2) for dx, dy >= 0, exact: dx + dy where one is 0."""
+def hypot(dx: Fraction, dy: Fraction):
+    """sqrt(dx**2 + dy**2) for dx, dy >= 0 (dx + dy where one is 0), or
+    None where it is irrational."""
     if dx == 0 or dy == 0:
         return dx + dy
     square = dx * dx + dy * dy
     ns, ds = math.isqrt(square.numerator), math.isqrt(square.denominator)
     if ns * ns != square.numerator or ds * ds != square.denominator:
-        raise UnsupportedGeometryError(
-            "exact distance is irrational for this corner configuration"
-        )
+        return None
     return Fraction(ns, ds)
 
 
 def nearest_point(model, point, eps: Fraction = ZERO):
     """A set point achieving distance_to_set, or within eps when the
-    infimum is not attained. Ties break toward the smaller point."""
+    infimum is not attained. Ties break toward the smaller point. In the
+    plane each coordinate takes its factor's nearest point, within eps/2."""
     point = as_rat_point(point)
+    if point_dim(point) == 2 == ambient_dim(model):
+        pair = factors(model)
+        if pair is None:
+            raise UnsupportedGeometryError(
+                "nearest point unsupported for this model")
+        return tuple(nearest_point(m, x, rat(eps) / 2)
+                     for m, x in zip(pair, point))
     d = distance_to_set(model, point)
-    if ambient_dim(model) == 1:
-        for cand in (point - d, point + d):
+    for cand in (point - d, point + d):
+        if contains(model, cand):
+            return cand
+    # infimum not attained (accumulation or removed point)
+    if eps <= 0:
+        raise UnsupportedGeometryError(
+            "distance infimum not attained; pass eps > 0"
+        )
+    step = eps
+    for _ in range(64):
+        for cand in (point - d - step, point + d + step):
             if contains(model, cand):
                 return cand
-        # infimum not attained (accumulation or removed point)
-        if eps <= 0:
-            raise UnsupportedGeometryError(
-                "distance infimum not attained; pass eps > 0"
-            )
-        step = eps
-        for _ in range(64):
-            for cand in (point - d - step, point + d + step):
-                if contains(model, cand):
-                    return cand
-            step = step / 2
-        raise UnsupportedGeometryError("no set point within eps of infimum")
-    if isinstance(model, BANDS):
-        u, v = point
-        return (max(ZERO, u), min(max(v, model.c1), model.c2))
-    raise UnsupportedGeometryError("nearest point unsupported for this model")
+        step = step / 2
+    raise UnsupportedGeometryError("no set point within eps of infimum")
 
 
 # ---------------------------------------------------------------------------
@@ -758,14 +788,11 @@ def nearest_point(model, point, eps: Fraction = ZERO):
 
 @dataclass(frozen=True)
 class SphereSlice:
-    """S(p, t) intersected with a model: a finite point set, or for a band
-    of positive width an arc described by its reachable second-coordinate
-    range."""
+    """S(p, t) intersected with a model: a finite point set, or for a strip
+    an arc described by its reachable second-coordinate range."""
 
     kind: str  # points | arc
     points: tuple = ()
-    center: object = None
-    radius: Fraction = ZERO
     v_lo: Fraction = ZERO
     v_hi: Fraction = ZERO
 
@@ -782,12 +809,13 @@ def sphere_slice(model, p, t) -> SphereSlice:
         if point_dim(p) != 1:
             raise InputError("base point dimension mismatch")
         cands = (p - t, p + t)
-    elif not isinstance(model, BANDS):
-        raise UnsupportedGeometryError(
-            "sphere slice unsupported for this model")
-    else:
+    else:  # [0, inf) x [lo, hi] only
+        x, y = factors(model) or (None, None)
+        if x != HALF_LINE or type(y) is not Segment:
+            raise UnsupportedGeometryError(
+                "sphere slice unsupported for this model")
         u0, v0 = p
-        if model.c1 == model.c2:  # width 0: at most two points of the axis
+        if y.lo == y.hi:  # width 0: at most two points of the axis
             if v0 != 0:
                 raise UnsupportedGeometryError(
                     "base point must sit on the axis")
@@ -796,11 +824,8 @@ def sphere_slice(model, p, t) -> SphereSlice:
                 "strip slices need a base point on the nonnegative axis"
             )
         elif t > 0:
-            v_lo = max(-t, model.c1)
-            v_hi = min(t, model.c2)
             # every v in [v_lo, v_hi] is reached at u = u0 + sqrt(t^2 - v^2)
-            return SphereSlice("arc", center=p, radius=t, v_lo=v_lo,
-                               v_hi=v_hi)
+            return SphereSlice("arc", v_lo=max(-t, y.lo), v_hi=min(t, y.hi))
         cands = ((u0 - t, ZERO), (u0 + t, ZERO))
     pts = tuple(x for x in dict.fromkeys(cands) if contains(model, x))
     return SphereSlice("points", points=pts)
@@ -957,12 +982,18 @@ def _lattice_shape(m: Lattice):
         {-1: False, 1: False})
 
 
-def _ray_shape(m: Ray):
-    up = m.direction == 1
-    return EventualShape(abs(m.origin) + 1, ZERO,
-                         max(ZERO, m.origin) if up else None,
-                         {-1: None if up else ZERO, 1: ZERO if up else None},
-                         {-1: not up, 1: up})
+def _far_end(m):
+    """The largest finite |end| of one of INTERVALS, 0 for none."""
+    return max((abs(e) for e in m.ends if abs(e) != INF), default=ZERO)
+
+
+def _interval_shape(m):
+    lo, hi = m.ends
+    return EventualShape(_far_end(m) + 1, ZERO,
+                         max(ZERO, lo) if hi == INF and lo != -INF else None,
+                         {-1: ZERO if lo == -INF else None,
+                          1: ZERO if hi == INF else None},
+                         {-1: lo == -INF, 1: hi == INF})
 
 
 def _periodic_shape(m: PeriodicBlocks):
@@ -1017,10 +1048,7 @@ def _reflected_shape(m: Reflected):
 
 _SHAPES = {
     Lattice: _lattice_shape,
-    Ray: _ray_shape,
-    FullLine: lambda m: EventualShape(Fraction(1), ZERO, None,
-                                      {-1: ZERO, 1: ZERO},
-                                      {-1: True, 1: True}),
+    **dict.fromkeys(INTERVALS, _interval_shape),
     GeometricPoints: lambda m: EventualShape(
         abs(m.point(m.n0 + 1)) + 1, None, None, {-1: None, 1: None},
         {-1: False, 1: False}),
@@ -1090,8 +1118,9 @@ _DILATIONS = {
     Lattice: lambda m: (
         {-1: None, 1: None} if m.half == "full"
         else _bounded_side(m, 1 if m.half == "plus" else -1)),
-    Ray: lambda m: dict.fromkeys((-1, 1), Dilation(ONE, abs(m.origin))),
-    FullLine: lambda m: {-1: _EVERY, 1: _EVERY},
+    # past its finite ends an interval holds all or none of each side
+    **dict.fromkeys(INTERVALS, lambda m: dict.fromkeys(
+        (-1, 1), Dilation(ONE, _far_end(m)))),
     # x = c*q**(n0 - 1) is out of the set and q*x in it: the reach
     GeometricPoints: lambda m: {-1: _EVERY, 1: Dilation(m.q, m.first / m.q)},
     # for every x > 0: block n + 1 is block n scaled by q

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, UnsupportedGeometryError
+from .equivalence import is_structural_subset
 from .rationals import rat
 from . import setmodels as sm
 
@@ -54,14 +55,8 @@ def distance_set(model, p):
 def _distance_set_line(model, p):
     if p == 0 and sm.is_nonnegative_model(model):
         return model
-    if isinstance(model, sm.FullLine):
-        return sm.Ray(Fraction(0), 1)
-    if isinstance(model, sm.Ray):
-        if model.direction == 1:
-            gap = model.origin - p
-        else:
-            gap = p - model.origin
-        return sm.Ray(max(Fraction(0), gap), 1)
+    if isinstance(model, (sm.Ray, sm.FullLine)):
+        return sm.Ray(sm.distance_to_set(model, p))
     if isinstance(model, sm.Lattice):
         return _lattice_distance_set(model, p)
     if isinstance(model, sm.FiniteUnion):
@@ -106,10 +101,12 @@ def _distance_set_plane(model, p):
         raise UnsupportedGeometryError(
             "plane distance sets need a base point on the nonnegative axis"
         )
-    if isinstance(model, sm.BANDS):
-        # the axis ray beyond p lies inside every band, so every t >= 0
-        # occurs
-        return sm.Ray(Fraction(0), 1)
+    x, y = sm.factors(model) or (None, None)
+    if x is not None and is_structural_subset(sm.HALF_LINE, x) \
+            and sm.contains(y, 0):
+        # the set holds the axis ray [0, inf) x {0}, and p lies on it, so
+        # every t >= 0 occurs
+        return sm.HALF_LINE
     raise UnsupportedGeometryError(
         "distance set unsupported for this (model, p) pair"
     )

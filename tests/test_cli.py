@@ -252,6 +252,35 @@ def test_equiv_strip_or_ray_against_the_ray(tmp_path, y_model, z_model):
     assert (verdict["status"], verdict["bound"]) == ("equivalent_exact", "2")
 
 
+HALF_PLANE = {"kind": "product", "x": RAY, "y": LINE}
+HALF_PLANE_ROWS = {"kind": "product", "x": RAY, "y": LATTICE}
+STRIP = {"kind": "half_plane_strip", "c1": "-1", "c2": "2"}
+TWO_STRIPS = {"kind": "finite_union", "parts": [
+    {"kind": "half_plane_strip", "c1": "-1", "c2": "1"},
+    {"kind": "half_plane_strip", "c1": "-2", "c2": "1/2"}]}
+
+
+@pytest.mark.parametrize("y_model, z_model, bound", [
+    # [0, inf) x R lies within 1/2 of [0, inf) x Z
+    (HALF_PLANE, HALF_PLANE_ROWS, "1/2"),
+    (HALF_PLANE_ROWS, HALF_PLANE, "1/2"),
+    # the union is [0, inf) x [-2, 1], and the strip's top edge lies 1
+    # above it
+    (STRIP, TWO_STRIPS, "1"),
+    (TWO_STRIPS, STRIP, "1"),
+])
+def test_equiv_products_and_strip_unions_are_exact(tmp_path, y_model,
+                                                   z_model, bound):
+    # both exited 2 when the numeric rung could not slice the product or
+    # the union
+    code, out = run(tmp_path, "equiv",
+                    {"y_model": y_model, "z_model": z_model}, "--assert")
+    assert code == 0
+    verdict = json.loads((out / "equiv_verdict.json").read_text())
+    assert (verdict["status"], verdict["bound"]) == ("equivalent_exact",
+                                                     bound)
+
+
 # -- spectra ---------------------------------------------------------------------
 
 
@@ -494,6 +523,11 @@ def test_malformed_fields_name_the_kind_and_the_field(
     ("pseudo", {"labels": ["a", "b"], "table": ["00", "00"]}, "table"),
     ("pseudo", {"labels": ["a", "b"], "table": "12"}, "table"),
     ("pseudo", {"labels": "ab", "table": [[0, 1], [1, 0]]}, "labels"),
+    # so must a base point that is neither a rational nor a pair
+    ("epsilon", {"y_model": LINE, "z_model": LATTICE, "p": "abc",
+                 "t_grid": ["1"]}, "p"),
+    ("equiv", {"y_model": LINE, "z_model": LATTICE, "p": [1, 2, 3]}, "p"),
+    ("spectrum", dict(SPECTRUM_CONFIG, p="x"), "p"),
 ])
 def test_config_errors_name_the_key(tmp_path, capsys, command, cfg, key):
     # never a traceback (exit 1 is a negative verdict) nor a bare KeyError

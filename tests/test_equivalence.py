@@ -18,8 +18,10 @@ from farfield import (
     Lattice,
     PeriodicBlocks,
     PlanarRay,
+    Product2D,
     Ray,
     Reflected,
+    SupDistance,
     build_nearest_point_maps,
     check_eps_net,
     conditional_hausdorff,
@@ -92,6 +94,38 @@ def test_strip_and_planar_ray_are_equivalent_exact():
         verdict = decide_strong_equivalence(y, z)
         assert verdict.status == "equivalent_exact"
         assert verdict.bound == F(2)
+
+
+HALF_PLANE = Product2D(Ray(F(0)), FullLine())
+HALF_PLANE_ROWS = Product2D(Ray(F(0)), UNIT_LATTICE)
+STRIP = HalfPlaneStrip(F(-1), F(2))
+TWO_STRIPS = FiniteUnion((HalfPlaneStrip(F(-1), F(1)),
+                          HalfPlaneStrip(F(-2), F(1, 2))))
+
+
+@pytest.mark.parametrize("y, z, to_z, to_y", [
+    # the rows hold the integer heights; the half plane every height
+    (HALF_PLANE, HALF_PLANE_ROWS, F(1, 2), F(0)),
+    # the union is [0, inf) x [-2, 1], read as one strip: the strip's top
+    # edge lies 1 above it, and the union's bottom edge 1 below the strip
+    (STRIP, TWO_STRIPS, F(1), F(1)),
+])
+def test_planar_products_get_exact_sups_both_ways(y, z, to_z, to_y):
+    assert sup_distance(y, z) == SupDistance("value", to_z)
+    assert sup_distance(z, y) == SupDistance("value", to_y)
+    for a, b in ((y, z), (z, y)):
+        verdict = decide_strong_equivalence(a, b)
+        assert verdict.status == "equivalent_exact"
+        assert verdict.bound == max(to_z, to_y)
+
+
+def test_an_irrational_product_sup_is_unknown_below_the_factor_sum():
+    grid = Product2D(UNIT_LATTICE, UNIT_LATTICE)
+    plane = Product2D(FullLine(), FullLine())
+    assert sup_distance(grid, plane) == SupDistance("value", F(0))
+    assert is_structural_subset(grid, plane)
+    # every factor sup is 1/2, and the hypotenuse sqrt(2)/2 is irrational
+    assert sup_distance(plane, grid) == SupDistance("unknown", F(1))
 
 
 @pytest.mark.parametrize("step", [F(1), F(3, 2), F(2), F(5, 3)])

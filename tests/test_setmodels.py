@@ -40,6 +40,9 @@ from farfield import (
     sphere_slice,
     window_structure,
 )
+from farfield import setmodels
+from farfield.setmodels import (Dilation, Segment, components, dilation,
+                                eventual_shape, model_to_dict)
 
 F = Fraction
 
@@ -488,3 +491,39 @@ def test_other_ray_directions_are_rejected(direction):
     # never read as (-inf, origin] by default
     with pytest.raises(InputError, match="ray direction"):
         model_from_dict({"kind": "ray", "origin": "2", "direction": direction})
+
+
+INF = math.inf
+
+
+@pytest.mark.parametrize("model, lo, hi", [
+    (Ray(F(2)), F(2), INF),
+    (Ray(F(-3, 2), -1), -INF, F(-3, 2)),
+    (FullLine(), -INF, INF),
+    (Segment(F(-1), F(5, 2)), F(-1), F(5, 2)),
+    (Segment(F(0), F(0)), F(0), F(0)),
+], ids=repr)
+def test_rays_the_line_and_segments_read_one_interval_rule(model, lo, hi):
+    assert model.ends == (lo, hi)
+    for x in (F(k, 2) for k in range(-8, 9)):
+        assert contains(model, x) == (lo <= x <= hi)
+        assert list(components(model, x)) == ([(lo, hi)] if x <= hi else [])
+        assert list(components(model, x, -1)) == (
+            [(lo, hi)] if x >= lo else [])
+    far = max((abs(e) for e in (lo, hi) if abs(e) != INF), default=F(0))
+    shape = eventual_shape(model)
+    assert (shape.reach, shape.period) == (far + 1, 0)
+    assert shape.gap == (max(F(0), lo) if hi == INF and lo != -INF
+                         else None)
+    assert shape.cover == {-1: 0 if lo == -INF else None,
+                           1: 0 if hi == INF else None}
+    assert shape.long_runs == {-1: lo == -INF, 1: hi == INF}
+    assert dilation(model) == dict.fromkeys((-1, 1), Dilation(F(1), far))
+
+
+def test_a_segment_has_no_json_kind():
+    with pytest.raises(InputError, match="not a model"):
+        model_to_dict(Segment(F(-1), F(1)))
+    with pytest.raises(InputError, match="unknown model kind"):
+        model_from_dict({"kind": "segment", "lo": "-1", "hi": "1"})
+    assert setmodels.ambient_dim(Segment(F(-1), F(1))) == 1
