@@ -149,6 +149,15 @@ def _read(cfg, key: str, read=rat, default=None):
         raise InputError(f"config key {key!r}: {exc}") from None
 
 
+def _positive(cfg, key: str, default):
+    """The rational at cfg[key] (or the default), refused unless > 0."""
+    value = _read(cfg, key, rat, default)
+    if value <= 0:
+        raise InputError(f"config key {key!r} must be positive, "
+                         f"not {fmt(value)}")
+    return value
+
+
 def _listed(value) -> list:
     # a string would pass as a list of its characters
     if not isinstance(value, list):
@@ -172,10 +181,7 @@ def _cmd_porosity(cfg, args, out: Path) -> int:
     model = sm.model_from_dict(_require(cfg, "model"))
     exponent = args.horizon if args.horizon is not None else _read(
         cfg, "horizon_exponent", integer, por.DEFAULT_HORIZON_EXPONENT)
-    threshold = _read(cfg, "threshold", rat, Fraction(1, 100))
-    if threshold <= 0:
-        raise InputError(f"config key 'threshold' must be positive, "
-                         f"not {fmt(threshold)}")
+    threshold = _positive(cfg, "threshold", Fraction(1, 100))
     result = por.porosity_at_infinity(model, exponent)
     verdict = por.is_porous_at_infinity(model, threshold, exponent)
     write_curve(out / "porosity_trace.csv",
@@ -225,11 +231,10 @@ def _cmd_equiv(cfg, args, out: Path) -> int:
     grid = _read(cfg, "t_grid", _rationals) if "t_grid" in cfg else None
     horizon = args.horizon if args.horizon is not None else _read(
         cfg, "horizon", integer, eq.DEFAULT_HORIZON)
+    growth = _read(cfg, "growth", rat, eq.DEFAULT_GROWTH)
+    threshold = _positive(cfg, "threshold", eq.DEFAULT_THRESHOLD)
     verdict = eq.decide_strong_equivalence(
-        y, z, p,
-        growth=_read(cfg, "growth", rat, eq.DEFAULT_GROWTH),
-        horizon=horizon,
-        threshold=_read(cfg, "threshold", rat, eq.DEFAULT_THRESHOLD))
+        y, z, p, growth=growth, horizon=horizon, threshold=threshold)
     write_json(out / "equiv_verdict.json", {
         "status": verdict.status,
         "bound": _fmt_or_none(verdict.bound),

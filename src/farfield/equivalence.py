@@ -86,6 +86,7 @@ ONE = Fraction(1)
 
 DEFAULT_GROWTH = Fraction(2)
 DEFAULT_HORIZON = 32
+RUNG_RADII = 10  # the numeric rung reads eps(t)/t at this many last radii
 DEFAULT_THRESHOLD = Fraction(1, 1000)
 WITNESS_SEARCH_WINDOW = 24
 
@@ -484,28 +485,40 @@ def _sup_distance_2d(source, target) -> SupDistance:
 # Sphere defect eps(t)
 
 
-def _slice_sup(slice_obj, other) -> Fraction:
-    """Exact sup of dist(., other) over a sphere slice; empty slice -> 0."""
+def _slice_sup(slice_obj, other, arcs) -> Fraction:
+    """Exact sup of dist(., other) over a sphere slice; empty slice -> 0.
+    An arc's sup depends on its range and `other` alone, so the dict
+    `arcs` keeps each one read."""
     if slice_obj.is_empty():
         return ZERO
     if slice_obj.kind == "points":
         return max(distance_to_set(other, pt) for pt in slice_obj.points)
-    # vertical arc slice: points (u0 + sqrt(t^2 - v^2), v), v in [lo, hi],
-    # all with nonnegative first coordinate, so all in X where [0, inf) is
+    key = other, slice_obj.v_lo, slice_obj.v_hi
+    if key not in arcs:
+        arcs[key] = _arc_sup(*key)
+    return arcs[key]
+
+
+def _arc_sup(other, v_lo, v_hi) -> Fraction:
+    """sup of dist(., other) over the vertical arc slice: points
+    (u0 + sqrt(t^2 - v^2), v), v in [v_lo, v_hi], all with nonnegative
+    first coordinate, so all in X where [0, inf) is."""
     x, y = setmodels.factors(other) or (None, None)
     if x is not None and is_structural_subset(HALF_LINE, x):
-        got = sup_distance(Segment(slice_obj.v_lo, slice_obj.v_hi), y)
+        got = sup_distance(Segment(v_lo, v_hi), y)
         if got.finite:
             return got.value
     raise UnsupportedGeometryError(
         f"no closed-form arc supremum against {type(other).__name__}")
 
 
-def epsilon_t(y_model, z_model, p, t):
+def epsilon_t(y_model, z_model, p, t, arcs=None):
     """Directed sphere defects at radius t: (eps(t, Z, Y), eps(t, Y, Z)).
 
     The first component sups over the t-sphere slice of Z the distance to
-    Y; the second swaps the roles.  Empty slices contribute 0.
+    Y; the second swaps the roles.  Empty slices contribute 0. `arcs`, a
+    dict that calls may share, keeps each arc slice's sup by its range
+    and target, so a repeated arc is read once.
     """
     t = rat(t)
     if t <= 0:
@@ -516,7 +529,9 @@ def epsilon_t(y_model, z_model, p, t):
     p = _normalize_point(p, dim)
     z_slice = sphere_slice(z_model, p, t)
     y_slice = sphere_slice(y_model, p, t)
-    return _slice_sup(z_slice, y_model), _slice_sup(y_slice, z_model)
+    arcs = {} if arcs is None else arcs
+    return (_slice_sup(z_slice, y_model, arcs),
+            _slice_sup(y_slice, z_model, arcs))
 
 
 @dataclass(frozen=True)
@@ -531,6 +546,9 @@ class EpsilonCurve:
 
 
 def epsilon_curve(y_model, z_model, p, t_grid) -> EpsilonCurve:
+    """eps(t) at each radius of the grid by `epsilon_t`. Once t passes a
+    strip's half-widths its arc slice stops changing, so the calls share
+    one dict of arc sups and read each distinct arc once."""
     ts = [rat(t) for t in t_grid]
     if not ts:
         raise InputError("empty radius grid")
@@ -538,9 +556,9 @@ def epsilon_curve(y_model, z_model, p, t_grid) -> EpsilonCurve:
         raise InputError("radius grid must be positive")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise InputError("radius grid must be strictly increasing")
-    rows = []
+    rows, arcs = [], {}
     for t in ts:
-        e_zy, e_yz = epsilon_t(y_model, z_model, p, t)
+        e_zy, e_yz = epsilon_t(y_model, z_model, p, t, arcs)
         eps = max(e_zy, e_yz)
         rows.append((t, e_zy, e_yz, eps, eps / t))
     return EpsilonCurve(tuple(rows))
@@ -703,8 +721,10 @@ def decide_strong_equivalence(y_model, z_model, p=None,
     Tries, in order: an exact constant bound on eps(t) (covering-style
     suprema, valid for every t at once), an exact diverging witness
     family with eps(t_m) >= c*t_m, and finally a numeric decay probe of
-    eps(t)/t over a geometric radius grid.  The numeric verdict is
-    explicitly non-certified.
+    eps(t)/t below threshold (> 0) at the last RUNG_RADII = 10 radii
+    growth**(horizon - 9) .. growth**horizon only (`_numeric_verdict`):
+    horizon sets where that probe sits, not how many rows it computes.
+    The numeric verdict is explicitly non-certified.
     """
     dim = ambient_dim(y_model)
     if ambient_dim(z_model) != dim:
@@ -716,6 +736,8 @@ def decide_strong_equivalence(y_model, z_model, p=None,
         raise InputError("grid growth must exceed 1")
     if horizon < 4:
         raise InputError("horizon too small to say anything")
+    if threshold <= 0:
+        raise InputError("decay threshold must be positive")
 
     to_y = sup_distance(z_model, y_model)
     to_z = sup_distance(y_model, z_model)
@@ -732,10 +754,16 @@ def decide_strong_equivalence(y_model, z_model, p=None,
                 "not_equivalent", witness=witness,
                 note="eps(t_m)/t_m >= c > 0 along diverging radii")
 
-    grid = [growth ** k for k in range(1, horizon + 1)]
-    curve = epsilon_curve(y_model, z_model, p, grid)
-    tail = min(10, len(curve.samples))
-    worst = curve.max_ratio(tail)
+    return _numeric_verdict(y_model, z_model, p, growth, horizon, threshold)
+
+
+def _numeric_verdict(y_model, z_model, p, growth, horizon, threshold):
+    """The last rung: the largest eps(t)/t over the last RUNG_RADII radii
+    growth**k, k <= horizon (all of them below RUNG_RADII), against the
+    threshold; no other radius is evaluated."""
+    first = max(1, horizon - RUNG_RADII + 1)
+    grid = [growth ** k for k in range(first, horizon + 1)]
+    worst = epsilon_curve(y_model, z_model, p, grid).max_ratio()
     if worst < threshold:
         return EquivalenceVerdict(
             "equivalent_numerical", max_ratio=worst,
@@ -761,7 +789,7 @@ class HausdorffResult:
 
 def _one_sided(a_like, target) -> SupDistance:
     if isinstance(a_like, setmodels.SphereSlice):
-        return SupDistance("value", _slice_sup(a_like, target))
+        return SupDistance("value", _slice_sup(a_like, target, {}))
     if isinstance(a_like, (list, tuple)):
         if not a_like:
             return _VALUE0

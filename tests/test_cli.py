@@ -12,6 +12,7 @@ from farfield import setmodels
 from farfield.cli import build_parser, main, write_json
 
 GP2 = {"kind": "geometric_points", "q": "2", "c": "1", "n0": 0}
+GP3 = {"kind": "geometric_points", "q": "3", "c": "1", "n0": 0}
 RAY = {"kind": "ray", "origin": "0", "direction": "+"}
 LINE = {"kind": "full_line"}
 LATTICE = {"kind": "lattice", "step": "1", "offset": "0", "half": "full"}
@@ -528,6 +529,10 @@ def test_malformed_fields_name_the_kind_and_the_field(
                  "t_grid": ["1"]}, "p"),
     ("equiv", {"y_model": LINE, "z_model": LATTICE, "p": [1, 2, 3]}, "p"),
     ("spectrum", dict(SPECTRUM_CONFIG, p="x"), "p"),
+    # an equiv threshold <= 0 read a ratio of 0 as "no numeric decay"
+    ("equiv", {"y_model": GP2, "z_model": GP3, "threshold": "-1"},
+     "threshold"),
+    ("equiv", {"y_model": GP2, "z_model": GP3, "threshold": 0}, "threshold"),
 ])
 def test_config_errors_name_the_key(tmp_path, capsys, command, cfg, key):
     # never a traceback (exit 1 is a negative verdict) nor a bare KeyError

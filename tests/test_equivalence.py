@@ -5,7 +5,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from farfield import (
@@ -33,11 +33,14 @@ from farfield import (
     sphere_slice,
     sup_distance,
 )
-from farfield import setmodels
+from farfield import equivalence, setmodels
 from farfield.equivalence import (
+    DEFAULT_THRESHOLD,
+    RUNG_RADII,
     WitnessFamily,
     _family_membership_persists,
     _gap_midpoint_family,
+    _numeric_verdict,
     is_structural_subset,
 )
 from farfield.errors import InputError, InternalInvariantError
@@ -254,6 +257,84 @@ def test_numeric_stall_is_inconclusive():
     assert verdict.bound is None and verdict.witness is None
     # the ratio genuinely refuses to decay for these two scales
     assert verdict.max_ratio > F(1, 10)
+
+
+def full_curve_rung(y, z, p, growth, horizon, threshold):
+    """(status, max_ratio) of the numeric rung read off the whole grid
+    growth**1 .. growth**horizon, each row its own `epsilon_t` call: the
+    largest eps(t)/t over the last min(RUNG_RADII, horizon) rows."""
+    ts = [growth ** k for k in range(1, horizon + 1)]
+    ratios = [max(epsilon_t(y, z, p, t)) / t for t in ts]
+    worst = max(ratios[-min(RUNG_RADII, horizon):])
+    status = "equivalent_numerical" if worst < threshold else "inconclusive"
+    return status, worst
+
+
+GEOMETRIC = st.builds(GeometricPoints,
+                      st.sampled_from([F(3, 2), F(2), F(3)]),
+                      st.sampled_from([F(1), F(1, 2), F(3, 5)]),
+                      st.just(0))
+LINE_SETS = st.one_of(
+    GEOMETRIC,
+    st.tuples(GEOMETRIC, GEOMETRIC).map(FiniteUnion),
+    st.builds(FiniteModification, GEOMETRIC,
+              st.sampled_from([(), (F(5),), (F(7, 2), F(-3))]),
+              st.sampled_from([(), (F(1),), (F(2), F(4))])),
+    st.builds(lambda step, gp: FiniteUnion((Lattice(step, F(0)), gp)),
+              st.sampled_from([F(1), F(5, 2)]), GEOMETRIC))
+LINE_PAIRS = st.tuples(LINE_SETS, LINE_SETS,
+                       st.sampled_from([F(0), F(1), F(-1, 2)]))
+STRIPS = st.one_of(
+    st.just(PlanarRay()),
+    st.builds(HalfPlaneStrip, st.sampled_from([F(-1), F(-2), F(-1, 2)]),
+              st.sampled_from([F(1, 2), F(1), F(2), F(3)])))
+STRIP_PAIRS = st.tuples(STRIPS, STRIPS, st.sampled_from(
+    [(F(0), F(0)), (F(1), F(0)), (F(1, 2), F(0))]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=st.one_of(LINE_PAIRS, STRIP_PAIRS),
+       growth=st.sampled_from([F(3, 2), F(2), F(3)]),
+       horizon=st.integers(4, 40),
+       threshold=st.sampled_from([DEFAULT_THRESHOLD, F(1, 10), F(1, 2)]))
+@example(pair=(GP3, GP2, F(0)), growth=F(2), horizon=32,
+         threshold=DEFAULT_THRESHOLD)
+@example(pair=(GP3, GP2, F(0)), growth=F(2), horizon=5,
+         threshold=DEFAULT_THRESHOLD)
+def test_numeric_rung_matches_the_full_curve(pair, growth, horizon,
+                                             threshold):
+    # the rung evaluates only the radii it reads; reading them off the
+    # whole grid, with no arc sup shared between rows, gives the same
+    y, z, p = pair
+    expected = full_curve_rung(y, z, p, growth, horizon, threshold)
+    rung = _numeric_verdict(y, z, p, growth, horizon, threshold)
+    assert (rung.status, rung.max_ratio) == expected
+    verdict = decide_strong_equivalence(y, z, p, growth, horizon, threshold)
+    if verdict.status in ("equivalent_numerical", "inconclusive"):
+        assert (verdict.status, verdict.max_ratio) == expected
+
+
+def test_numeric_rung_evaluates_only_the_radii_it_reads(count_calls):
+    calls = count_calls(equivalence, "epsilon_t")
+    for horizon, rows in ((200, 10), (5, 5)):
+        calls["epsilon_t"] = 0
+        _numeric_verdict(GP3, GP2, F(0), F(2), horizon, DEFAULT_THRESHOLD)
+        assert calls["epsilon_t"] == rows
+    # through the whole ladder the witness probe adds the same calls at
+    # every horizon, so only the rung's rows tell the two apart
+    made = []
+    for horizon in (200, 5):
+        calls["epsilon_t"] = 0
+        assert decide_strong_equivalence(
+            GP3, GP2, horizon=horizon).status == "inconclusive"
+        made.append(calls["epsilon_t"])
+    assert made[0] - made[1] == 10 - 5
+
+
+def test_decay_threshold_must_be_positive():
+    for threshold in (F(0), F(-1)):
+        with pytest.raises(InputError, match="threshold"):
+            decide_strong_equivalence(GP2, GP3, threshold=threshold)
 
 
 # -- sup distances --------------------------------------------------------
@@ -651,6 +732,18 @@ def test_epsilon_curve_rejects_bad_grids():
         epsilon_curve(y, z, None, [F(2), F(1)])
     with pytest.raises(InputError):
         epsilon_curve(y, z, None, [F(0), F(1)])
+
+
+def test_epsilon_curve_reads_each_arc_sup_once(count_calls):
+    # strip(-1, 2) against the planar ray: the strip's arc is (-1/2, 1/2)
+    # at t = 1/2, (-1, 1) at t = 1 and (-1, 2) at every t >= 2
+    strip, ray = HalfPlaneStrip(F(-1), F(2)), PlanarRay()
+    grid = [F(1, 2), F(1)] + [F(2) ** k for k in range(1, 13)]
+    rows = [epsilon_t(strip, ray, None, t) for t in grid]
+    calls = count_calls(equivalence, "sup_distance")
+    curve = epsilon_curve(strip, ray, None, grid)
+    assert calls["sup_distance"] == 3
+    assert [row[1:3] for row in curve.samples] == rows
 
 
 def test_base_point_must_match_the_dimension():

@@ -620,19 +620,8 @@ def test_longest_gaps_rejects_descending_horizons(model):
         longest_gaps(model, [F(2), F(1)])
 
 
-def test_porosity_of_the_pinned_union_lists_no_window(monkeypatch):
-    calls = {"window_structure": 0, "longest_gaps": 0}
-
-    def counted(name):
-        original = getattr(setmodels, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(setmodels, name, counted(name))
+def test_porosity_of_the_pinned_union_lists_no_window(count_calls):
+    calls = count_calls(setmodels, "window_structure", "longest_gaps")
     model = FiniteUnion((GeometricPoints(F(12, 11), F(1), 0),
                          GeometricPoints(F(12, 11), F(23, 22), 0)))
     result = porosity_at_infinity(model, 180)

@@ -351,26 +351,8 @@ def test_sweep_matches_one_query_per_window(model, p, scaling):
         assert first == min(hits_1 ^ hits_2, default=None), t
 
 
-def count_calls(monkeypatch, *names):
-    """A dict counting the calls of each named setmodels function from
-    here on (calls from inside setmodels too)."""
-    calls = dict.fromkeys(names, 0)
-
-    def counted(name):
-        original = getattr(setmodels, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-        return wrapper
-
-    for name in names:
-        monkeypatch.setattr(setmodels, name, counted(name))
-    return calls
-
-
-def test_union_grid_sweeps_instead_of_querying_each_window(monkeypatch):
-    calls = count_calls(monkeypatch, "intersects_open_interval",
+def test_union_grid_sweeps_instead_of_querying_each_window(count_calls):
+    calls = count_calls(setmodels, "intersects_open_interval",
                         "ipow_floor_log")
     # the union spectrum slot of the benchmark's query mix
     model = FiniteUnion((GP2, GeometricPoints(F(3), F(3, 2), 0)))
@@ -383,8 +365,8 @@ def test_union_grid_sweeps_instead_of_querying_each_window(monkeypatch):
     assert calls["ipow_floor_log"] <= 2000
 
 
-def test_cover_rule_marks_a_dense_grid_without_a_walk(monkeypatch):
-    calls = count_calls(monkeypatch, "components",
+def test_cover_rule_marks_a_dense_grid_without_a_walk(count_calls):
+    calls = count_calls(setmodels, "components",
                         "intersects_open_interval", "ipow_floor_log")
     # the lattice spectrum slot of the benchmark's query mix: from r = 4**2
     # on, 2*eps*r exceeds the step, and from r = 4**4 on every window lies
