@@ -52,8 +52,9 @@ independently, so the sup is the hypotenuse of the factor sups (see
 dimension a pair left "unknown" reads 0
 when the subset test places the source inside the target; a union or
 modification source, reflected or not, is split into its finite points
-and leaves (mirrored with it), since the sup over a union is the largest
-over its parts; a union target gives 0 when one of its parts does.
+and leaves (`setmodels.leaves`, mirrored with it), since the sup over a
+union is the largest over its parts; a union target gives 0 when one of
+its parts does.
 """
 
 from __future__ import annotations
@@ -296,34 +297,18 @@ def _worst(sups) -> SupDistance:
     return SupDistance("value", best)
 
 
-def _flatten(model, removed, points, leaves, sign=1):
-    """Collect the finite points that modifications add and survive, and
-    the leaves (anything but a union or modification), each with the points
-    removed above it, all mirrored when sign is -1."""
-    if isinstance(model, FiniteUnion):
-        for part in model.parts:
-            _flatten(part, removed, points, leaves, sign)
-    elif isinstance(model, FiniteModification):
-        removed = removed | {sign * x for x in model.removed}
-        points.update(sign * a for a in model.added
-                      if sign * a not in removed)
-        _flatten(model.base, removed, points, leaves, sign)
-    else:
-        leaves.append((model if sign == 1 else Reflected(model), removed))
-
-
 def _flattened_sup(source, target) -> SupDistance:
     """sup over a union or modification source, reflected or not, as the
     largest over its finite points and its leaves, each by `sup_distance`
     (None for any other source); removing points can only lower a sup, so
     a leaf with points removed above it and a positive sup is read again
     by its frame without them."""
-    points, leaves, sign = set(), [], 1
+    sign = 1
     while isinstance(source, Reflected):
         source, sign = source.base, -sign
     if not isinstance(source, (FiniteUnion, FiniteModification)):
         return None
-    _flatten(source, frozenset(), points, leaves, sign)
+    points, leaves = setmodels.leaves(source, sign)
     sups = [SupDistance("value", max(
         (distance_to_set(target, pt) for pt in points), default=ZERO))]
     for leaf, removed in leaves:
@@ -540,9 +525,8 @@ class EpsilonCurve:
 
     samples: tuple
 
-    def max_ratio(self, tail: int = 0):
-        rows = self.samples[-tail:] if tail else self.samples
-        return max(row[4] for row in rows)
+    def max_ratio(self):
+        return max(row[4] for row in self.samples)
 
 
 def epsilon_curve(y_model, z_model, p, t_grid) -> EpsilonCurve:
@@ -649,10 +633,8 @@ def _family_membership_persists(other, coef, q, start) -> bool:
     if dil is not None and common_power(q, dil.rho) == q:
         return True
     if isinstance(other, (FiniteUnion, FiniteModification)):
-        points, leaves = set(), []
-        _flatten(other, frozenset(), points, leaves)
         return any(_family_membership_persists(leaf, coef, q, m)
-                   for leaf, _ in leaves)
+                   for leaf, _ in setmodels.leaves(other)[1])
     return False
 
 

@@ -12,17 +12,21 @@ variants get exact closed forms:
   finite modifications) repeats its gaps past the reach, scaled by rho,
   in every log period, and l(h)/h peaks at the right end h = g2 of a gap
   (g1, g2): the value is the largest (g2 - g1)/g2 over one log period,
-  read off the component cursor (1 - 1/q for GeometricPoints(q, c, n0),
-  1 - b/(a*q) for GeometricBlocks(q, a, b)).
+  read off the component cursor. For a geometric run (q, a, b, n0), the
+  blocks [a*q**n, b*q**n] (`setmodels.GEOMETRIC`), it is 1 - b/(a*q)
+  for both kinds: GeometricBlocks(q, a, b), and GeometricPoints(q, c, n0)
+  with a = b = c, which gives 1 - 1/q.
 
 Everything else gets a finite-horizon estimator: the exact sup of l(h)/h
 over a geometric h-grid (quarter-dyadic rational stand-ins) with the
-structurally critical horizons injected. The estimator reports the probed
+structurally critical horizons injected: the component starts inside the
+grid of the geometric leaves that `setmodels.leaves` reads off a union and
+modification tree. The estimator reports the probed
 sup only; it never certifies nonporosity, and it is meaningful as a limsup
 proxy once the horizon dwarfs the model's structural scale.
 
-The grid is probed in one `setmodels.longest_gaps` call. A geometric leaf
-answers each horizon by its closed form; any other model is walked once,
+The grid is probed in one `setmodels.longest_gaps` call. A geometric run
+answers each horizon by its one closed form; any other model is walked once,
 ascending from 0 across the sorted grid with the running longest gap and
 right end, only up to two periods past its reach when it has a period,
 and only until its longest gap meets its gap bound when it has one.

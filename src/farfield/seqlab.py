@@ -505,13 +505,9 @@ def _limsup(x, fx, y, fy, scaling) -> LimitResult:
     return LimitResult("estimated", top, note="numeric probe")
 
 
-def tilde_d(spec, scaling, p=0) -> LimitResult:
-    """Normalized distance to the basepoint: lim |x_n - p| / r_n.
-
-    The basepoint shift never moves the limit; it is accepted to make call
-    sites read naturally.
-    """
-    rat(p)  # validates
+def tilde_d(spec, scaling) -> LimitResult:
+    """Normalized distance to the basepoint: lim |x_n - p| / r_n, which no
+    basepoint p moves."""
     return _tilde(spec, classify(spec, scaling), scaling)
 
 

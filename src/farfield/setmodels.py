@@ -13,9 +13,15 @@ strip is [0, inf) x [c1, c2] (the second factor a `Segment`, which has no
 JSON kind), the planar ray [0, inf) x [0, 0], and a union whose parts share
 X is X x the union of their Ys. Membership, distance and nearest points
 are read per factor; sphere slices take [0, inf) x Segment only.
-GeometricBlocks spans all integer scales (it is exactly self-similar under
-its base), so it accumulates at 0; window decompositions that would have to
-list infinitely many tiny components report a truncation scale instead.
+GeometricPoints and GeometricBlocks are one family, the geometric run
+(q, a, b, n0): the blocks [a*q**n, b*q**n] for n >= n0, or for every
+integer n when n0 is None. GeometricPoints(q, c, n0) is the run
+(q, c, c, n0), its blocks single points (a is b), and
+GeometricBlocks(q, a, b) the run (q, a, b, None): it spans all integer
+scales (it is exactly self-similar under its base), so it accumulates at
+0; window decompositions that would have to list infinitely many tiny
+components report a truncation scale instead. The family has one cursor
+pair, one eventual shape, one dilation and one longest-gap closed form.
 
 Every 1-D query is derived from one component cursor per model kind:
 `components(model, x, +1)` yields the components with hi >= x in
@@ -29,14 +35,21 @@ decreasing order of hi. The contract:
   component. A removed point inside or at the end of an interval leaves
   the hull as it is, which is what distances and complement endpoints see;
   membership keeps the removed-point test.
-- GeometricBlocks accumulates at 0 from above. Ascending from x <= 0 it
-  yields the marker (ZERO_ABOVE, ZERO_ABOVE) and nothing after it;
-  descending from x > 0 it never reaches 0. ZERO_ABOVE computes as 0 but
+- A geometric run without a first index (GeometricBlocks) accumulates
+  at 0 from above. Ascending from x <= 0 it yields the marker
+  (ZERO_ABOVE, ZERO_ABOVE) and nothing after it; descending from x > 0
+  it never reaches 0. ZERO_ABOVE computes as 0 but
   orders strictly between 0 and every positive number, so in a union the
   marker follows every component with lo <= 0 and precedes every other.
   Reflection turns it into ZERO_BELOW.
 - From x = -inf ascending (+inf descending), a side that is unbounded
   yields (x, x) first, so the first component answers min/max questions.
+
+`leaves(model)` reads a 1-D tree through its unions and finite
+modifications: the points the modifications add and keep, and the other
+nodes, each with the points removed above it. The sup distance from a
+union (`equivalence`) and the critical horizons of the porosity probe
+read the tree that way.
 
 What a 1-D set does far out is its eventual shape, `eventual_shape(model)`:
 one rule per leaf kind, with union, finite modification and reflection
@@ -60,6 +73,7 @@ from __future__ import annotations
 import bisect
 import functools
 import heapq
+import itertools
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -252,6 +266,10 @@ class Segment:
     lo: Fraction
     hi: Fraction
 
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise InputError("segment needs lo <= hi")
+
     @property
     def ends(self):
         return (self.lo, self.hi)
@@ -263,6 +281,8 @@ HALF_LINE = Ray(ZERO)
 
 @dataclass(frozen=True)
 class GeometricPoints:
+    """The points c*q**n for n >= n0: the run (q, c, c, n0)."""
+
     q: Fraction = codec(RATIO)
     c: Fraction = codec(_LENGTH)
     n0: int = codec(INTEGER, default=0)
@@ -277,17 +297,24 @@ class GeometricPoints:
         return self.c * self.q**n
 
     @cached_property
-    def first(self) -> Fraction:
-        return self.point(self.n0)
+    def run(self):
+        return (self.q, self.c, self.c, self.n0)
+
+    @cached_property
+    def first_block(self):
+        p = self.point(self.n0)
+        return (p, p)
 
 
 @dataclass(frozen=True)
 class GeometricBlocks:
-    """Union of [a*q**n, b*q**n] over all integers n; a normalized to [1, q)."""
+    """Union of [a*q**n, b*q**n] over all integers n, a normalized to
+    [1, q): the run (q, a, b, None)."""
 
     q: Fraction = codec(RATIO)
     a: Fraction = codec(_LENGTH)
     b: Fraction = codec(_LENGTH)
+    first_block = None
 
     def __post_init__(self):
         if self.q <= 1:
@@ -303,10 +330,14 @@ class GeometricBlocks:
     def block(self, n: int) -> tuple[Fraction, Fraction]:
         return (self.a * self.q**n, self.b * self.q**n)
 
-    @property
-    def gap_seed(self) -> Fraction:
-        # gap between block n and n+1 has length gap_seed * q**n
-        return self.a * self.q - self.b
+    @cached_property
+    def run(self):
+        return (self.q, self.a, self.b, None)
+
+
+# each with its run (q, a, b, n0), a is b for points, and first_block, the
+# block n0 (None without one); see the module docstring
+GEOMETRIC = (GeometricPoints, GeometricBlocks)
 
 
 @dataclass(frozen=True)
@@ -492,56 +523,44 @@ def _interval_down(m, x):
         yield m.ends
 
 
-def _geometric_points_up(m: GeometricPoints, x):
-    p = m.first
-    if x > p:
-        p = m.point(ipow_floor_log(m.q, x / m.c))
-        if p < x:
-            p *= m.q
-    while True:
-        yield (p, p)
-        p *= m.q
-
-
-def _geometric_points_down(m: GeometricPoints, x):
-    if type(x) is float:  # from +inf
-        yield (x, x)
-        return
-    if x <= 0:
-        return
-    n = ipow_floor_log(m.q, x / m.c)
-    p = m.point(n)
-    for _ in range(n - m.n0 + 1):
-        yield (p, p)
-        p /= m.q
-
-
-def _geometric_blocks_up(m: GeometricBlocks, x):
-    if x <= 0:
+def _geometric_up(m, x):  # one of GEOMETRIC; points have hi is lo
+    q, a, b, _ = m.run
+    first = m.first_block
+    if first is not None and x <= first[0]:
+        lo, hi = first
+    elif first is None and x <= 0:
         yield (ZERO_ABOVE, ZERO_ABOVE)
         return
-    scale = m.q ** ipow_floor_log(m.q, x / m.a)
-    lo, hi = m.a * scale, m.b * scale
-    if hi < x:
-        lo, hi = lo * m.q, hi * m.q
-    elif lo == x and m.gap_seed == 0:  # the block below touches x too
-        lo, hi = lo / m.q, hi / m.q
+    else:
+        scale = q ** ipow_floor_log(q, x / a)
+        lo = a * scale
+        hi = lo if a is b else b * scale
+        if hi < x:
+            lo *= q
+            hi = lo if a is b else hi * q
+        elif a is not b and lo == x and a * q == b:
+            lo, hi = lo / q, hi / q  # the block below touches x too
     while True:
         yield (lo, hi)
-        lo, hi = lo * m.q, hi * m.q
+        lo *= q
+        hi = lo if a is b else hi * q
 
 
-def _geometric_blocks_down(m: GeometricBlocks, x):
+def _geometric_down(m, x):
     if type(x) is float:  # from +inf
         yield (x, x)
         return
     if x <= 0:
         return
-    scale = m.q ** ipow_floor_log(m.q, x / m.a)
-    lo, hi = m.a * scale, m.b * scale
-    while True:
+    q, a, b, n0 = m.run
+    n = ipow_floor_log(q, x / a)
+    scale = q**n
+    lo = a * scale
+    hi = lo if a is b else b * scale
+    for _ in itertools.count() if n0 is None else range(n - n0 + 1):
         yield (lo, hi)
-        lo, hi = lo / m.q, hi / m.q
+        lo /= q
+        hi = lo if a is b else hi / q
 
 
 def _periodic_up(m: PeriodicBlocks, x):
@@ -601,8 +620,7 @@ def _reflected(m: Reflected, x, direction):
 _CURSORS = {
     Lattice: (_lattice_up, _lattice_down),
     **dict.fromkeys(INTERVALS, (_interval_up, _interval_down)),
-    GeometricPoints: (_geometric_points_up, _geometric_points_down),
-    GeometricBlocks: (_geometric_blocks_up, _geometric_blocks_down),
+    **dict.fromkeys(GEOMETRIC, (_geometric_up, _geometric_down)),
     PeriodicBlocks: (_periodic_up, _periodic_down),
 }
 _COMBINATORS = {FiniteUnion: _union, FiniteModification: _modification,
@@ -673,6 +691,33 @@ def holes(model) -> set:
     components may still cover."""
     kind = type(model)
     return _HOLES[kind](model) if kind in _HOLES else set()
+
+
+def leaves(model, sign: int = 1):
+    """(points, leaves) of a 1-D tree read through its unions and finite
+    modifications: the points that modifications add and no modification
+    above them removes, and the other nodes (a reflection is a leaf, also
+    at the root), each with the set of points removed above it; with sign
+    -1 everything is mirrored, each leaf wrapped in Reflected. x lies in
+    the tree exactly when it is one of the points, or a leaf holds x and
+    x is not among that leaf's removed points."""
+    points, found = set(), []
+
+    def walk(m, removed):
+        kind = type(m)
+        if kind is FiniteUnion:
+            for part in m.parts:
+                walk(part, removed)
+        elif kind is FiniteModification:
+            removed = removed | {sign * x for x in m.removed}
+            points.update(sign * x for x in m.added
+                          if sign * x not in removed)
+            walk(m.base, removed)
+        else:
+            found.append((m if sign == 1 else Reflected(m), removed))
+
+    walk(model, frozenset())
+    return points, found
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +870,9 @@ def sphere_slice(model, p, t) -> SphereSlice:
             )
         elif t > 0:
             # every v in [v_lo, v_hi] is reached at u = u0 + sqrt(t^2 - v^2)
-            return SphereSlice("arc", v_lo=max(-t, y.lo), v_hi=min(t, y.hi))
+            v_lo, v_hi = max(-t, y.lo), min(t, y.hi)
+            return (SphereSlice("arc", v_lo=v_lo, v_hi=v_hi) if v_lo <= v_hi
+                    else SphereSlice("points"))
         cands = ((u0 - t, ZERO), (u0 + t, ZERO))
     pts = tuple(x for x in dict.fromkeys(cands) if contains(model, x))
     return SphereSlice("points", points=pts)
@@ -996,6 +1043,14 @@ def _interval_shape(m):
                          {-1: lo == -INF, 1: hi == INF})
 
 
+def _geometric_shape(m):
+    q, a, b, n0 = m.run
+    # block lengths (b - a) * q**n grow without bound unless a is b
+    return EventualShape(b * q if n0 is None else abs(b * q**(n0 + 1)) + 1,
+                         None, None, {-1: None, 1: None},
+                         {-1: False, 1: a is not b})
+
+
 def _periodic_shape(m: PeriodicBlocks):
     # the gaps of one period, the last one wrapping into the next period
     gaps = [l2 - h1 for (_, h1), (l2, _) in zip(m.blocks, m.blocks[1:])]
@@ -1049,13 +1104,7 @@ def _reflected_shape(m: Reflected):
 _SHAPES = {
     Lattice: _lattice_shape,
     **dict.fromkeys(INTERVALS, _interval_shape),
-    GeometricPoints: lambda m: EventualShape(
-        abs(m.point(m.n0 + 1)) + 1, None, None, {-1: None, 1: None},
-        {-1: False, 1: False}),
-    # block lengths (b - a) * q**n grow without bound
-    GeometricBlocks: lambda m: EventualShape(m.b * m.q, None, None,
-                                             {-1: None, 1: None},
-                                             {-1: False, 1: True}),
+    **dict.fromkeys(GEOMETRIC, _geometric_shape),
     PeriodicBlocks: _periodic_shape,
     FiniteUnion: _union_shape,
     FiniteModification: _modification_shape,
@@ -1121,10 +1170,10 @@ _DILATIONS = {
     # past its finite ends an interval holds all or none of each side
     **dict.fromkeys(INTERVALS, lambda m: dict.fromkeys(
         (-1, 1), Dilation(ONE, _far_end(m)))),
-    # x = c*q**(n0 - 1) is out of the set and q*x in it: the reach
-    GeometricPoints: lambda m: {-1: _EVERY, 1: Dilation(m.q, m.first / m.q)},
-    # for every x > 0: block n + 1 is block n scaled by q
-    GeometricBlocks: lambda m: {-1: _EVERY, 1: Dilation(m.q, ZERO)},
+    # block n + 1 is block n scaled by q; without a first block that holds
+    # for every x > 0, with one x = first/q is out of the set and q*x in it
+    **dict.fromkeys(GEOMETRIC, lambda m: {-1: _EVERY, 1: Dilation(
+        m.q, ZERO if m.first_block is None else m.first_block[0] / m.q)}),
     PeriodicBlocks: lambda m: _bounded_side(m, 1),
     FiniteUnion: _union_dilation,
     FiniteModification: _modification_dilation,
@@ -1185,29 +1234,28 @@ def longest_gap(model, h) -> Fraction:
         raise InputError("gap horizon must be positive")
     if not is_nonnegative_model(model):
         raise InputError("gap search needs a model inside [0, inf)")
-    if isinstance(model, GeometricPoints):
-        first = model.point(model.n0)
-        if first > h:
+    if type(model) in GEOMETRIC:
+        q, a, b, n0 = model.run
+        first = model.first_block
+        if first is not None and h < first[0]:
             return h
-        n_max = ipow_floor_log(model.q, h / model.c)
-        cands = [first, h - model.point(n_max)]
-        if n_max > model.n0:
-            cands.append(model.point(n_max - 1) * (model.q - 1))
-        return max(cands)
-    if isinstance(model, GeometricBlocks):
-        n = ipow_floor_log(model.q, h / model.a)
-        full_below = model.gap_seed * model.q ** (n - 1)
-        if h <= model.b * model.q**n:
-            return full_below
-        return max(full_below, h - model.b * model.q**n)
+        n = ipow_floor_log(q, h / a)
+        scale = q**n
+        hi = b * scale
+        gaps = [h - hi]  # trailing; not positive inside block n
+        if first is None or n > n0:
+            gaps.append(a * scale - hi / q)  # below block n
+        if first is not None:
+            gaps.append(first[0])  # up to the first block
+        return max(gaps)
     return longest_gaps(model, (h,))[0]
 
 
 def longest_gaps(model, hs) -> list:
     """longest_gap(model, h) for every h of an ascending horizon list.
 
-    GeometricPoints and GeometricBlocks answer each h by their closed
-    forms. Any other model is walked once: its components ascending from
+    A geometric run answers each h by its closed form in `longest_gap`.
+    Any other model is walked once: its components ascending from
     0, carrying the running longest gap and the running right end from
     one horizon to the next.
 
@@ -1230,7 +1278,7 @@ def longest_gaps(model, hs) -> list:
     hs = [rat(h) for h in hs]
     if any(b < a for a, b in zip(hs, hs[1:])):
         raise InputError("gap horizons must ascend")
-    if isinstance(model, (GeometricPoints, GeometricBlocks)) or not hs:
+    if type(model) in GEOMETRIC or not hs:
         return [longest_gap(model, h) for h in hs]
     if hs[0] <= 0:
         raise InputError("gap horizon must be positive")
@@ -1278,23 +1326,23 @@ def longest_gaps(model, hs) -> list:
     return out
 
 
-def critical_gap_h_values(model, h_lo, h_hi, cap: int = 512):
+CRITICAL_CAP = 512  # critical horizons read from one geometric leaf
+
+
+def critical_gap_h_values(model, h_lo, h_hi):
     """Structurally critical horizons: points where a full gap just fits.
 
     For geometric structure these are where l(h)/h peaks; injecting them
-    into an estimator grid makes the probed sup exact."""
+    into an estimator grid makes the probed sup exact. They are the
+    component starts in [h_lo, h_hi] of the tree's geometric leaves (see
+    `leaves`), read downward from h_hi, at most CRITICAL_CAP per leaf."""
     out = set()
-    if isinstance(model, (GeometricPoints, GeometricBlocks)):
-        # the points and the block starts, read downward from h_hi
-        for lo, _ in components(model, h_hi, -1):
-            if len(out) >= cap or lo < h_lo:
-                break
-            out.add(lo)
-    elif isinstance(model, FiniteUnion):
-        for part in model.parts:
-            out |= set(critical_gap_h_values(part, h_lo, h_hi, cap))
-    elif isinstance(model, FiniteModification):
-        out |= set(critical_gap_h_values(model.base, h_lo, h_hi, cap))
+    for leaf, _ in leaves(model)[1]:
+        if type(leaf) in GEOMETRIC:
+            starts = (lo for lo, _ in components(leaf, h_hi, -1))
+            out.update(itertools.islice(
+                itertools.takewhile(lambda lo: lo >= h_lo, starts),
+                CRITICAL_CAP))
     return tuple(sorted(out))
 
 

@@ -721,7 +721,6 @@ def test_epsilon_curve_samples_and_ratio():
         (F(5, 2), F(0), F(1, 2), F(1, 2), F(1, 5)),
     )
     assert curve.max_ratio() == F(1, 3)
-    assert curve.max_ratio(tail=1) == F(1, 5)
 
 
 def test_epsilon_curve_rejects_bad_grids():

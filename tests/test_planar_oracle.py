@@ -18,12 +18,13 @@ import bisect
 import math
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from farfield import (
     FiniteModification,
     FiniteUnion,
+    GeometricBlocks,
     HalfPlaneStrip,
     PlanarRay,
     Product2D,
@@ -213,11 +214,13 @@ def coordinates(side, targets=()):
     nearest 0 first: its piece ends, and the midpoint of every gap between
     the pieces of a target side, or of all of them, where it meets a
     source piece. The distance to a target side peaks there or at a piece
-    end; so does the distance to a union of boxes that share one side. A
-    gap that ends within TINY of 0 is where the oracle stops listing an
-    accumulation, not a gap of the set."""
-    out = {max(-W, min(end, W)) for a, b in side.pieces
-           if a <= W and b >= -W for end in (a, b)}
+    end; so does the distance to a union of boxes that share one side.
+    Within TINY of 0 the oracle stops listing an accumulation, so a piece
+    end or a gap midpoint there may be measured against blocks that are
+    not listed: both are dropped."""
+    ends = (max(-W, min(end, W)) for a, b in side.pieces
+            if a <= W and b >= -W for end in (a, b))
+    out = {end for end in ends if not 0 < abs(end) < TINY}
     every = coalesce(piece for t in targets for piece in t.pieces)
     for listed in [t.pieces for t in targets] + [every]:
         for (_, g1), (g2, _) in zip(listed, listed[1:]):
@@ -284,6 +287,11 @@ def test_product_membership_and_nearest_points_match_the_oracle(model,
 
 @settings(max_examples=150, deadline=None)
 @given(source=PLANAR, target=PLANAR)
+# the source piece end 3**-26 lies below the target's lowest listed block
+# 2**-41, though GeometricBlocks(2, 1, 2) covers all of (0, inf)
+@example(source=Product2D(Ray(F(0), -1), GeometricBlocks(F(3), F(1), F(5, 4))),
+         target=Product2D(Reflected(Ray(F(0), 1)),
+                          GeometricBlocks(F(2), F(1), F(2))))
 def test_product_sups_and_subsets_hold_on_the_samples(source, target):
     src, tgt = Planar(source), Planar(target)
     worst = max(map(tgt.squared_distance, sup_samples(src, tgt)))

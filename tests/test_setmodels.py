@@ -24,8 +24,10 @@ from farfield import (
     Lattice,
     PeriodicBlocks,
     PlanarRay,
+    Product2D,
     Ray,
     Reflected,
+    SphereSlice,
     UnsupportedGeometryError,
     contains,
     distance_to_set,
@@ -446,6 +448,16 @@ def test_sphere_slice_strip_arc_clamps():
     assert arc.v_lo == -1 and arc.v_hi == 2
     small = sphere_slice(strip, (F(4), F(0)), F(1, 2))
     assert small.v_lo == F(-1, 2) and small.v_hi == F(1, 2)
+
+
+def test_sphere_slice_below_a_band_is_empty():
+    # the radius stops short of the band [2, 3]: no arc, not an inverted one
+    band = Product2D(Ray(F(0)), Segment(F(2), F(3)))
+    assert sphere_slice(band, (F(0), F(0)), F(1)).is_empty()
+    assert sphere_slice(band, (F(0), F(0)), F(2)) == SphereSlice(
+        "arc", v_lo=F(2), v_hi=F(2))
+    with pytest.raises(InputError, match="lo <= hi"):
+        Segment(F(2), F(1))
 
 
 @pytest.mark.parametrize("model", SAMPLE_MODELS + (

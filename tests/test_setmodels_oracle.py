@@ -556,6 +556,50 @@ def test_reflected_gap_bound_holds_on_four_reaches(base):
         assert o_longest_gap(pieces, acc, 4 * shape.reach) <= shape.gap
 
 
+# ---------------------------------------------------------------------------
+# The tree read as its leaves
+
+
+def geometric_parts(model):
+    """The GeometricPoints and GeometricBlocks reached through unions and
+    modifications; a reflection hides its subtree."""
+    if isinstance(model, FiniteUnion):
+        return [leaf for part in model.parts for leaf in geometric_parts(part)]
+    if isinstance(model, FiniteModification):
+        return geometric_parts(model.base)
+    return [model] if isinstance(model, (GeometricPoints,
+                                         GeometricBlocks)) else []
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=trees(3), xs=st.lists(POINTS, min_size=1, max_size=8),
+       sign=st.sampled_from([1, -1]))
+# a point added below and removed above, and one added and removed at once
+@example(model=FiniteModification(FiniteUnion((
+    FiniteModification(Lattice(F(1), F(0)), added=(F(1, 2), F(3, 2)),
+                       removed=(F(3, 2),)),
+    Ray(F(3)))), removed=(F(1, 2), F(1))), xs=[F(1, 4)], sign=-1)
+def test_leaves_reassemble_membership(model, xs, sign):
+    points, found = setmodels.leaves(model, sign)
+    tree = model if sign == 1 else Reflected(model)
+    removed = {x for _, rem in found for x in rem}
+    for x in {*xs, *points, *removed}:
+        assert member(tree, x) == (x in points or any(
+            member(leaf, x) and x not in rem for leaf, rem in found)), x
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=trees(3), lo=fractions(0, 4, 16).filter(lambda x: x > 0),
+       width=fractions(0, 180, 4))
+def test_critical_horizons_are_the_geometric_component_starts(model, lo,
+                                                              width):
+    hi = lo + width  # below B, so the oracle lists every start
+    want = {a for leaf in geometric_parts(model) for a, _ in oracle(leaf)[0]
+            if lo <= a <= hi}
+    assert setmodels.critical_gap_h_values(model, lo, hi) == tuple(
+        sorted(want))
+
+
 def test_longest_gaps_reads_two_periods_past_the_reach():
     # reach 8 and period 3; the added points split every gap of length 3
     # below the reach, and the first one left runs from 37/4 to 49/4,
