@@ -26,17 +26,24 @@ sup only; it never certifies nonporosity, and it is meaningful as a limsup
 proxy once the horizon dwarfs the model's structural scale.
 
 The grid is probed in one `setmodels.longest_gaps` call. A geometric run
-answers each horizon by its one closed form; any other model is walked once,
-ascending from 0 across the sorted grid with the running longest gap and
-right end, only up to two periods past its reach when it has a period,
-and only until its longest gap meets its gap bound when it has one.
-Where GeometricBlocks accumulates at 0, l(h) counts only the gaps above
-the truncation scale trunc(h) < h/2**20, and a horizon whose longest gap
-is shorter than trunc(h) raises UnsupportedGeometryError.
+answers each horizon by its one closed form. A union or modification of
+geometric runs and finite points is seeded at the first horizon: a
+descending cursor from there gives its longest gap, stopping once no
+lower gap can win, and the walk then ascends across the sorted grid with
+the running longest gap and right end. Any other model is walked
+ascending from 0, only up to two periods past its reach when it has a
+period, and only until its longest gap meets its gap bound when it has
+one. Where GeometricBlocks accumulates at 0, l(h) counts only the gaps
+above the truncation scale trunc(h) < h/2**20, and a horizon whose longest
+gap is shorter than trunc(h) raises UnsupportedGeometryError. The grid
+itself is the ascending quarter-dyadic horizons merged with the
+ascending critical ones, no set built.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,14 +88,13 @@ def _exact_closed_form(model):
 
 
 def _grid(model, horizon_exponent: int):
+    """The quarter-dyadic horizons (ascending) merged with the critical
+    ones (ascending), equal neighbours dropped."""
     j_lo = min(GRID_FLOOR_EXPONENT, horizon_exponent)
-    hs = set()
-    for j in range(j_lo, horizon_exponent + 1):
-        hs.add(Fraction(2) ** (j // 4) * _QUARTER_FACTORS[j % 4])
-    h_max = max(hs)
-    h_min = min(hs)
-    hs.update(sm.critical_gap_h_values(model, h_min, h_max))
-    return sorted(hs)
+    hs = [Fraction(2) ** (j // 4) * _QUARTER_FACTORS[j % 4]
+          for j in range(j_lo, horizon_exponent + 1)]
+    critical = sm.critical_gap_h_values(model, hs[0], hs[-1])
+    return [h for h, _ in itertools.groupby(heapq.merge(hs, critical))]
 
 
 def _probe(model, horizon_exponent: int):

@@ -58,14 +58,17 @@ rescales onto itself far out is its dilation, `dilation(model)`, built
 the same way but apart from the shape, where a caller reads it.
 
 The porosity probe's gap search, `longest_gaps(model, hs)`, answers an
-ascending horizon list in one ascending walk of the cursor from 0
-(geometric leaves keep their closed forms). A set with a period p is
-walked only up to reach + 2p, where every gap length has shown; a larger
-horizon takes its trailing gap from one descending cursor step. Where the
-set accumulates at 0, each horizon h is read as its window [0, h] is: the
-components at 0, then those above the truncation scale trunc(h) (below
-h/2**20), and the search is inconclusive when the longest gap is shorter
-than trunc(h).
+ascending horizon list in one ascending walk of the cursor (geometric
+leaves keep their closed forms). A tree of geometric runs and finite
+points is seeded at the first horizon h0: a descending cursor from h0
+gives l(h0) and stops once no lower gap can win, and the ascent reads
+only the components past h0. Any other set is walked from 0. A set with
+a period p is walked only up to reach + 2p, where every gap length has
+shown; a larger horizon takes its trailing gap from one descending cursor
+step. Where the set accumulates at 0, each horizon h is read as its
+window [0, h] is: the components at 0, then those above the truncation
+scale trunc(h) (below h/2**20), and the search is inconclusive when the
+longest gap is shorter than trunc(h).
 """
 
 from __future__ import annotations
@@ -970,10 +973,14 @@ def _truncation(model, hi):
     """(start, trunc) for a window up to hi over an accumulation at 0 from
     above: the window lists exactly the components with hi >= start, the
     lo of the lowest positive component reaching the scale hi/2**20, and
-    every component below them lies in (0, trunc]."""
+    every component below them lies in (0, trunc]. A component with
+    hi < start has lo < start, so trunc is the first such hi from a cursor
+    at start, past the few components that hold start; one from the scale
+    would pass every lattice point between start and the scale."""
     below = components(model, hi / 2**20, -1)
     start = next(c for c in below if c[0] > 0)[0]
-    return start, next(c for c in below if c[1] < start)[1]
+    return start, next(c for c in components(model, start, -1)
+                        if c[1] < start)[1]
 
 
 def _take(comps, hi, out) -> bool:
@@ -1255,25 +1262,44 @@ def longest_gaps(model, hs) -> list:
     """longest_gap(model, h) for every h of an ascending horizon list.
 
     A geometric run answers each h by its closed form in `longest_gap`.
-    Any other model is walked once: its components ascending from
-    0, carrying the running longest gap and the running right end from
-    one horizon to the next.
+    Any other model is walked by its component cursor in one ascending
+    loop, which carries the running longest gap `best` and the running
+    right end `prev_hi` from one horizon to the next. The loop starts in
+    one of two ways.
 
-    With a period p in the eventual shape, the walk stops at reach + 2p:
-    no gap past reach is longer than p, and one that starts past reach + p
-    repeats the one p before it. A horizon past the stop takes its
-    trailing gap from one step of `components(model, h, -1)`. With a gap
-    bound, the walk stops once the longest gap reaches it: l(h) never
-    decreases and never exceeds the bound, so every later h reads it.
+    Seeded at the first horizon h0, for a tree without a period or a gap
+    bound whose windows list at most WINDOW_CAP components up to the last
+    horizon (`_window_bound`; no horizon can then raise "too rich"). A
+    descent `components(model, h0, -1)`, in decreasing order of hi, gives
+    l(h0):
+    - Seed. Its first component has the largest right end among those
+      with lo <= h0, which is prev_hi at h0, so the ascent reads only the
+      components with lo > h0.
+    - Stop rule. The descent carries the lowest left end m seen so far. A
+      component with hi < m leaves the gap (hi, m), and every later gap
+      ends at or below m, so it is shorter than m. Once m <= best no lower
+      gap can win, and the descent stops.
+    - Accumulation at 0. The descent also stops below start(h0), and
+      counts its last gap from the largest of trunc(h0) and the right ends
+      of the components at 0, as the window at h0 does (below).
+
+    Otherwise from 0. With a period p in the eventual shape, the walk
+    stops at reach + 2p: no gap past reach is longer than p, and one that
+    starts past reach + p repeats the one p before it. A horizon past the
+    stop takes its trailing gap from one step of
+    `components(model, h, -1)`. With a gap bound, the walk stops once the
+    longest gap reaches it: l(h) never decreases and never exceeds the
+    bound, so every later h reads it. The walk raises "too rich" at the
+    first h whose window would list more than WINDOW_CAP components.
 
     Where the set accumulates at 0 from above, l(h) is read as on
     `window_structure(model, 0, h)`: the components at 0 and those with
     hi >= start(h), gaps counted from trunc(h) (see `_truncation`), and
-    "inconclusive" when l(h) < trunc(h). The walk starts at the start of
-    the smallest h, so for a larger h it also sees gaps below trunc(h);
-    each is shorter than trunc(h), so it cannot change an answer that
-    passes that check. The walk raises "too rich" at the first h whose
-    walked components would outnumber WINDOW_CAP.
+    "inconclusive" when l(h) < trunc(h). Both starts read from the start
+    of the smallest h, so for a larger h the loop also sees gaps below
+    trunc(h); each is shorter than trunc(h), so it cannot change an
+    answer that passes that check. As trunc(h) < h/2**20, the check reads
+    `_truncation` only for a horizon whose gap is below h/2**20.
     """
     hs = [rat(h) for h in hs]
     if any(b < a for a, b in zip(hs, hs[1:])):
@@ -1288,20 +1314,41 @@ def longest_gaps(model, hs) -> list:
     stop = None if shape.period is None else shape.reach + 2 * shape.period
     bound = shape.gap
     walk = components(model, ZERO)
-    at_zero, prev_hi, c = 0, ZERO, next(walk, None)
+    at_zero, floor, c = 0, ZERO, next(walk, None)
     while c is not None and c[0] == 0:  # listed at every h
-        at_zero, prev_hi = at_zero + 1, max(prev_hi, c[1])
+        at_zero, floor = at_zero + 1, max(floor, c[1])
         c = next(walk, None)
-    start, trunc = ZERO, None
-    if c is not None and c[0] is ZERO_ABOVE:
+    start, acc = ZERO, c is not None and c[0] is ZERO_ABOVE
+    if acc:
         start, trunc = _truncation(model, hs[0])
-        prev_hi = max(prev_hi, trunc)
+        floor = max(floor, trunc)
+    seeded = stop is None and bound is None \
+        and _window_bound(model, hs[-1]) <= WINDOW_CAP
+    best, prev_hi = ZERO, floor
+    if seeded:
+        down = components(model, hs[0], -1)
+        k = next(down, None)
+        if k is not None:
+            prev_hi = max(prev_hi, k[1])
+        low = prev_hi  # the lowest left end so far
+        while k is not None and best < low and k[1] >= start:
+            if k[1] < low:
+                best = max(best, low - k[1])
+            low = min(low, k[0])
+            k = next(down, None)
+        best = max(best, low - floor)
+        walk = (k for k in components(model, hs[0]) if k[0] > hs[0])
+        c = next(walk, None)
+    elif acc:
         walk = (k for k in components(model, start) if k[0] > 0)
         c = next(walk)
-    best, kept, out = ZERO, [], []  # kept: right ends h's window lists
+    # the walk from 0 counts the components h's window lists, keeping their
+    # right ends where start(h) moves
+    moving = acc and not seeded
+    listed, kept, out = at_zero, [], []
     for h in hs:
-        if trunc is not None:
-            start, trunc = _truncation(model, h)
+        if moving:
+            start = _truncation(model, h)[0]
             while kept and kept[0] < start:
                 heapq.heappop(kept)
         end = h if stop is None else min(h, stop)
@@ -1310,20 +1357,64 @@ def longest_gaps(model, hs) -> list:
             if c[0] > prev_hi:  # prev_hi may be inf: no float arithmetic
                 best = max(best, c[0] - prev_hi)
             prev_hi = max(prev_hi, c[1])
-            if c[1] >= start:
+            if not moving:
+                listed += 1
+            elif c[1] >= start:
                 heapq.heappush(kept, c[1])
-                if at_zero + len(kept) > WINDOW_CAP:
-                    raise UnsupportedGeometryError("window structure too rich")
+            if not seeded and listed + len(kept) > WINDOW_CAP:
+                raise UnsupportedGeometryError("window structure too rich")
             c = next(walk, None)
         if end < h:
             prev_hi = next(components(model, h, -1))[1]
         gap = best if best == bound else max(best, h - min(prev_hi, h))
-        if trunc is not None and gap < trunc:
+        if acc and gap * 2**20 < h and gap < _truncation(model, h)[1]:
             raise UnsupportedGeometryError(
                 "gap search inconclusive below the truncation scale"
             )
         out.append(gap)
     return out
+
+
+def _window_bound(model, h):
+    """A bound on the components that a window [0, x] with x <= h lists,
+    for a tree of geometric runs and finite points; INF for a tree with
+    any other leaf.
+
+    - Each added point counts once per modification that adds it: the
+      cursor lists every copy.
+    - Points c*q**n count up to h, n0 <= n <= log_q(h/c).
+    - Where blocks accumulate at 0, the window lists only the components
+      with hi >= start(x), and start(x) > x/(2**20 * Q**2), Q the largest
+      base of a block run. start(x) is the lo of the component K that
+      reaches highest among those with 0 < lo <= s = x/2**20. Every block
+      run has a block [a*q**n, b*q**n] with a*q**n <= s < a*q**(n+1), so
+      K ends past s/Q; and no component ends past Q times its lo.
+    - So a block run lists only n with a*q**n <= x and
+      b*q**n > x/(2**20 * Q**2): the integers of an interval of length
+      log_q(2**20 * Q**2 * b/a), at most its floor + 1.
+    """
+    _, found = leaves(model)
+    if any(type(leaf) not in GEOMETRIC for leaf, _ in found):
+        return INF
+    runs = [leaf.run for leaf, _ in found]
+    top = max((q for q, _, _, n0 in runs if n0 is None), default=ONE)
+    size = _added(model)
+    for q, a, b, n0 in runs:
+        if n0 is None:
+            size += ipow_floor_log(q, 2**20 * top**2 * b / a) + 1
+        else:
+            size += max(0, ipow_floor_log(q, h / a) - n0 + 1)
+    return size
+
+
+def _added(model) -> int:
+    """The added points of a tree, counted once per modification."""
+    kind = type(model)
+    if kind is FiniteUnion:
+        return sum(map(_added, model.parts))
+    if kind is FiniteModification:
+        return len(model.added) + _added(model.base)
+    return 0
 
 
 CRITICAL_CAP = 512  # critical horizons read from one geometric leaf
@@ -1335,15 +1426,23 @@ def critical_gap_h_values(model, h_lo, h_hi):
     For geometric structure these are where l(h)/h peaks; injecting them
     into an estimator grid makes the probed sup exact. They are the
     component starts in [h_lo, h_hi] of the tree's geometric leaves (see
-    `leaves`), read downward from h_hi, at most CRITICAL_CAP per leaf."""
-    out = set()
+    `leaves`; an even stack of reflections is read as its base), read
+    downward from h_hi, at most CRITICAL_CAP per leaf, and returned as
+    one ascending tuple: the leaves' runs merged, equal neighbours
+    dropped."""
+    runs = []
     for leaf, _ in leaves(model)[1]:
-        if type(leaf) in GEOMETRIC:
-            starts = (lo for lo, _ in components(leaf, h_hi, -1))
-            out.update(itertools.islice(
-                itertools.takewhile(lambda lo: lo >= h_lo, starts),
-                CRITICAL_CAP))
-    return tuple(sorted(out))
+        base = leaf
+        while type(base) is Reflected and type(base.base) is Reflected:
+            base = base.base.base
+        if type(base) in GEOMETRIC:
+            starts = (lo for lo, _ in components(base, h_hi, -1))
+            run = list(itertools.islice(itertools.takewhile(
+                lambda lo: lo >= h_lo, starts), CRITICAL_CAP))
+            runs.append(run[::-1])
+        elif base is not leaf:
+            runs.append(critical_gap_h_values(base, h_lo, h_hi))
+    return tuple(h for h, _ in itertools.groupby(heapq.merge(*runs)))
 
 
 def min_element(model):

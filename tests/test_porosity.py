@@ -269,6 +269,33 @@ def test_commensurable_unions_are_exact(parts, value):
     assert max(row[2] for row in result.trace) == value
 
 
+@pytest.mark.parametrize("first, second, value", [
+    (GeometricPoints(F(5, 2), F(1), 0), GeometricPoints(F(3), F(1), 0),
+     F(3, 5)),
+    (GeometricPoints(F(7, 3), F(1), 0), GeometricBlocks(F(3), F(1), F(5, 4)),
+     F(4, 7)),
+])
+def test_a_double_reflection_keeps_the_critical_horizons(first, second,
+                                                         value):
+    # Reflected(Reflected(X)) is X, so it brings X's critical horizons to
+    # the grid; a single reflection stays a leaf (see the oracle tests)
+    plain = porosity_at_infinity(FiniteUnion((first, second)))
+    doubled = porosity_at_infinity(
+        FiniteUnion((Reflected(Reflected(first)), second)))
+    assert (plain.kind, plain.value) == ("horizon_estimate", value)
+    assert doubled == plain
+
+
+def test_truncation_is_read_once_per_probe(count_calls):
+    # the walk from 0 read it at every horizon (63 calls); the seeded walk
+    # reads it for the first horizon only, as no gap falls below h/2**20
+    calls = count_calls(setmodels, "_truncation")
+    model = FiniteUnion((GeometricPoints(F(5, 4), F(1), 0),
+                         GeometricBlocks(F(3, 2), F(1), F(5, 4))))
+    porosity_at_infinity(model, 188)
+    assert calls == {"_truncation": 1}
+
+
 # ---------------------------------------------------------------------------
 # Input guards
 

@@ -52,6 +52,7 @@ from farfield import (
     window_structure,
 )
 from farfield import setmodels
+from farfield.porosity import _grid
 from farfield.setmodels import (
     ambient_dim,
     intersects_open_interval,
@@ -466,6 +467,62 @@ def test_longest_gaps_walk_matches_the_windows_and_the_oracle(model, hs,
         assert acc, "only a truncated window may stay inconclusive"
 
 
+# Trees without a period or a gap bound, whose walk is seeded at the first
+# horizon by a descent: slow bases put many components below it.
+FAR_BASES = [F(9, 8), F(5, 4), F(3, 2), F(2), F(3)]
+FAR_LEAVES = st.one_of(
+    # a first point up to far past the horizons: the lead gap can win
+    st.builds(GeometricPoints, st.sampled_from(FAR_BASES),
+              st.sampled_from([F(1, 2), F(1), F(3, 2)]), st.integers(-2, 40)),
+    st.sampled_from([GeometricBlocks(q, F(1), b) for q, b in (
+        (F(3, 2), F(5, 4)), (F(2), F(3, 2)), (F(2), F(2)), (F(3), F(5, 4)),
+        (F(4), F(2)))]),
+)
+# removed points aimed at the points of FAR_LEAVES, which open gaps, and
+# added points, 0 among them, which split gaps
+FAR_HITS = st.builds(lambda q, c, n: c * q**n, st.sampled_from(FAR_BASES),
+                     st.sampled_from([F(1, 2), F(1), F(3, 2)]),
+                     st.integers(0, 100)).filter(lambda x: x <= 2**22)
+FAR_ADDED = st.one_of(st.just(F(0)), st.integers(1, 2**22).map(F))
+
+
+def far_combinators(sub):
+    return st.one_of(
+        st.lists(sub, min_size=2, max_size=3).map(
+            lambda parts: FiniteUnion(tuple(parts))),
+        st.builds(lambda base, added, removed: FiniteModification(
+            base, tuple(added), tuple(removed)),
+            sub, st.lists(FAR_ADDED, max_size=2),
+            st.lists(FAR_HITS, max_size=3)))
+
+
+# a combinator at the root: a bare leaf answers by its closed form
+FAR_TREES = far_combinators(st.recursive(FAR_LEAVES, far_combinators,
+                                         max_leaves=3))
+FAR_HORIZONS = st.sets(st.integers(2**15, 2**25), min_size=1,
+                       max_size=5).map(lambda ks: [F(k, 8) for k in sorted(ks)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=FAR_TREES, hs=FAR_HORIZONS)
+# one point below the horizon: the lead gap from 0 wins
+@example(model=FiniteModification(GeometricPoints(F(3, 2), F(1), 30)),
+         hs=[F(2) ** 18])
+def test_seeded_walk_matches_the_windows_and_the_oracle(model, hs):
+    shape = setmodels.eventual_shape(model)
+    assert shape.period is None and shape.gap is None
+    size = setmodels._window_bound(model, hs[-1])
+    assert size <= setmodels.WINDOW_CAP
+    for h in hs:  # the components each window lists, uncoalesced
+        assert len(setmodels._window(model, F(0), h)[0]) <= size, h
+    gaps, message = assert_walk_matches_windows(model, hs)
+    pieces, acc = oracle(model, B=hs[-1])
+    for h, gap in zip(hs, gaps):
+        assert gap == o_longest_gap(pieces, acc, h), h
+    if message is not None:
+        assert acc, "only a truncated window may stay inconclusive"
+
+
 @settings(max_examples=150, deadline=None)
 @given(model=trees(3), steps=st.lists(st.integers(1, 96), min_size=1,
                                       max_size=6))
@@ -561,12 +618,15 @@ def test_reflected_gap_bound_holds_on_four_reaches(base):
 
 
 def geometric_parts(model):
-    """The GeometricPoints and GeometricBlocks reached through unions and
-    modifications; a reflection hides its subtree."""
+    """The GeometricPoints and GeometricBlocks reached through unions,
+    modifications and double reflections (the same set); a single
+    reflection hides its subtree."""
     if isinstance(model, FiniteUnion):
         return [leaf for part in model.parts for leaf in geometric_parts(part)]
     if isinstance(model, FiniteModification):
         return geometric_parts(model.base)
+    if isinstance(model, Reflected) and isinstance(model.base, Reflected):
+        return geometric_parts(model.base.base)
     return [model] if isinstance(model, (GeometricPoints,
                                          GeometricBlocks)) else []
 
@@ -657,6 +717,21 @@ def test_longest_gaps_keeps_the_components_at_zero():
         longest_gap(model, F(1, 8))
 
 
+def test_truncation_reads_few_components_under_a_ray(monkeypatch):
+    # [1, inf) holds start = 1 at every large scale; a cursor from the
+    # scale 2**40 would pass 2**41 lattice points before the block [1/2, 3/4]
+    model = FiniteUnion((GB2, Ray(F(1), 1), Lattice(F(1, 2), F(0), "plus")))
+    components = setmodels.components
+
+    def bounded(*args):
+        for n, c in enumerate(components(*args)):
+            assert n < 100, "read too many components"
+            yield c
+
+    monkeypatch.setattr(setmodels, "components", bounded)
+    assert setmodels._truncation(model, F(2) ** 60) == (F(1), F(3, 4))
+
+
 @pytest.mark.parametrize("model", [
     GP2, FiniteUnion((GP2, Lattice(F(1), F(0), "plus")))])
 def test_longest_gaps_rejects_descending_horizons(model):
@@ -671,6 +746,29 @@ def test_porosity_of_the_pinned_union_lists_no_window(count_calls):
     result = porosity_at_infinity(model, 180)
     assert calls == {"window_structure": 0, "longest_gaps": 1}
     assert result.value == F(1, 23) and len(result.trace) == 100
+
+
+def test_the_seeded_walk_reads_few_components_of_the_pinned_union(
+        monkeypatch):
+    # the walk from 0 read 721 components, every point below the last
+    # horizon 2**45; the descent from 2**40 stops near 2**40/23, where no
+    # lower gap can beat the gap already seen
+    model = FiniteUnion((GeometricPoints(F(12, 11), F(1), 0),
+                         GeometricPoints(F(12, 11), F(23, 22), 0)))
+    hs = _grid(model, 180)
+    read = []
+
+    def counted(cursor):
+        def walk(m, x):
+            for c in cursor(m, x):
+                read.append(c)
+                yield c
+        return walk
+
+    monkeypatch.setitem(setmodels._CURSORS, GeometricPoints, tuple(
+        map(counted, setmodels._CURSORS[GeometricPoints])))
+    setmodels.longest_gaps(model, hs)
+    assert len(read) == 161
 
 
 # ---------------------------------------------------------------------------
