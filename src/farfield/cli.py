@@ -82,8 +82,9 @@ def _json_text(value, indent: str = "") -> str:
 
     Given an indent, json.dumps runs its pure-Python encoder, a generator
     per container; joining the pieces here takes about half the time.
-    Strings are quoted by the same function json.dumps uses, and every
-    other scalar but the frequent None is rendered by json.dumps itself.
+    Strings are quoted by the same function json.dumps uses (inline for
+    the str items and keys of a container), and every other scalar but
+    the frequent None is rendered by json.dumps itself.
     """
     if isinstance(value, str):
         return _quote(value)
@@ -94,7 +95,9 @@ def _json_text(value, indent: str = "") -> str:
             return "[]"
         inner = indent + "  "
         return ("[\n" + inner
-                + (",\n" + inner).join([_json_text(v, inner) for v in value])
+                + (",\n" + inner).join([
+                    _quote(v) if type(v) is str else _json_text(v, inner)
+                    for v in value])
                 + "\n" + indent + "]")
     if isinstance(value, dict):
         if not value:
@@ -102,7 +105,8 @@ def _json_text(value, indent: str = "") -> str:
         inner = indent + "  "
         return ("{\n" + inner
                 + (",\n" + inner).join([
-                    _json_key(k) + ": " + _json_text(v, inner)
+                    (_quote(k) if type(k) is str else _json_key(k)) + ": "
+                    + (_quote(v) if type(v) is str else _json_text(v, inner))
                     for k, v in sorted(value.items())])
                 + "\n" + indent + "}")
     return json.dumps(value)
@@ -288,8 +292,17 @@ def _limit_payload(res):
     }
 
 
+def _lab_label(item) -> str:
+    # make_space names points by str(label), so 1 and "1" would collide
+    label = _require(item, "label", "lab family item")
+    if not isinstance(label, str):
+        raise InputError(f"lab family item key 'label' must be a JSON "
+                         f"string, not {label!r}")
+    return label
+
+
 def _cmd_lab(cfg, args, out: Path) -> int:
-    family = [(_require(item, "label", "lab family item"),
+    family = [(_lab_label(item),
                sl.spec_from_dict(_require(item, "spec", "lab family item")))
               for item in _require(cfg, "families")]
     scaling = sl.scaling_from_dict(_require(cfg, "scaling"))
@@ -315,19 +328,22 @@ def _cmd_lab(cfg, args, out: Path) -> int:
             "blocks": [[label, block] for label, block
                        in report.member_blocks],
         })
+    # every push reads its "before" column off the graph's own table, so
+    # the payload of that column is built once
+    before = [_limit_payload(res) for res in graph.limits + graph.pairs]
     for entry in cfg.get("index_maps", ()):
         stride = _require(entry, "stride", "index_maps entry")
         push = sl.subsequence_push(family, scaling, integer(stride),
-                                   integer(entry.get("offset", 0)))
+                                   integer(entry.get("offset", 0)), graph)
         payload["pushes"].append({
             "stride": push.stride,
             "offset": push.offset,
             "checks": [{
                 "kind": kind,
                 "labels": list(labels),
-                "before": _limit_payload(before),
+                "before": was,
                 "after": _limit_payload(after),
-            } for kind, labels, before, after in push.checks],
+            } for (kind, labels, _, after), was in zip(push.checks, before)],
         })
     write_json(out / "lab_report.json", payload)
     return 0

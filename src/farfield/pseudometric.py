@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,6 +61,19 @@ class QuotientMetricSpace:
     projection: dict  # source label -> block label
 
 
+def _integer_units(table):
+    """The table scaled by the lcm of its denominators, as ints, when every
+    entry is an int or a Fraction; else None. Scaling by a positive number
+    keeps every sign, equality and triangle, so the checks read the same
+    on it, in int arithmetic."""
+    entries = [v for row in table for v in row]
+    if not all(type(v) is int or type(v) is Fraction for v in entries):
+        return None
+    den = math.lcm(*(v.denominator for v in entries))
+    return [[v.numerator * (den // v.denominator) for v in row]
+            for row in table]
+
+
 def validate_pseudometric(labels, table) -> ValidationReport:
     """Check shape, symmetry, nonnegativity, zero diagonal, triangles."""
     labels = tuple(labels)
@@ -70,6 +84,7 @@ def validate_pseudometric(labels, table) -> ValidationReport:
     if len(table) != n or any(len(row) != n for row in table):
         problems.append("table is not square of matching size")
         return ValidationReport(False, tuple(problems))
+    table = _integer_units(table) or table
     for i in range(n):
         if table[i][i] != 0:
             problems.append(f"nonzero diagonal at {labels[i]}")

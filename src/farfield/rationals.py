@@ -49,12 +49,15 @@ def integer(value) -> int:
 
 def fmt(value: Fraction) -> str:
     """Exact string form, '3/2' or '5'."""
-    return str(Fraction(value))
+    # Fraction(value) would rebuild a Fraction it was given: an ABC check
+    # and a gcd
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 def dec(value: Fraction) -> str:
     """Decimal approximation, 12 significant digits, deterministic."""
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     try:
         return format(float(value), ".12g")
     except OverflowError:

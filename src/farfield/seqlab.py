@@ -16,9 +16,15 @@ reported as estimates, never silently mixed with exact results.
 Each entry point therefore classifies every spec once per scaling and reads
 all of its rescaled limits off the resulting phase forms; `_tilde` and
 `_pair` hold the one choice between the exact and the numeric path.  A
-subsequence push classifies the pushed specs afresh under the pushed
-scaling rather than mapping the old phases across, so the carry-over check
-compares two separate computations.
+stability graph keeps the limit table it was built from: every member's
+phase form and normalized limit, and every pair's limit.  `_pair_table`
+builds the pair column; when every form is exact it reads the phases as
+integers over one common denominator, so a pair costs two int
+subtractions and an int compare.  A subsequence push reads its "before"
+column from that table (the graph's own, computed once per family, or one
+it builds the same way), and classifies the pushed specs afresh under the
+pushed scaling rather than mapping the old phases across, so the
+carry-over check compares two separate computations.
 
 Each scaling and spec kind declares its fields once, each with its JSON
 codec (`setmodels.Codec`); `*_from_dict` and `*_to_dict` are the generic
@@ -495,6 +501,39 @@ def _pair(x, fx, y, fy, scaling) -> LimitResult:
         "numeric probe of |x_n - y_n|/r_n")
 
 
+def _pair_table(specs, forms, scaling) -> tuple:
+    """The `_pair` limit of every pair (i, j), i < j, in `combinations`
+    order.
+
+    When every form is exact, each phase is read as an integer numerator
+    over the lcm of the table's denominators: a pair is then two int
+    subtractions and an int compare, and each distinct value becomes one
+    Fraction.  A table with an inexact form calls `_pair` throughout.
+    """
+    pairs = combinations(range(len(specs)), 2)
+    if not all(form.ok for form in forms):
+        return tuple(_pair(specs[i], forms[i], specs[j], forms[j], scaling)
+                     for i, j in pairs)
+    den = math.lcm(*(v.denominator for form in forms
+                     for v in (form.even, form.odd)))
+    even = [f.even.numerator * (den // f.even.denominator) for f in forms]
+    odd = [f.odd.numerator * (den // f.odd.denominator) for f in forms]
+    values = {}
+
+    def value(units):
+        got = values.get(units)
+        if got is None:
+            got = values[units] = Fraction(units, den)
+        return got
+
+    table = []
+    for i, j in pairs:
+        lo, hi = abs(even[i] - even[j]), abs(odd[i] - odd[j])
+        table.append(LimitResult("exact", value(lo)) if lo == hi
+                     else _limit_from_phases(value(lo), value(hi)))
+    return tuple(table)
+
+
 def _limsup(x, fx, y, fy, scaling) -> LimitResult:
     res = _pair(x, fx, y, fy, scaling)
     if res.status != "no_limit":
@@ -563,13 +602,19 @@ def _numeric_limit(fn, note) -> LimitResult:
 @dataclass(frozen=True)
 class StabilityGraph:
     """Vertices are labeled sequences; an edge means the pairwise rescaled
-    limit exists, and carries its exact value."""
+    limit exists, and carries its exact value.
+
+    The graph keeps the limit table it was read from, which a push of the
+    same family reads as its "before" column."""
 
     labels: tuple
     specs: tuple
     scaling: object
     tilde: tuple  # Fraction per label
     edges: tuple  # ((i, j), value) with i < j
+    forms: tuple  # PhaseForm per label
+    limits: tuple  # LimitResult per label: the normalized limit
+    pairs: tuple  # LimitResult per pair (i, j), i < j, combinations order
 
     def edge_value(self, a, b):
         i, j = sorted((self.labels.index(a), self.labels.index(b)))
@@ -602,21 +647,22 @@ def stability_graph(family, scaling) -> StabilityGraph:
             f"family of {len(labels)} exceeds the {MAX_GRAPH_VERTICES}-vertex"
             " bound")
     specs = tuple(s for _, s in items)
-    forms = [classify(spec, scaling) for spec in specs]
-    tilde = [_tilde(spec, form, scaling) for spec, form in zip(specs, forms)]
+    forms = tuple(classify(spec, scaling) for spec in specs)
+    limits = tuple(_tilde(spec, form, scaling)
+                   for spec, form in zip(specs, forms))
     bad = [f"{label} ({res.status})"
-           for label, res in zip(labels, tilde) if not res.exists]
+           for label, res in zip(labels, limits) if not res.exists]
     if bad:
         raise InputError(
             "family members without a normalized distance limit: "
             + ", ".join(bad))
-    edges = []
-    for i, j in combinations(range(len(labels)), 2):
-        res = _pair(specs[i], forms[i], specs[j], forms[j], scaling)
-        if res.exists:
-            edges.append(((i, j), res.value))
+    pairs = _pair_table(specs, forms, scaling)
+    edges = tuple((ij, res.value) for ij, res
+                  in zip(combinations(range(len(labels)), 2), pairs)
+                  if res.exists)
     return StabilityGraph(labels, specs, scaling,
-                          tuple(res.value for res in tilde), tuple(edges))
+                          tuple(res.value for res in limits), edges,
+                          forms, limits, pairs)
 
 
 def maximal_self_stable(graph: StabilityGraph):
@@ -752,29 +798,45 @@ def _push_spec(spec, stride, offset):
     raise InputError(f"unsupported sequence spec {type(spec).__name__}")
 
 
-def subsequence_push(family, scaling, stride: int, offset: int = 0):
+def subsequence_push(family, scaling, stride: int, offset: int = 0,
+                     graph=None):
     """Re-index a whole family along n = stride*k + offset.
 
     Returns a PushReport whose checks record, member by member and stable
     pair by stable pair, that existing limits carried over unchanged (a
     limit that exists passes to every subsequence).  New limits may appear;
     they are reported, not checked against anything.
+
+    The "before" side of each check is the family's limit table under
+    `scaling`: the one `graph` holds when given (the stability graph of
+    this family under this scaling), else one built here the same way.
     """
-    return _push(_items(family), scaling, stride, offset)[0]
+    items = _items(family)
+    specs = tuple(spec for _, spec in items)
+    if graph is None:
+        forms = tuple(classify(spec, scaling) for spec in specs)
+        limits = tuple(_tilde(spec, form, scaling)
+                       for spec, form in zip(specs, forms))
+        pairs = _pair_table(specs, forms, scaling)
+    elif (graph.labels, graph.specs, graph.scaling) == (
+            tuple(label for label, _ in items), specs, scaling):
+        limits, pairs = graph.limits, graph.pairs
+    else:
+        raise InputError("the graph holds another family or scaling")
+    return _push(items, scaling, limits, pairs, stride, offset)[0]
 
 
-def _push(items, scaling, stride, offset):
-    """The PushReport of `subsequence_push`, and the phase forms of the
-    pushed members under the pushed scaling."""
+def _push(items, scaling, limits, pairs, stride, offset):
+    """The PushReport of `subsequence_push` over the "before" table
+    (limits, pairs), and the phase forms of the pushed members under the
+    pushed scaling."""
     pushed_scaling = SubsequenceScaling(scaling, stride, offset)
     pushed_items = [(label, _push_spec(spec, stride, offset))
                     for label, spec in items]
-    old = [classify(spec, scaling) for _, spec in items]
-    new = [classify(pspec, pushed_scaling) for _, pspec in pushed_items]
+    pspecs = tuple(pspec for _, pspec in pushed_items)
+    new = tuple(classify(pspec, pushed_scaling) for pspec in pspecs)
     checks = []
-    for (label, spec), (_, pspec), form, pform in zip(items, pushed_items,
-                                                       old, new):
-        before = _tilde(spec, form, scaling)
+    for (label, _), pspec, pform, before in zip(items, pspecs, new, limits):
         after = _tilde(pspec, pform, pushed_scaling)
         checks.append(("tilde_d", (label,), before, after))
         if before.exists and not (after.exists
@@ -782,11 +844,10 @@ def _push(items, scaling, stride, offset):
             raise InternalInvariantError(
                 f"push broke the normalized limit of {label}: "
                 f"{before.value} -> {after.status}")
-    for i, j in combinations(range(len(items)), 2):
-        (la, sa), (lb, sb) = items[i], items[j]
-        before = _pair(sa, old[i], sb, old[j], scaling)
-        after = _pair(pushed_items[i][1], new[i], pushed_items[j][1], new[j],
-                      pushed_scaling)
+    for (i, j), before, after in zip(combinations(range(len(items)), 2),
+                                     pairs,
+                                     _pair_table(pspecs, new, pushed_scaling)):
+        la, lb = items[i][0], items[j][0]
         checks.append(("d_r", (la, lb), before, after))
         if before.exists and not (after.exists
                                   and after.value == before.value):
@@ -821,12 +882,16 @@ def tangency_probe(graph: StabilityGraph, clique, index_maps, pool):
     never a proof; the outcome says which.
     """
     clique = tuple(clique)
-    family = _items({label: graph.specs[graph.labels.index(label)]
-                     for label in clique})
+    idx = [graph.labels.index(label) for label in sorted(set(clique))]
+    family = [(graph.labels[i], graph.specs[i]) for i in idx]
+    limits = [graph.limits[i] for i in idx]
+    pairs = _pair_table([graph.specs[i] for i in idx],
+                        [graph.forms[i] for i in idx], graph.scaling)
     pool_items = _items(pool)
     outcomes = []
     for stride, offset in index_maps:
-        push, forms = _push(family, graph.scaling, stride, offset)
+        push, forms = _push(family, graph.scaling, limits, pairs, stride,
+                            offset)
         members = list(zip(push.family, forms))
         notes = []
         for cand_label, cand in pool_items:

@@ -346,10 +346,18 @@ def test_lab_report_structure(tmp_path):
     {"index_maps": [{"stride": 1.5, "offset": 0}]},
     {"families": [{"label": "x0",
                    "spec": {"kind": "closed_form", "terms": [1]}}]},
+    # labels name the pretangent points as strings: 1 met "1" there and
+    # ended in a traceback, and [1] is not even hashable
+    {"families": [{"label": 1, "spec": {"kind": "closed_form", "terms": {}}},
+                  {"label": "1",
+                   "spec": {"kind": "closed_form", "terms": {}}}]},
+    {"families": [{"label": [1],
+                   "spec": {"kind": "closed_form", "terms": {}}}]},
 ])
 def test_lab_bad_configs_exit_two(tmp_path, changes):
-    # a non-object scaling, spec or terms, and a fractional degree or
-    # stride, are config errors: never a traceback, never truncated to 1
+    # a non-object scaling, spec or terms, a fractional degree or stride,
+    # and a label that is not a string, are config errors: never a
+    # traceback, never truncated to 1
     code, out = run(tmp_path, "lab", dict(LAB_CONFIG, **changes))
     assert code == 2
     assert not (out / "lab_report.json").exists()
@@ -533,6 +541,11 @@ def test_malformed_fields_name_the_kind_and_the_field(
     ("equiv", {"y_model": GP2, "z_model": GP3, "threshold": "-1"},
      "threshold"),
     ("equiv", {"y_model": GP2, "z_model": GP3, "threshold": 0}, "threshold"),
+    # a lab label must be a JSON string
+    ("lab", dict(LAB_CONFIG, families=[{"label": 1, "spec": {
+        "kind": "closed_form", "terms": {}}}]), "label"),
+    ("lab", dict(LAB_CONFIG, families=[{"label": [1], "spec": {
+        "kind": "closed_form", "terms": {}}}]), "label"),
 ])
 def test_config_errors_name_the_key(tmp_path, capsys, command, cfg, key):
     # never a traceback (exit 1 is a negative verdict) nor a bare KeyError

@@ -163,6 +163,64 @@ def test_validate_rejects_triangle_violation():
     assert any("triangle" in v for v in rep.violations)
 
 
+def fraction_validation(labels, table):
+    """validate_pseudometric's checks read off the table as given, in the
+    arithmetic of its entries."""
+    labels = tuple(labels)
+    problems = []
+    if len(set(labels)) != len(labels):
+        problems.append("duplicate labels")
+    n = len(labels)
+    for i in range(n):
+        if table[i][i] != 0:
+            problems.append(f"nonzero diagonal at {labels[i]}")
+        for j in range(n):
+            if table[i][j] < 0:
+                problems.append(f"negative entry at ({labels[i]},{labels[j]})")
+            if table[i][j] != table[j][i]:
+                problems.append(f"asymmetric at ({labels[i]},{labels[j]})")
+    if not problems:
+        for i, j, k in itertools.combinations(range(n), 3):
+            for a, b, c in ((i, j, k), (j, i, k), (i, k, j)):
+                if table[a][b] > table[a][c] + table[c][b]:
+                    problems.append("triangle violated at "
+                                    f"({labels[a]},{labels[b]},{labels[c]})")
+    return not problems, tuple(problems)
+
+
+@st.composite
+def tables(draw):
+    """(labels, table) of 1-7 points: distances between points on the
+    line, some entries then overwritten (one side or both), in ints,
+    Fractions or a mix of the two; now and then a repeated label."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(("int", "fraction", "mixed")))
+    value = (st.integers(-3, 12) if kind == "int" else
+             st.fractions(min_value=-3, max_value=12, max_denominator=12))
+    points = draw(st.lists(value, min_size=n, max_size=n))
+    table = [[abs(u - v) for v in points] for u in points]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[i][j] = draw(value)
+        if draw(st.booleans()):
+            table[j][i] = table[i][j]
+    if kind == "mixed":
+        table = [[int(v) if v.denominator == 1 else v for v in row]
+                 for row in table]
+    labels = [f"p{i}" for i in range(n)]
+    if n > 1 and draw(st.integers(0, 5)) == 0:
+        labels[-1] = labels[0]
+    return labels, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tables())
+def test_validate_matches_the_fraction_triangle_loop(case):
+    labels, table = case
+    rep = validate_pseudometric(labels, table)
+    assert (rep.ok, rep.violations) == fraction_validation(labels, table)
+
+
 def test_make_space_raises_on_invalid():
     with pytest.raises(InputError):
         make_space(("a", "b"), ((0, 1), (2, 0)))

@@ -1,11 +1,14 @@
 """Boundary numbers: floats read from configs and decimal rendering."""
 
+from decimal import Context, Decimal
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from farfield.errors import InputError
-from farfield.rationals import common_power, dec, integer, rat
+from farfield.rationals import common_power, dec, fmt, integer, rat
 
 
 def test_rat_reads_a_float_as_its_shortest_repr():
@@ -52,3 +55,31 @@ def test_common_power_is_exact(p, q, common):
     assert common_power(p, q) == common
     assert common_power(q, p) == common
 
+
+
+def coerced_dec(value):
+    """dec as it read every input: through Fraction(value) first."""
+    value = F(value)
+    try:
+        return format(float(value), ".12g")
+    except OverflowError:
+        ctx = Context(prec=12)
+        digits = ctx.divide(value.numerator, Decimal(value.denominator))
+        return format(digits.normalize(ctx), ".12g")
+
+
+BIG = 10 ** 400
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.one_of(
+    st.integers(-BIG, BIG),
+    st.fractions(),
+    st.builds(F, st.integers(-BIG, BIG), st.integers(1, 10 ** 30)),
+    st.fractions().map(str),
+    st.decimals(-10 ** 12, 10 ** 12, allow_nan=False, places=12).map(str)))
+def test_fmt_and_dec_read_a_fraction_as_given(value):
+    # a Fraction is formatted as it is; ints and rational strings are
+    # coerced as before
+    assert fmt(value) == str(F(value))
+    assert dec(value) == coerced_dec(value)

@@ -49,7 +49,7 @@ from farfield import (
     tilde_d,
 )
 from farfield import seqlab
-from farfield.cli import main as cli_main
+from farfield.cli import _limit_payload, main as cli_main
 from farfield.seqlab import ATOMS, _push_spec
 from test_setmodels_oracle import trees
 
@@ -478,9 +478,79 @@ def test_lab_job_classifies_each_spec_once_per_scaling(tmp_path,
     cfg.write_text(json.dumps(lab_work_config(20, 3)))
     assert cli_main(["lab", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 0
-    # one classification per spec for the graph, two per spec and push
-    # (the spec, then its pushed copy under the pushed scaling)
-    assert len(calls) <= 20 * (1 + 2 * 3)
+    # one classification per spec for the graph, and one per spec and push
+    # (its pushed copy under the pushed scaling); a push reads the
+    # unpushed side off the graph
+    assert len(calls) == 20 * (1 + 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=lab_families(),
+       index_maps=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 2)),
+                           min_size=1, max_size=3))
+def test_lab_report_pushes_match_standalone_pushes(tmp_path_factory, case,
+                                                   index_maps):
+    # the CLI pushes read the graph's table; a standalone push builds its
+    # own, and both must report the same checks
+    scaling, fam = case
+    fam = [(label, spec) for label, spec in fam
+           if in_sequence_set(spec, scaling)]
+    assume(fam)
+    folder = tmp_path_factory.mktemp("lab")
+    cfg = folder / "lab.json"
+    cfg.write_text(json.dumps({
+        "families": [{"label": label, "spec": spec_to_dict(spec)}
+                     for label, spec in fam],
+        "scaling": scaling_to_dict(scaling),
+        "index_maps": [{"stride": stride, "offset": offset}
+                       for stride, offset in index_maps]}))
+    assert cli_main(["lab", "--config", str(cfg),
+                     "--out", str(folder / "out")]) == 0
+    report = json.loads((folder / "out" / "lab_report.json").read_text())
+    want = [{"stride": stride, "offset": offset, "checks": [
+        {"kind": kind, "labels": list(labels),
+         "before": _limit_payload(before), "after": _limit_payload(after)}
+        for kind, labels, before, after
+        in subsequence_push(fam, scaling, stride, offset).checks]}
+        for stride, offset in index_maps]
+    assert report["pushes"] == want
+
+
+PHASES = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@st.composite
+def phase_tables(draw):
+    """(scaling, specs, forms): random exact phase forms over mixed
+    denominators, some members repeated, and now and then the selector
+    that never classifies."""
+    scaling = draw(st.sampled_from(LAB_SCALINGS))
+    specs, forms = [], []
+    for _ in range(draw(st.integers(0, 7))):
+        pick = draw(st.integers(0, 7))
+        if pick == 0:
+            specs.append(UNCLASSIFIED)
+            forms.append(seqlab.classify(UNCLASSIFIED, scaling))
+        elif pick == 1 and forms:
+            k = draw(st.integers(0, len(forms) - 1))
+            specs.append(specs[k])
+            forms.append(forms[k])
+        else:
+            even, odd = draw(PHASES), draw(PHASES)
+            specs.append(ClosedFormSpec({"r": (even + odd) / 2,
+                                         "alt_r": (even - odd) / 2}))
+            forms.append(seqlab.PhaseForm(even, odd, "exact"))
+    return scaling, specs, forms
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=phase_tables())
+def test_pair_table_matches_pair_by_pair(case):
+    scaling, specs, forms = case
+    want = tuple(seqlab._pair(specs[i], forms[i], specs[j], forms[j],
+                              scaling)
+                 for i, j in itertools.combinations(range(len(specs)), 2))
+    assert seqlab._pair_table(specs, forms, scaling) == want
 
 
 def test_graph_rejects_members_without_limits():
