@@ -13,13 +13,14 @@ non-certified `equivalent_numerical` rests on finite probing.
 
 The covering bound is sup_{z in Z} d(z, Y), taken both ways. For sets on
 the line it is read one side at a time (side -1 through the reflected
-pair), over the source points in [0, inf), in the target's frame on that
-side: its translation by the period P of its eventual shape
-(`setmodels.eventual_shape`) when there is one, else its dilation by the
-factor L of `setmodels.dilation`; a side with neither (a lattice beside a
-geometric part) is "unknown". Past the frame's reach R the target, and so
-each of its gaps, repeats under x -> x + P (x -> L*x). One rule list,
-`_side_sup`, the first rule that applies:
+pair), over the source points in [0, inf), by the frames of source and
+target on that side (`setmodels.frames`). The target repeats there under
+its translation by the period P of its frame when there is one, else
+under its dilation by the frame's factor L; a side with neither (a
+lattice beside a geometric part) is "unknown". Past the reach R of that
+period (factor) the target, and so each of its gaps, repeats under
+x -> x + P (x -> L*x). One rule list, `_side_sup`, the first rule that
+applies:
 1. a source that leaves the side empty far out is walked up to its end;
    one that reaches a side the target leaves empty is "infinite";
 2. a source with a frame of the same kind repeats with the target past the
@@ -320,17 +321,17 @@ def _flattened_sup(source, target) -> SupDistance:
     return _worst(sups)
 
 
-def _geometric_mod_sup(source, target, dil, top, period):
+def _geometric_mod_sup(source, target, frame, top, period):
     """(sup, apart) over a source that rescales onto itself by an integer
-    factor q past the reach of its dilation `dil`, against a target whose
-    distance repeats with the period P past top, or None.
+    factor q past the reach of that factor in its `frame`, against a target
+    whose distance repeats with the period P past top, or None.
 
     Past a = max(top, reach) every source point is p*q**k for a point p in
     (a, a*q], and its distance is that of its residue modulo P, so a walk
     up to a*q and the residue orbits r -> r*q mod P of those points give
     the sup: once a residue repeats, its orbit only revisits seen ones.
     """
-    q, a = dil.rho, max(top, dil.reach)
+    q, a = frame.rho, max(top, frame.rho_reach)
     got = _window_sup(source, target, ZERO, a * q)
     if got is None:
         return None
@@ -376,11 +377,10 @@ def _frame_sup(source, target):
     """(sup, apart) against a 1-D target, one side at a time by `_side_sup`
     on the pair reflected for side -1; apart tells whether a walked source
     point lies outside the target's hulls."""
-    shapes = setmodels.eventual_shape(source), setmodels.eventual_shape(target)
-    dils = None if shapes[1].period is not None else (
-        setmodels.dilation(source), setmodels.dilation(target))
+    both = setmodels.frames(source), setmodels.frames(target)
     sides = [_side_sup(*(m if side == 1 else Reflected(m)
-                         for m in (source, target)), side, shapes, dils)
+                         for m in (source, target)),
+                       *(f[side] for f in both))
              for side in (-1, 1)]
     return (_worst([sup for sup, _ in sides]),
             any(apart for _, apart in sides))
@@ -393,29 +393,28 @@ def _log_window(reach, rho):
     return a * rho, a * rho * rho
 
 
-def _side_sup(source, target, side, shapes, dils):
+def _side_sup(source, target, frame, tframe):
     """(sup, apart) over the source points in [0, inf) by the rules of the
-    module docstring, for the pair as seen from `side`. shapes are the
-    eventual shapes of source and target; dils their dilations, or None
-    when the target's frame is its translation by its period."""
-    shape, tshape = shapes
-    additive = dils is None
-    frame = tshape if additive else dils[1][side]
-    if frame is None:
+    module docstring, for the pair as seen from one side, and the frames
+    of source and target on that side: the target's translation by its
+    period when it has one, else its dilation by its factor."""
+    additive = tframe.period is not None
+    reach, step = ((tframe.reach, tframe.period) if additive
+                   else (tframe.rho_reach, tframe.rho))
+    if step is None:
         return _UNKNOWN, True
-    reach, step = frame.reach, frame.period if additive else frame.rho
     period = (reach + step, step) if additive and step else None
     if not _reaches(source, 1):
         return _walk(source, target, max(ZERO, _end(source, 1)), period)
     if not _reaches(target, 1):
         return _INF, True
-    if additive and shape.period is not None and not shape.long_runs[side]:
-        return _walk(source, target, max(shape.reach, reach)
-                     + 2 * lcm(shape.period, step), period)
-    dil = None if additive else dils[0][side]
-    rho = dil and common_power(dil.rho, step)
+    if additive and frame.period is not None and not frame.long_runs:
+        return _walk(source, target, max(frame.reach, reach)
+                     + 2 * lcm(frame.period, step), period)
+    rho = None if additive or frame.rho is None else common_power(
+        frame.rho, step)
     if rho is not None:
-        top = max(dil.reach, reach)
+        top = max(frame.rho_reach, reach)
         got = _window_sup(source, target, *_log_window(top, rho))
         if got is None or got[0] > 0:
             return (_UNKNOWN if got is None else _INF), True
@@ -426,19 +425,18 @@ def _side_sup(source, target, side, shapes, dils):
     if not far[1]:
         return _walk(source, target, reach)
     if not additive:
-        unbounded = shape.cover[side] is not None or (
-            dil is not None and dil.rho > 1)
+        unbounded = frame.cover is not None or (
+            frame.rho is not None and frame.rho > 1)
         return (_INF if unbounded else _UNKNOWN), True
     top = reach + step
     got = _window_sup(source, target, ZERO, top)
     if got is None:
         return _UNKNOWN, True
     bound = max(got[0], far[0])
-    if shape.long_runs[side] or got[0] >= far[0]:
+    if frame.long_runs or got[0] >= far[0]:
         return SupDistance("value", bound), True
-    dil = setmodels.dilation(source)[1]
-    if dil is not None and dil.rho > 1 and dil.rho.denominator == 1:
-        orbit = _geometric_mod_sup(source, target, dil, top, step)
+    if frame.rho is not None and frame.rho > 1 and frame.rho.denominator == 1:
+        orbit = _geometric_mod_sup(source, target, frame, top, step)
         if orbit is not None:
             return SupDistance("value", orbit[0]), orbit[1]
     return SupDistance("unknown", bound), True
@@ -591,10 +589,11 @@ class EquivalenceVerdict:
 def _gap_midpoint_family(model):
     """(coef, q, start, c) for the midpoints t_m = coef*q**m (m >= start)
     of the widest relative gap, (g2 - g1)/(g2 + g1), in one log period
-    past the reach of the set's dilation (`setmodels.log_period_gaps`), q
-    its factor: the gap scales into a gap by q, so the distance to the set
-    at t_m is at least c*t_m. None without a factor or a gap."""
-    got = setmodels.log_period_gaps(model) if ambient_dim(model) == 1 else None
+    past the reach of the set's factor q (`setmodels.log_period_gaps`):
+    the gap scales into a gap by q, so the distance to the set at t_m is
+    at least c*t_m. None without a factor or a gap."""
+    got = (setmodels.log_period_gaps(model, setmodels.frames(model)[1])
+           if ambient_dim(model) == 1 else None)
     if not got or not got[1]:
         return None
     rho, found = got
@@ -607,30 +606,28 @@ def _family_membership_persists(other, coef, q, start) -> bool:
     `other` for every m >= start.
 
     Membership is checked point by point until the family clears the reach
-    of the set's eventual shape and of its dilation on the positive side;
-    past both they carry it on. With period 0 the set holds all of the far
-    side. With period L, the step t_{m+1} - t_m = t_m*(q - 1) stays a
-    multiple of L once it is one, when q is an integer. Otherwise the
-    dilation carries it when q is a power of its factor, and a union or
-    modification, which agrees past its reach with the union of its
-    leaves, when one leaf carries it.
+    of the set's frame on the positive side (which bounds the reach of its
+    factor); past it the frame carries it on. With period 0 the set holds
+    all of the far side. With period L, the step t_{m+1} - t_m =
+    t_m*(q - 1) stays a multiple of L once it is one, when q is an
+    integer. Otherwise the factor carries it when q is a power of it, and
+    a union or modification, which agrees past its reach with the union of
+    its leaves, when one leaf carries it.
     """
-    shape = setmodels.eventual_shape(other)
-    dil = setmodels.dilation(other)[1]
-    reach = shape.reach if dil is None else max(shape.reach, dil.reach)
+    frame = setmodels.frames(other)[1]
     m = start
-    while coef * q ** m <= reach:
+    while coef * q ** m <= frame.reach:
         if not contains(other, coef * q ** m):
             return False
         m += 1
     value = coef * q ** m
     if not contains(other, value):
         return False
-    period = shape.period
+    period = frame.period
     if period == 0 or (period and q.denominator == 1
                        and value * (q - 1) % period == 0):
         return True
-    if dil is not None and common_power(q, dil.rho) == q:
+    if frame.rho is not None and common_power(q, frame.rho) == q:
         return True
     if isinstance(other, (FiniteUnion, FiniteModification)):
         return any(_family_membership_persists(leaf, coef, q, m)

@@ -7,15 +7,16 @@ variants get exact closed forms:
 * bounded-gap models (rays from a finite origin, half lattices, periodic
   block patterns, and their finite modifications / unions containing one)
   have l(h) bounded, so the value is exactly 0;
-* a set with a dilation x -> rho*x on [0, inf) (`setmodels.dilation`:
-  GeometricPoints, GeometricBlocks, and their commensurable unions and
-  finite modifications) repeats its gaps past the reach, scaled by rho,
-  in every log period, and l(h)/h peaks at the right end h = g2 of a gap
-  (g1, g2): the value is the largest (g2 - g1)/g2 over one log period,
-  read off the component cursor. For a geometric run (q, a, b, n0), the
-  blocks [a*q**n, b*q**n] (`setmodels.GEOMETRIC`), it is 1 - b/(a*q)
-  for both kinds: GeometricBlocks(q, a, b), and GeometricPoints(q, c, n0)
-  with a = b = c, which gives 1 - 1/q.
+* a set with a dilation x -> rho*x on [0, inf) (the factor rho of its
+  `setmodels.frames` there: GeometricPoints, GeometricBlocks, and their
+  commensurable unions and finite modifications) repeats its gaps past
+  the reach, scaled by rho, in every log period, and l(h)/h peaks at the
+  right end h = g2 of a gap (g1, g2): the value is the largest
+  (g2 - g1)/g2 over one log period, read off the component cursor. For a
+  geometric run (q, a, b, n0), the blocks [a*q**n, b*q**n]
+  (`setmodels.GEOMETRIC`), it is 1 - b/(a*q) for both kinds:
+  GeometricBlocks(q, a, b), and GeometricPoints(q, c, n0) with
+  a = b = c, which gives 1 - 1/q.
 
 Everything else gets a finite-horizon estimator: the exact sup of l(h)/h
 over a geometric h-grid (quarter-dyadic rational stand-ins) with the
@@ -76,10 +77,10 @@ class PorosityVerdict:
 
 def _exact_closed_form(model):
     """(value, note) for variants with a closed form, else None."""
-    bound = sm.gap_bound(model)
-    if bound is not None:
-        return Fraction(0), f"all gaps bounded by {bound}"
-    got = sm.log_period_gaps(model)
+    frame = sm.frames(model)[1]
+    if frame.gap is not None:
+        return Fraction(0), f"all gaps bounded by {frame.gap}"
+    got = sm.log_period_gaps(model, frame)
     if got is None:
         return None
     # l(h)/h peaks at the right end h = g2 of a gap past the reach

@@ -266,7 +266,9 @@ def _first_map(src: FinitePseudometricSpace, dst: FinitePseudometricSpace,
             image.pop()
         return False
 
-    if not extend(0, len(classes)):
+    found = extend(0, len(classes))
+    del extend  # it refers to itself: free it now, not at a collection
+    if not found:
         return None
     return dict(zip(src.labels, (dst.labels[y] for y in image)))
 

@@ -49,7 +49,6 @@ from .setmodels import (
     Codec,
     Kinds,
     codec,
-    eventual_shape,
     max_element,
     min_element,
     nearest_point,
@@ -378,8 +377,9 @@ def classify(spec, scaling) -> PhaseForm:
         return PhaseForm(even, odd, "exact", "closed form")
     if isinstance(spec, InSetSpec):
         a_even, a_odd = spec.anchors()
-        even = _classify_inset_branch(spec.model, a_even, scaling, 0)
-        odd = _classify_inset_branch(spec.model, a_odd, scaling, 1)
+        sides = setmodels.frames(spec.model)
+        even = _classify_inset_branch(spec.model, sides, a_even, scaling, 0)
+        odd = _classify_inset_branch(spec.model, sides, a_odd, scaling, 1)
         if even is None or odd is None:
             return PhaseForm(ZERO, ZERO, "inconclusive",
                              "selector not certified over this set")
@@ -390,9 +390,10 @@ def classify(spec, scaling) -> PhaseForm:
                      f"unsupported spec {type(spec).__name__}")
 
 
-def _classify_inset_branch(model, anchor, scaling, parity):
+def _classify_inset_branch(model, sides, anchor, scaling, parity):
     """Phase of nearest(model, anchor * r_n) along one parity class, or
-    None when not certifiable.  Returns (phase, note)."""
+    None when not certifiable; sides are the model's frames.  Returns
+    (phase, note)."""
     if anchor == 0:
         try:
             pin = nearest_point(model, ZERO)
@@ -400,38 +401,38 @@ def _classify_inset_branch(model, anchor, scaling, parity):
             return None
         return ZERO, f"pinned at {fmt(pin)}"
     direction = 1 if anchor > 0 else -1
-    cover = eventual_shape(model).cover[direction]
-    if cover is not None:
-        return anchor, f"covering bound {fmt(cover)}"
+    frame = sides[direction]
+    if frame.cover is not None:
+        return anchor, f"covering bound {fmt(frame.cover)}"
     pin = min_element(model) if direction == -1 else max_element(model)
     if pin is not None:
         return ZERO, f"pinned at {fmt(pin)}"
-    dil = setmodels.dilation(model)[direction]
-    if dil is not None and dil.rho > 1:
-        return _geometric_selector_phase(model, anchor, scaling, parity, dil)
+    if frame.rho is not None and frame.rho > 1:
+        return _geometric_selector_phase(model, anchor, scaling, parity,
+                                         frame)
     return None
 
 
-def _geometric_selector_phase(model, anchor, scaling, parity, dil):
+def _geometric_selector_phase(model, anchor, scaling, parity, frame):
     """Selector over a set that rescales onto itself on the anchor's side
-    (`setmodels.Dilation`, factor rho) under a geometric scaling whose
-    ratio squared is a power of rho: a parity step multiplies r_n by a
-    power of rho. Once the anchor point is past the first set point beyond
-    the reach (any point, at reach 0), the gap that holds it opens past the
-    reach, so its nearest point scales with it: the ratio nearest/r is
-    eventually constant along a parity class, and that constant is the
-    phase."""
+    (its `setmodels.Frame` there, factor rho) under a geometric scaling
+    whose ratio squared is a power of rho: a parity step multiplies r_n by
+    a power of rho. Once the anchor point is past the first set point
+    beyond the factor's reach (any point, at reach 0), the gap that holds
+    it opens past the reach, so its nearest point scales with it: the
+    ratio nearest/r is eventually constant along a parity class, and that
+    constant is the phase."""
     eff = effective_geometric(scaling)
     if eff is None:
         return None
     q_s, c_s = eff
-    if common_power(q_s ** 2, dil.rho) != q_s ** 2:
+    if common_power(q_s ** 2, frame.rho) != q_s ** 2:
         return None
     n_star = 1
-    if dil.reach:
+    if frame.rho_reach:
         side = model if anchor > 0 else setmodels.Reflected(model)
-        floor_val = next(hi for _, hi in setmodels.components(side, dil.reach)
-                         if hi > dil.reach)
+        floor_val = next(hi for _, hi in setmodels.components(
+            side, frame.rho_reach) if hi > frame.rho_reach)
         n_star = max(ipow_floor_log(q_s, floor_val / abs(anchor * c_s)) + 1,
                      1)
     if n_star % 2 != parity % 2:
@@ -684,6 +685,7 @@ def maximal_self_stable(graph: StabilityGraph):
             x = x | {v}
 
     expand(set(), set(range(n)), set())
+    del expand  # it refers to itself: free it now, not at a collection
     named = sorted(tuple(graph.labels[i] for i in c) for c in cliques)
     zero_members = {graph.labels[i] for i in range(n)
                     if graph.tilde[i] == 0}

@@ -21,7 +21,7 @@ GeometricBlocks(q, a, b) the run (q, a, b, None): it spans all integer
 scales (it is exactly self-similar under its base), so it accumulates at
 0; window decompositions that would have to list infinitely many tiny
 components report a truncation scale instead. The family has one cursor
-pair, one eventual shape, one dilation and one longest-gap closed form.
+pair, one frame rule and one longest-gap closed form.
 
 Every 1-D query is derived from one component cursor per model kind:
 `components(model, x, +1)` yields the components with hi >= x in
@@ -51,11 +51,11 @@ nodes, each with the points removed above it. The sup distance from a
 union (`equivalence`) and the critical horizons of the porosity probe
 read the tree that way.
 
-What a 1-D set does far out is its eventual shape, `eventual_shape(model)`:
-one rule per leaf kind, with union, finite modification and reflection
-written once; `required_window` and `gap_bound` read fields of it. How it
-rescales onto itself far out is its dilation, `dilation(model)`, built
-the same way but apart from the shape, where a caller reads it.
+What a 1-D set does far out on each side, and how it rescales onto
+itself there, is its frame on that side, `frames(model)`: one rule per
+leaf kind gives both sides, union and finite modification are each
+written once over the sides of their parts, and a reflection swaps the
+sides. `required_window` reads the reach.
 
 The porosity probe's gap search, `longest_gaps(model, hs)`, answers an
 ascending horizon list in one ascending walk of the cursor (geometric
@@ -83,7 +83,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter, mul
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from .errors import InputError, UnsupportedGeometryError
 from .rationals import (common_power, fmt, integer, ipow_floor_log, lcm,
@@ -720,6 +720,7 @@ def leaves(model, sign: int = 1):
             found.append((m if sign == 1 else Reflected(m), removed))
 
     walk(model, frozenset())
+    del walk  # it refers to itself: free it now, not at a collection
     return points, found
 
 
@@ -998,226 +999,191 @@ def _take(comps, hi, out) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Eventual shapes
+# Frames
 
 
-@dataclass(frozen=True)
-class EventualShape:
-    """What a 1-D set does far out, where every structural shortcut looks.
+class Frame(NamedTuple):
+    """What a 1-D set does far out on one side, where every structural
+    shortcut looks, and how it rescales onto itself there; `frames(model)`
+    maps each side, -1 and +1, to one. Side -1 reads as side +1 of the
+    mirror image.
 
-    reach: a half-width past which the tails are structurally determined
-        (the aperiodic prefix plus two repetitions of the regular part).
+    reach: a half-width past which both tails are structurally determined
+        (the aperiodic prefix plus two repetitions of the regular part);
+        the same on both sides.
     period: a p > 0 with x and x + p both in or both out of the set
         whenever both lie past reach on one side; 0 when every p > 0 is
-        one (rays, the full line), None when there is none.
-    gap: a bound on every open gap of [0, inf) \\ E, None when unbounded;
-        a finite bound certifies nonporosity.
-    cover: {direction: a bound on distance_to_set(x) for every far enough
-        x toward direction * inf, None when unbounded}.
-    long_runs: {direction: whether the set holds intervals of unbounded
-        length toward direction * inf}.
-    How the set rescales onto itself far out is its Dilation, below.
+        one (rays, the full line), None when there is none; the same on
+        both sides.
+    gap: a bound on every open gap of side * [0, inf) minus the set, None
+        when unbounded; a finite bound on side +1 certifies nonporosity.
+    cover: a bound on distance_to_set(x) for every x far enough toward
+        side * inf, None when unbounded.
+    long_runs: whether the set holds intervals of unbounded length toward
+        side * inf.
+    rho: a factor with x and rho*x both in or both out of the set whenever
+        side * x > rho_reach; 1 stands for every factor (the set holds all
+        or none of the side past rho_reach), as period 0 does; None when
+        no factor works (a lattice or periodic pattern reaching the side).
+    rho_reach: the reach of that factor (read only with one), at most
+        reach.
     """
 
     reach: Fraction
     period: object
     gap: object
-    cover: dict
-    long_runs: dict
+    cover: object
+    long_runs: bool
+    rho: object
+    rho_reach: Fraction
 
 
-def _lattice_shape(m: Lattice):
-    cover = m.step / 2
-    return EventualShape(
-        abs(m.offset) + 2 * m.step, m.step,
-        max(m.step, m.offset) if m.half == "plus" else None,
-        {-1: None if m.half == "plus" else cover,
-         1: None if m.half == "minus" else cover},
-        {-1: False, 1: False})
+ONE = Fraction(1)
+_HALVES = {-1: "minus", 1: "plus"}  # the lattice half that holds one side
 
 
-def _far_end(m):
-    """The largest finite |end| of one of INTERVALS, 0 for none."""
-    return max((abs(e) for e in m.ends if abs(e) != INF), default=ZERO)
+def _lattice_frames(m: Lattice):
+    # past |offset| a half lattice holds none of the side it does not run to
+    near, reach = abs(m.offset), abs(m.offset) + 2 * m.step
+    return {side: Frame(reach, m.step, max(m.step, side * m.offset)
+                        if m.half == _HALVES[side] else None,
+                        None if m.half == _HALVES[-side] else m.step / 2,
+                        False, ONE if m.half == _HALVES[-side] else None, near)
+            for side in (-1, 1)}
 
 
-def _interval_shape(m):
+def _interval_frames(m):
+    # the ends seen from each side, toward 0 and toward side * inf, where
+    # an infinite end is a float; past its largest finite |end| an
+    # interval holds all or none of each side
     lo, hi = m.ends
-    return EventualShape(_far_end(m) + 1, ZERO,
-                         max(ZERO, lo) if hi == INF and lo != -INF else None,
-                         {-1: ZERO if lo == -INF else None,
-                          1: ZERO if hi == INF else None},
-                         {-1: lo == -INF, 1: hi == INF})
+    end = max((abs(e) for e in m.ends if type(e) is not float), default=ZERO)
+    return {side: Frame(end + 1, ZERO, max(ZERO, near) if type(far) is float
+                        and type(near) is not float else None,
+                        ZERO if type(far) is float else None,
+                        type(far) is float, ONE, end)
+            for side, near, far in ((-1, -hi, -lo), (1, lo, hi))}
 
 
-def _geometric_shape(m):
+def _geometric_frames(m):
     q, a, b, n0 = m.run
-    # block lengths (b - a) * q**n grow without bound unless a is b
-    return EventualShape(b * q if n0 is None else abs(b * q**(n0 + 1)) + 1,
-                         None, None, {-1: None, 1: None},
-                         {-1: False, 1: a is not b})
+    reach = b * q if n0 is None else b * q**(n0 + 1) + 1
+    # the negative side is empty. Block lengths (b - a) * q**n grow without
+    # bound unless a is b. Block n + 1 is block n scaled by q: without a
+    # first block that holds for every x > 0, with one x = first/q is out
+    # of the set and q*x in it
+    return {-1: Frame(reach, None, None, None, False, ONE, ZERO),
+            1: Frame(reach, None, None, None, a is not b, q,
+                     ZERO if m.first_block is None else m.first_block[0] / q)}
 
 
-def _periodic_shape(m: PeriodicBlocks):
-    # the gaps of one period, the last one wrapping into the next period
+def _periodic_frames(m: PeriodicBlocks):
+    # the gaps of one period, the last one wrapping into the next period;
+    # past |offset| the pattern holds none of the negative side
     gaps = [l2 - h1 for (_, h1), (l2, _) in zip(m.blocks, m.blocks[1:])]
     gaps.append(m.period - m.blocks[-1][1] + m.blocks[0][0])
-    return EventualShape(abs(m.offset) + 2 * m.period, m.period,
-                         max([m.offset + m.blocks[0][0]] + gaps),
-                         {-1: None, 1: max(gaps) / 2},
-                         {-1: False, 1: False})
+    reach, near = abs(m.offset) + 2 * m.period, abs(m.offset)
+    return {-1: Frame(reach, m.period, None, None, False, ONE, near),
+            1: Frame(reach, m.period, max([m.offset + m.blocks[0][0]] + gaps),
+                     max(gaps) / 2, False, None, near)}
 
 
 def _min_known(values):
     return min((v for v in values if v is not None), default=None)
 
 
-def _union_shape(m: FiniteUnion):
-    shapes = [eventual_shape(p) for p in m.parts]
-    periods = [s.period for s in shapes]
-    return EventualShape(
-        max(s.reach for s in shapes),
-        None if None in periods else functools.reduce(lcm, periods),
-        _min_known(s.gap for s in shapes),
-        {d: _min_known(s.cover[d] for s in shapes) for d in (-1, 1)},
-        {d: any(s.long_runs[d] for s in shapes) for d in (-1, 1)})
+def _union_frames(m: FiniteUnion):
+    parts = [frames(p) for p in m.parts]
+    return {side: _union_side(m, [f[side] for f in parts], side)
+            for side in (-1, 1)}
 
 
-def _modification_shape(m: FiniteModification):
+def _union_side(m: FiniteUnion, fs, side):
+    # a union has a factor where its parts' factors have a common power
+    reach, period, gap, cover, long_runs, rho, rho_reach = zip(*fs)
+    return Frame(
+        max(reach), None if None in period else functools.reduce(lcm, period),
+        _min_known(gap + (_periodic_parts_gap(m, fs, side),)),
+        _min_known(cover), any(long_runs),
+        None if None in rho else functools.reduce(
+            lambda a, b: a and common_power(a, b), rho),
+        max(rho_reach))
+
+
+def _periodic_parts_gap(m: FiniteUnion, fs, side):
+    """The longest gap of the union S of m's parts that have a period, when
+    there are two or more of them beside at least one without, and S lies
+    on the side and reaches toward side * inf; else None, as when that
+    walk is too rich. fs are the parts' frames on the side. The parts' gap
+    bounds need not be met by the gaps of S (a lattice beside its shift by
+    half a step), and without a period the walk of `longest_gaps` stops
+    only at the gap bound. Past its reach R, S repeats with its period p
+    and reaches on, so no gap past R is longer than p, and one that starts
+    past R + p repeats the one p before it: l(R + 2p) bounds every gap of
+    S, and each gap of m lies in one of S."""
+    periodic = tuple(p for p, f in zip(m.parts, fs) if f.period is not None)
+    if not 1 < len(periodic) < len(m.parts):
+        return None
+    sub = FiniteUnion(periodic)
+    sub = sub if side == 1 else Reflected(sub)
+    frame = frames(sub)[1]
+    if frame.cover is None or not is_nonnegative_model(sub):
+        return None
+    try:
+        return longest_gap(sub, frame.reach + 2 * frame.period)
+    except UnsupportedGeometryError:
+        return None
+
+
+def _modification_frames(m: FiniteModification):
     # finitely many points change only the prefix (a punctured long run
     # still counts), but removing r points can merge r + 1 consecutive gaps
-    base = eventual_shape(m.base)
-    return replace(
-        base,
-        reach=max([base.reach] + [abs(x) + 1 for x in m.added + m.removed]),
-        gap=None if base.gap is None
-        else (len(m.removed) + 1) * max(base.gap, ZERO))
+    moved = m.added + m.removed
+    far = max(map(abs, moved), default=ZERO)
+    return {side: f._replace(
+        reach=max(f.reach, far + 1) if moved else f.reach,
+        gap=f.gap and (len(m.removed) + 1) * f.gap,  # None stays None
+        rho_reach=max(f.rho_reach, far)) for side, f in frames(m.base).items()}
 
 
-def _reflected_shape(m: Reflected):
-    # With C = cover[+1] finite, every open interval past the reach that is
-    # longer than 2C meets the set (through the midpoint for a leaf; past
-    # a modification's reach its base points are all kept; a union has the
-    # property of its part with the least cover). So a gap (a, b) of
-    # [0, inf) \ E has b < inf, and if b > reach its part past the reach is
-    # at most 2C long: b - a <= reach + 2C, as 0 <= a.
-    base = eventual_shape(m.base)
-    cover = {-d: c for d, c in base.cover.items()}
-    return replace(base, cover=cover,
-                   gap=None if cover[1] is None else base.reach + 2 * cover[1],
-                   long_runs={-d: r for d, r in base.long_runs.items()})
-
-
-_SHAPES = {
-    Lattice: _lattice_shape,
-    **dict.fromkeys(INTERVALS, _interval_shape),
-    **dict.fromkeys(GEOMETRIC, _geometric_shape),
-    PeriodicBlocks: _periodic_shape,
-    FiniteUnion: _union_shape,
-    FiniteModification: _modification_shape,
-    Reflected: _reflected_shape,
+_FRAMES = {
+    Lattice: _lattice_frames,
+    **dict.fromkeys(INTERVALS, _interval_frames),
+    **dict.fromkeys(GEOMETRIC, _geometric_frames),
+    PeriodicBlocks: _periodic_frames,
+    FiniteUnion: _union_frames,
+    FiniteModification: _modification_frames,
+    Reflected: lambda m: {-side: f for side, f in frames(m.base).items()},
 }
 
 
-def eventual_shape(model) -> EventualShape:
-    """The eventual shape of a 1-D model (see EventualShape): one rule per
-    leaf kind, and union, finite modification and reflection once."""
+def frames(model) -> dict:
+    """{side: Frame} for side -1 and +1 of a 1-D model (see Frame): one
+    rule per leaf kind; a union and a finite modification are each one
+    rule over the frames of their parts, side by side, and a reflection
+    swaps the sides."""
     kind = type(model)
-    if kind not in _SHAPES:
+    if kind not in _FRAMES:
         raise UnsupportedGeometryError(f"no window law for {kind.__name__}")
-    return _SHAPES[kind](model)
+    return _FRAMES[kind](model)
 
 
-@dataclass(frozen=True)
-class Dilation:
-    """How a 1-D set rescales onto itself far out on one side: x and rho*x
-    are both in the set or both out of it whenever x lies past reach on
-    that side (side * x > reach). rho == 1 stands for every factor (the
-    set holds all or none of that side past reach), as period 0 does in
-    EventualShape. `dilation(model)` maps each side, -1 and +1, to one of
-    these, or to None when no factor works (a lattice or periodic pattern
-    reaching that side)."""
-
-    rho: Fraction
-    reach: Fraction
-
-
-ONE = Fraction(1)
-_EVERY = Dilation(ONE, ZERO)  # the side is empty or all of it
-
-
-def _union_dilation(m: FiniteUnion):
-    sides = [dilation(p) for p in m.parts]
-    return {d: functools.reduce(_joint, [s[d] for s in sides])
-            for d in (-1, 1)}
-
-
-def _joint(a, b):
-    """The dilation of a union on one side from its parts' dilations."""
-    rho = a and b and common_power(a.rho, b.rho)
-    return rho and Dilation(rho, max(a.reach, b.reach))
-
-
-def _modification_dilation(m: FiniteModification):
-    moved = max(map(abs, m.added + m.removed), default=ZERO)
-    return {d: s and replace(s, reach=max(s.reach, moved))
-            for d, s in dilation(m.base).items()}
-
-
-def _bounded_side(m, side):
-    """Past |offset| a lattice or periodic pattern holds none of the side
-    it does not run to; the side it runs to has no dilation."""
-    return {side: None, -side: Dilation(ONE, abs(m.offset))}
-
-
-_DILATIONS = {
-    Lattice: lambda m: (
-        {-1: None, 1: None} if m.half == "full"
-        else _bounded_side(m, 1 if m.half == "plus" else -1)),
-    # past its finite ends an interval holds all or none of each side
-    **dict.fromkeys(INTERVALS, lambda m: dict.fromkeys(
-        (-1, 1), Dilation(ONE, _far_end(m)))),
-    # block n + 1 is block n scaled by q; without a first block that holds
-    # for every x > 0, with one x = first/q is out of the set and q*x in it
-    **dict.fromkeys(GEOMETRIC, lambda m: {-1: _EVERY, 1: Dilation(
-        m.q, ZERO if m.first_block is None else m.first_block[0] / m.q)}),
-    PeriodicBlocks: lambda m: _bounded_side(m, 1),
-    FiniteUnion: _union_dilation,
-    FiniteModification: _modification_dilation,
-    Reflected: lambda m: {-d: s for d, s in dilation(m.base).items()},
-}
-
-
-def dilation(model) -> dict:
-    """{side: Dilation or None} for side -1 and +1 of a 1-D model (see
-    Dilation): one rule per leaf kind; a union takes the common power of
-    its parts' factors and the largest reach, a finite modification moves
-    the reach past the changed points, and a reflection swaps the sides.
-    Computed on demand, apart from `eventual_shape`, since the exact
-    commensurability test is dearer than the shape's fields."""
-    kind = type(model)
-    if kind not in _DILATIONS:
-        raise UnsupportedGeometryError(f"no window law for {kind.__name__}")
-    return _DILATIONS[kind](model)
-
-
-def log_period_gaps(model):
-    """(rho, gaps): the factor of the dilation on the positive side and the
-    gaps (g1, g2) that open in one log period (a, a*rho] past its reach
-    (a = reach, or 1 at reach 0). A gap that opens past the reach scales
-    into a gap by rho, so these show every gap shape past the reach. None
-    without a factor > 1."""
-    dil = dilation(model)[1]
-    if dil is None or dil.rho == 1:
+def log_period_gaps(model, frame):
+    """(rho, gaps): the factor of the model's frame on the positive side
+    and the gaps (g1, g2) that open in one log period (a, a*rho] past its
+    reach (a = rho_reach, or 1 at reach 0). A gap that opens past the
+    reach scales into a gap by rho, so these show every gap shape past the
+    reach. None without a factor > 1."""
+    if frame.rho is None or frame.rho == 1:
         return None
-    a = dil.reach or ONE
-    return dil.rho, [(g1, g2) for g1, g2 in gaps(model, a, a * dil.rho)
-                     if a < g1 <= a * dil.rho]
+    a = frame.rho_reach or ONE
+    return frame.rho, [(g1, g2) for g1, g2 in gaps(model, a, a * frame.rho)
+                       if a < g1 <= a * frame.rho]
 
 
 def required_window(model) -> Fraction:
-    """The reach of the model's eventual shape."""
-    return eventual_shape(model).reach
+    """The reach of the model's frames."""
+    return frames(model)[1].reach
 
 
 # ---------------------------------------------------------------------------
@@ -1227,11 +1193,6 @@ def required_window(model) -> Fraction:
 def is_nonnegative_model(model) -> bool:
     """Whether the set sits in [0, inf), read off its lowest component."""
     return ambient_dim(model) == 1 and next(components(model, -INF))[0] >= 0
-
-
-def gap_bound(model):
-    """The gap field of the model's eventual shape."""
-    return eventual_shape(model).gap
 
 
 def longest_gap(model, h) -> Fraction:
@@ -1283,11 +1244,12 @@ def longest_gaps(model, hs) -> list:
       counts its last gap from the largest of trunc(h0) and the right ends
       of the components at 0, as the window at h0 does (below).
 
-    Otherwise from 0. With a period p in the eventual shape, the walk
-    stops at reach + 2p: no gap past reach is longer than p, and one that
-    starts past reach + p repeats the one p before it. A horizon past the
-    stop takes its trailing gap from one step of
-    `components(model, h, -1)`. With a gap bound, the walk stops once the
+    Otherwise from 0. With a period p in the frame, the walk stops at
+    reach + 2p: no gap past reach is longer than p, and one that starts
+    past reach + p repeats the one p before it. A horizon past the stop
+    takes its trailing gap from one step of `components(model, h, -1)`.
+    With a gap bound (a union's may be read by this walk over its parts
+    with a period, see `_periodic_parts_gap`), the walk stops once the
     longest gap reaches it: l(h) never decreases and never exceeds the
     bound, so every later h reads it. The walk raises "too rich" at the
     first h whose window would list more than WINDOW_CAP components.
@@ -1310,9 +1272,9 @@ def longest_gaps(model, hs) -> list:
         raise InputError("gap horizon must be positive")
     if not is_nonnegative_model(model):
         raise InputError("gap search needs a model inside [0, inf)")
-    shape = eventual_shape(model)
-    stop = None if shape.period is None else shape.reach + 2 * shape.period
-    bound = shape.gap
+    frame = frames(model)[1]
+    stop = None if frame.period is None else frame.reach + 2 * frame.period
+    bound = frame.gap
     walk = components(model, ZERO)
     at_zero, floor, c = 0, ZERO, next(walk, None)
     while c is not None and c[0] == 0:  # listed at every h
@@ -1499,7 +1461,7 @@ def grid_hits(model, p, t_grid, epsilon, radii) -> list:
     after which GeometricBlocks lists nothing. A cursor seeked at that
     window steps on without a limit.
 
-    Cover rule: let C = eventual_shape(model).cover[+1] and R its reach.
+    Cover rule: let C = frames(model)[1].cover and R its reach.
     Every open interval (lo, hi) with lo > R and hi - lo > 2C meets the
     set. For a leaf, every x > R lies within C of a set point (of the
     lattice, the ray, the line or a block of the period), so the
@@ -1515,8 +1477,8 @@ def grid_hits(model, p, t_grid, epsilon, radii) -> list:
     scale = math.lcm(epsilon.denominator, *(t.denominator for t in ts))
     units = [t.numerator * (scale // t.denominator) for t in ts]
     e = epsilon.numerator * (scale // epsilon.denominator)
-    shape = eventual_shape(model)
-    cover, reach = shape.cover[1], shape.reach
+    frame = frames(model)[1]
+    cover, reach = frame.cover, frame.reach
     rows = [[] for _ in ts]
     budget = SEEK_AFTER
     for i, r in enumerate(radii):

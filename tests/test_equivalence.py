@@ -928,9 +928,9 @@ def scan(source, target, bound, reach):
 @given(pair=COMMENSURABLE_PAIRS)
 def test_dilation_rules_match_a_scan_of_three_log_periods(pair):
     source, target = pair
-    ds, dt = setmodels.dilation(source), setmodels.dilation(target)
-    sides = [(max(ds[d].reach, dt[d].reach),
-              common_power(ds[d].rho, dt[d].rho)) for d in (-1, 1)]
+    fs, ft = setmodels.frames(source), setmodels.frames(target)
+    sides = [(max(fs[d].rho_reach, ft[d].rho_reach),
+              common_power(fs[d].rho, ft[d].rho)) for d in (-1, 1)]
     reach = max(r for r, _ in sides)
     bound = max((r or 1) * max(L, F(2)) ** 3 for r, L in sides)
     best, far, inside = scan(source, target, bound, reach)

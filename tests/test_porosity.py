@@ -6,6 +6,7 @@ probe is cross-checked against a dense independent h-grid built only from
 longest_gap, which test_setmodels already pins down by enumeration.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,8 @@ from farfield import (
     porosity_at_infinity,
 )
 from farfield import setmodels
-from farfield.porosity import _exact_closed_form
+from farfield.porosity import (DEFAULT_HORIZON_EXPONENT, _exact_closed_form,
+                               _grid)
 from test_setmodels_oracle import (
     NONNEG_HITS,
     coalesce,
@@ -113,6 +115,28 @@ def test_periodic_blocks_are_nonporous():
     assert r.kind == "exact" and r.value == 0
 
 
+@pytest.mark.parametrize("model", [
+    FiniteUnion((Lattice(F(1), F(0), "plus"), Lattice(F(1), F(1, 2), "plus"),
+                 GeometricPoints(F(2), F(1), 0))),
+    # the same set, each part and the union reflected twice
+    Reflected(FiniteUnion((Reflected(Lattice(F(1), F(0), "plus")),
+                           Reflected(Lattice(F(1), F(1, 2), "plus")),
+                           Reflected(GeometricPoints(F(2), F(1), 0))))),
+])
+def test_union_gap_bound_reads_its_periodic_parts(model):
+    # each lattice's gap bound is 1, but their union's gaps are 1/2: the
+    # union bound is read off the lattices' union, so the walk stops at its
+    # first gap instead of running on to WINDOW_CAP
+    start = time.perf_counter()
+    r = porosity_at_infinity(model)
+    assert time.perf_counter() - start < 0.1
+    assert (r.kind, r.value) == ("exact", 0)
+    assert r.notes == "all gaps bounded by 1/2"
+    assert [h for h, _, _ in r.trace] == _grid(model,
+                                               DEFAULT_HORIZON_EXPONENT)
+    assert all(gap == F(1, 2) for _, gap, _ in r.trace)
+
+
 def commensurable_nonneg_trees(rho, depth=2):
     sub = (geometric_leaves(rho) if depth == 1
            else commensurable_nonneg_trees(rho, depth - 1))
@@ -133,11 +157,11 @@ def test_closed_form_matches_three_log_periods_of_gaps(model):
     # in each of three log periods past the reach, the widest gap over its
     # right end, read off the oracle's coalesced pieces
     value, _ = _exact_closed_form(model)
-    dil = setmodels.dilation(model)[1]
-    a = dil.reach or 1
-    hulls = coalesce(oracle(model, a * dil.rho ** 4)[0])
+    frame = setmodels.frames(model)[1]
+    a = frame.rho_reach or 1
+    hulls = coalesce(oracle(model, a * frame.rho ** 4)[0])
     for j in range(3):
-        lo, hi = a * dil.rho ** j, a * dil.rho ** (j + 1)
+        lo, hi = a * frame.rho ** j, a * frame.rho ** (j + 1)
         ratios = [(l2 - h1) / l2 for (_, h1), (l2, _) in zip(hulls, hulls[1:])
                   if lo < h1 <= hi and l2 > h1]
         assert max(ratios, default=F(0)) == value, j
@@ -220,7 +244,7 @@ def test_verdict_nonporous_needs_certificate():
     FiniteUnion((Reflected(Ray(F(-2), -1)), GeometricPoints(F(2), F(1), 0))),
 ])
 def test_reflected_sets_certify_nonporosity(model):
-    # a reflected set's gap bound comes from its swapped cover and reach
+    # a reflected set's gap bound is its base's on the other side
     result = porosity_at_infinity(model, 170)
     assert (result.kind, result.value) == ("exact", 0)
     assert is_porous_at_infinity(model).status == "nonporous_certified"

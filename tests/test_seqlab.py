@@ -8,6 +8,7 @@ against references built from the public `tilde_d` and `d_r` on mixed
 families of closed forms, affine specs and set-valued selectors.
 """
 
+import gc
 import itertools
 import json
 import random
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from farfield import (
     AffineSpec,
     ClosedFormSpec,
+    FiniteModification,
     FiniteUnion,
     FullLine,
     GeometricPoints,
@@ -34,7 +36,9 @@ from farfield import (
     d_up,
     eval_scaling,
     eval_spec,
+    exists_isometry,
     in_sequence_set,
+    make_space,
     maximal_self_stable,
     pretangent_space,
     project_family_to_subspace,
@@ -48,7 +52,7 @@ from farfield import (
     tangency_probe,
     tilde_d,
 )
-from farfield import seqlab
+from farfield import seqlab, setmodels
 from farfield.cli import _limit_payload, main as cli_main
 from farfield.seqlab import ATOMS, _push_spec
 from test_setmodels_oracle import trees
@@ -580,6 +584,27 @@ def test_four_point_pretangent_table():
             assert rep.space.space.d(ca, cb) == abs(a - b)
     assert rep.distinguished == "x0"
     assert dict(rep.member_blocks)["x0"] == "x0"
+
+
+def test_recursive_searches_leave_no_cyclic_garbage():
+    # each of these recurses through a nested function that refers to
+    # itself; a call frees it at once instead of leaving a cycle behind
+    tree = FiniteModification(FiniteUnion((
+        Lattice(F(1), F(0)), GeometricPoints(F(2), F(1), 0))),
+        added=(F(1, 2),), removed=(F(3),))
+    graph = stability_graph(four_point_family(), GeometricScaling(F(2)))
+    space = make_space(("a", "b", "c"), ((0, 1, 2), (1, 0, 1), (2, 1, 0)))
+    calls = (lambda: setmodels.leaves(tree),
+             lambda: maximal_self_stable(graph),
+             lambda: exists_isometry(space, space))
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_pretangent_identifies_zero_distance_members():

@@ -43,8 +43,7 @@ from farfield import (
     window_structure,
 )
 from farfield import setmodels
-from farfield.setmodels import (Dilation, Segment, components, dilation,
-                                eventual_shape, model_to_dict)
+from farfield.setmodels import Segment, components, frames, model_to_dict
 
 F = Fraction
 
@@ -523,14 +522,17 @@ def test_rays_the_line_and_segments_read_one_interval_rule(model, lo, hi):
         assert list(components(model, x, -1)) == (
             [(lo, hi)] if x >= lo else [])
     far = max((abs(e) for e in (lo, hi) if abs(e) != INF), default=F(0))
-    shape = eventual_shape(model)
-    assert (shape.reach, shape.period) == (far + 1, 0)
-    assert shape.gap == (max(F(0), lo) if hi == INF and lo != -INF
-                         else None)
-    assert shape.cover == {-1: 0 if lo == -INF else None,
-                           1: 0 if hi == INF else None}
-    assert shape.long_runs == {-1: lo == -INF, 1: hi == INF}
-    assert dilation(model) == dict.fromkeys((-1, 1), Dilation(F(1), far))
+    sides = frames(model)
+    assert {(f.reach, f.period) for f in sides.values()} == {(far + 1, 0)}
+    assert sides[1].gap == (max(F(0), lo) if hi == INF and lo != -INF
+                            else None)
+    assert sides[-1].gap == (max(F(0), -hi) if lo == -INF and hi != INF
+                             else None)
+    assert {d: f.cover for d, f in sides.items()} == {
+        -1: 0 if lo == -INF else None, 1: 0 if hi == INF else None}
+    assert {d: f.long_runs for d, f in sides.items()} == {
+        -1: lo == -INF, 1: hi == INF}
+    assert {(f.rho, f.rho_reach) for f in sides.values()} == {(F(1), far)}
 
 
 def test_a_segment_has_no_json_kind():

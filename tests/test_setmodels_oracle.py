@@ -7,8 +7,8 @@ to the scale TINY, plus the side from which it accumulates at 0), applies
 the combinators to those finite lists and answers every query by scanning
 them; it never goes through the cursor. The porosity walk `longest_gaps` is
 also checked against per-horizon window decompositions on random
-nonnegative trees, and the fields of `eventual_shape` against the oracle
-past the reach. The same trees, with the planar kinds, check the JSON
+nonnegative trees, and the fields of `frames` against the oracle past
+the reach. The same trees, with the planar kinds, check the JSON
 round trips and `scale_model` at the oracle's piece ends.
 """
 
@@ -446,10 +446,10 @@ def test_longest_gaps_walk_matches_the_windows_and_the_oracle(model, hs,
     # gets its exact gaps even where a window lists too many components.
     # It gives up only where the windows do: with "too rich", or with a
     # gap bound also by the truncation check of a later horizon.
-    shape = setmodels.eventual_shape(model)
+    frame = setmodels.frames(model)[1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(setmodels, "WINDOW_CAP", cap)
-        if shape.period is None and shape.gap is None:
+        if frame.period is None and frame.gap is None:
             gaps, message = assert_walk_matches_windows(model, hs)
         else:
             window_gaps, window_message = per_horizon(model, hs)
@@ -457,7 +457,7 @@ def test_longest_gaps_walk_matches_the_windows_and_the_oracle(model, hs,
                 gaps, message = longest_gaps(model, hs), None
             except UnsupportedGeometryError as exc:
                 assert str(exc) == window_message or (
-                    shape.gap is not None and "truncation" in str(exc))
+                    frame.gap is not None and "truncation" in str(exc))
                 gaps, message = window_gaps, window_message
                 assert longest_gaps(model, hs[:len(gaps)]) == gaps
     pieces, acc = oracle(model)
@@ -509,8 +509,8 @@ FAR_HORIZONS = st.sets(st.integers(2**15, 2**25), min_size=1,
 @example(model=FiniteModification(GeometricPoints(F(3, 2), F(1), 30)),
          hs=[F(2) ** 18])
 def test_seeded_walk_matches_the_windows_and_the_oracle(model, hs):
-    shape = setmodels.eventual_shape(model)
-    assert shape.period is None and shape.gap is None
+    frame = setmodels.frames(model)[1]
+    assert frame.period is None and frame.gap is None
     size = setmodels._window_bound(model, hs[-1])
     assert size <= setmodels.WINDOW_CAP
     for h in hs:  # the components each window lists, uncoalesced
@@ -526,22 +526,25 @@ def test_seeded_walk_matches_the_windows_and_the_oracle(model, hs):
 @settings(max_examples=150, deadline=None)
 @given(model=trees(3), steps=st.lists(st.integers(1, 96), min_size=1,
                                       max_size=6))
-def test_eventual_shape_holds_past_the_reach(model, steps):
-    shape = setmodels.eventual_shape(model)
+def test_frames_hold_past_the_reach(model, steps):
+    sides = setmodels.frames(model)
+    frame = sides[1]
+    # reach and period are the same on both sides
+    assert (sides[-1].reach, sides[-1].period) == (frame.reach, frame.period)
     pieces, _ = oracle(model)
 
     def inside(x):  # no added or removed point lies past the reach
         return any(a <= x <= b for a, b in pieces)
 
-    shift = shape.period or F(1, 8)  # period 0: every shift is a period
-    for x in (shape.reach + F(k, 8) for k in steps):
-        if shape.period is not None:
+    shift = frame.period or F(1, 8)  # period 0: every shift is a period
+    for x in (frame.reach + F(k, 8) for k in steps):
+        if frame.period is not None:
             assert inside(x) == inside(x + shift), x
             assert inside(-x) == inside(-x - shift), -x
         for side in (1, -1):
             # a point removed just inside the reach can leave a hole just
             # past it, so the cover is checked one cover further out
-            cover = shape.cover[side]
+            cover = sides[side].cover
             if cover is not None:
                 far = side * (x + cover)
                 assert distance_to_set(model, far) <= cover, far
@@ -556,11 +559,13 @@ def test_eventual_shape_holds_past_the_reach(model, steps):
 @example(model=FiniteUnion((GeometricPoints(F(3, 2), F(1), 0),
                             GeometricBlocks(F(2), F(1), F(3, 2)))), steps=[1])
 def test_dilation_holds_past_the_reach(model, steps):
-    for side, dil in setmodels.dilation(model).items():
-        if dil is None:
+    for side, frame in setmodels.frames(model).items():
+        if frame.rho is None:
             continue
-        rho = dil.rho if dil.rho > 1 else F(3, 2)  # 1: every factor
-        top = dil.reach * rho + 12
+        # the factor's reach is at most the frame's
+        assert frame.rho_reach <= frame.reach
+        rho = frame.rho if frame.rho > 1 else F(3, 2)  # 1: every factor
+        top = frame.rho_reach * rho + 12
         pieces, _ = oracle(model, rho * top + 1)
 
         def inside(x):  # no added or removed point lies past the reach
@@ -569,9 +574,9 @@ def test_dilation_holds_past_the_reach(model, steps):
         # where membership changes: the piece ends, and the points that
         # one factor maps onto them (above the oracle's listing scale)
         ends = {side * e for piece in pieces for e in piece}
-        xs = {dil.reach + F(k, 8) for k in steps} | {
+        xs = {frame.rho_reach + F(k, 8) for k in steps} | {
             x for e in ends for x in (e, e / rho)
-            if max(dil.reach, F(1, 64)) < x <= top}
+            if max(frame.rho_reach, F(1, 64)) < x <= top}
         for x in xs:
             assert inside(side * x) == inside(side * rho * x), (side, x)
 
@@ -579,10 +584,10 @@ def test_dilation_holds_past_the_reach(model, steps):
 @settings(max_examples=150, deadline=None)
 @given(model=nonneg_trees(3))
 def test_gap_bound_holds_on_four_reaches(model):
-    shape = setmodels.eventual_shape(model)
-    if shape.gap is not None:
+    frame = setmodels.frames(model)[1]
+    if frame.gap is not None:
         pieces, acc = oracle(model)
-        assert o_longest_gap(pieces, acc, 4 * shape.reach) <= shape.gap
+        assert o_longest_gap(pieces, acc, 4 * frame.reach) <= frame.gap
 
 
 def mirrored(model):
@@ -604,13 +609,18 @@ def mirrored(model):
 @settings(max_examples=150, deadline=None)
 @given(base=nonneg_trees(2))
 def test_reflected_gap_bound_holds_on_four_reaches(base):
-    # the same nonnegative set, its shape read through one reflection
+    # the same nonnegative set, its frame read through one reflection,
+    # which swaps the sides
     model = Reflected(mirrored(base))
-    shape = setmodels.eventual_shape(model)
-    assert (shape.gap is None) == (setmodels.eventual_shape(base).gap is None)
-    if shape.gap is not None:
+    sides, inner = setmodels.frames(model), setmodels.frames(model.base)
+    assert all(sides[d] == inner[-d] for d in (-1, 1))
+    # the leaf rules read the mirrored leaves as the base's, side for side
+    frame = sides[1]
+    assert frame == setmodels.frames(base)[1]
+    assert (frame.gap is None) == (setmodels.frames(base)[1].gap is None)
+    if frame.gap is not None:
         pieces, acc = oracle(model)
-        assert o_longest_gap(pieces, acc, 4 * shape.reach) <= shape.gap
+        assert o_longest_gap(pieces, acc, 4 * frame.reach) <= frame.gap
 
 
 # ---------------------------------------------------------------------------
@@ -669,9 +679,9 @@ def test_longest_gaps_reads_two_periods_past_the_reach():
     assert longest_gaps(model, [F(13), F(2) ** 40]) == [F(3), F(3)]
 
 
-def test_eventual_shape_has_no_window_law_in_the_plane():
+def test_frames_have_no_window_law_in_the_plane():
     with pytest.raises(UnsupportedGeometryError, match="no window law"):
-        setmodels.eventual_shape(setmodels.PlanarRay())
+        setmodels.frames(setmodels.PlanarRay())
 
 
 GB2 = GeometricBlocks(F(2), F(1), F(3, 2))
@@ -696,7 +706,7 @@ GP2 = GeometricPoints(F(2), F(1), 0)
 def test_longest_gaps_applies_the_window_cap_as_the_windows_do(
         monkeypatch, model, hs, expected):
     monkeypatch.setattr(setmodels, "WINDOW_CAP", 60)
-    if setmodels.gap_bound(model) is None:
+    if setmodels.frames(model)[1].gap is None:
         assert_walk_matches_windows(model, hs)
     else:  # it may answer where the windows give up
         gaps, _ = per_horizon(model, hs)

@@ -402,7 +402,7 @@ def test_grid_scan_matches_one_query_per_window(model, p, data, scalings):
     # p of either sign, so both sides are scanned; a grid with repeats,
     # t < eps, t = eps (the window's lower end at p) and t past the reach
     eps = data.draw(st.sampled_from([F(1, 20), F(1, 8), F(1, 2)]))
-    reach = setmodels.eventual_shape(model).reach
+    reach = setmodels.frames(model)[1].reach
     ts = st.one_of(fractions(0, 3, 8), st.sampled_from(
         [F(0), eps / 2, eps, reach, reach + 1, 2 * reach + eps]))
     grid = data.draw(st.lists(ts, min_size=1, max_size=8))
