@@ -47,7 +47,6 @@ from .setmodels import (
     Ray,
     Reflected,
     SphereSlice,
-    WindowStructure,
     ambient_dim,
     contains,
     critical_gap_h_values,
@@ -65,7 +64,6 @@ from .setmodels import (
     required_window,
     scale_model,
     sphere_slice,
-    window_structure,
 )
 from .porosity import (
     PorosityResult,

@@ -3,6 +3,9 @@
 Inside any window, the complement of a supported model is a finite list of
 open intervals plus at most two rays; geometric blocks accumulating at 0
 carry a truncation scale instead of an infinite list of tiny components.
+`complement_components` reads that list off `setmodels.gaps`, each half
+of the line from 0 outward (the negative one on the mirror image), and
+the truncation scale off `setmodels.truncation`.
 The operations here turn that decomposition into verdicts: isometry between
 two subsets via t -> eps*t + s, self-similarity of the complement under
 rescaling, and classification of a subset as a line, a half line, or
@@ -24,14 +27,19 @@ from .errors import (InputError, InternalInvariantError,
                      UnsupportedGeometryError, WindowTooSmallError)
 from .rationals import fmt, rat
 from .setmodels import (
+    INF,
+    ZERO_ABOVE,
+    Reflected,
     ambient_dim,
+    components,
     contains,
     distance_to_set,
     first_point,
+    gaps,
     holes,
     required_window,
     scale_model,
-    window_structure,
+    truncation,
 )
 
 ZERO = Fraction(0)
@@ -74,7 +82,12 @@ class ComponentReport:
     punctures: removed positions that sat inside or on the edge of a
     continuum run; they leave no interval trace but break isometry.
     truncated_below: scale under which components around 0 were omitted,
-    including the single gap touching that scale.
+    including the single gap touching that scale. It is set wherever the
+    set accumulates at 0, also where a hull covers 0: the exact R and R+
+    answers of `classify_line_subspace` trust an empty complement, and
+    the window of a GeometricBlocks tree ends at the run's reach b*q,
+    which certifies nothing past it. Ray(3, -1) u GeometricBlocks(3, 1, 2)
+    covers its window [-6, 6] and has the gap (6, 9) just past it.
     """
 
     window: Fraction
@@ -88,13 +101,45 @@ class ComponentReport:
         return tuple(sorted(hi - lo for lo, hi in self.bounded))
 
 
+def _gaps_from_zero(model, h):
+    """(gaps, trunc): the gaps of `gaps(model, 0, h)` that end past 0, and
+    the truncation scale where the set accumulates at 0 from above (None
+    elsewhere). An exposed accumulation ends the listing, right after the
+    components at 0; one that they cover is looked for only where they
+    reach past 0. The components below start(h) are left out
+    (`truncation`), so the gaps are those of the components at 0 followed
+    by the components with hi >= start: unless a component at 0 reaches
+    start, the gap below the first of those opens at the end of the
+    components at 0, and it is kept only where that end is trunc (any
+    lower end meets the unresolved scale)."""
+    found = list(gaps(model, ZERO, h))
+    if not found[0][1] > 0:  # the gap below a component at 0
+        del found[0]
+    end, b = found[0]  # the gap past the components at 0, if any
+    acc = b is ZERO_ABOVE
+    if end > 0:  # they reach past 0: read where they end
+        walk, end = components(model, ZERO), -INF
+        while (c := next(walk, None)) is not None and c[0] <= 0:
+            end = max(end, c[1])
+        acc = c is not None and c[0] is ZERO_ABOVE
+    if not acc:
+        return found, None
+    start, trunc = truncation(model, h)
+    if end < start:
+        return [g for g in gaps(model, start, h)
+                if g[0] >= start or g[0] == end], trunc
+    return found, trunc
+
+
 def complement_components(model, window) -> ComponentReport:
     """Exact decomposition of [-H, H] minus the set.
 
     Every reported bounded component is a true complement component with
-    exact length; edge gaps are completed by searching for the next set
-    point beyond the window. The window must cover the model's structural
-    prefix (required_window), otherwise tails could not be certified.
+    exact length; edge gaps are completed by the set point beyond the
+    window. The window must cover the model's structural prefix
+    (required_window), otherwise tails could not be certified. Each half
+    is read from 0 outward by `gaps`, the negative one on the mirror
+    image, and the two meet at 0.
     """
     h = rat(window)
     if h <= 0:
@@ -106,57 +151,43 @@ def complement_components(model, window) -> ComponentReport:
         raise WindowTooSmallError(
             f"window {fmt(h)} does not cover the structural prefix; "
             f"need at least {fmt(need)}", required=need)
-    ws = window_structure(model, -h, h)
-    trunc = ws.truncated_below
-    intervals = list(ws.intervals)
-    if not intervals:
-        nxt = next_point_ge(model, h)
-        prv = prev_point_le(model, -h)
-        cands = [abs(v) + 1 for v in (nxt, prv) if v is not None]
+    above, up = _gaps_from_zero(model, h)
+    below, down = _gaps_from_zero(Reflected(model), h)
+    if above[0][0] < -h and above[0][1] > h:
+        near = (next_point_ge(model, h), prev_point_le(model, -h))
+        cands = [abs(v) + 1 for v in near if v is not None]
         if cands:
             raise WindowTooSmallError(
                 f"no set points inside [-{fmt(h)}, {fmt(h)}]",
                 required=max(need, min(cands)))
         raise InternalInvariantError("model produced no points at all")
+    trunc = up if down is None else down if up is None else max(up, down)
+    if below[0][0] < 0:  # the gap across 0, listed above too
+        del below[0]
 
-    left_tail = None
-    right_tail = None
-    first_lo = intervals[0][0]
-    last_hi = intervals[-1][1]
-    if first_lo > -h:
-        if trunc is not None and first_lo > -trunc:
-            pass  # the gap below runs into the unresolved scale
-        else:
-            below = prev_point_le(model, -h)
-            if below is None:
-                left_tail = ("left", first_lo)
+    # each half in its own coordinates, the mirrored one read backwards:
+    # a gap (a, inf) is a tail at a, one (-inf, b) a tail at b toward the
+    # other side. Every gap ends past 0, so only where it opens decides:
+    # at or past h it lies outside the window, below trunc it meets the
+    # unresolved scale
+    tails, bounded = {}, []
+    for side, found in ((-1, below[::-1]), (1, above)):
+        for a, b in found:
+            if a >= h or trunc is not None and a < trunc:
+                continue
+            if b is INF:
+                tails["left" if side < 0 else "right"] = side * a
+            elif type(a) is float:
+                tails["right" if side < 0 else "left"] = side * b
             else:
-                intervals.insert(0, (below, below))
-    if last_hi < h:
-        if trunc is not None and last_hi < trunc:
-            pass
-        else:
-            above = next_point_ge(model, h)
-            if above is None:
-                right_tail = ("right", last_hi)
-            else:
-                intervals.append((above, above))
-
-    bounded = []
-    for (_, e1), (s2, _) in zip(intervals, intervals[1:]):
-        if e1 < s2:
-            bounded.append((e1, s2))
-    bounded = [g for g in bounded if g[1] > -h and g[0] < h]
-    if trunc is not None:
-        bounded = [g for g in bounded
-                   if not (g[0] < trunc and g[1] > -trunc)]
+                bounded.append((a, b) if side > 0 else (-b, -a))
 
     # a removed point still in the closure of the set punctures a run
     punctures = {p for p in holes(model) if -h <= p <= h
                  and distance_to_set(model, p) == 0 and not contains(model, p)}
     if trunc is not None:
         punctures = {p for p in punctures if abs(p) >= trunc}
-    unbounded = tuple(t for t in (left_tail, right_tail) if t is not None)
+    unbounded = tuple((k, tails[k]) for k in ("left", "right") if k in tails)
     return ComponentReport(h, tuple(bounded), unbounded,
                            tuple(sorted(punctures)), trunc)
 

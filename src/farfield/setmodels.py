@@ -1,8 +1,8 @@
 """Structured models of unbounded subsets of the line and the plane.
 
 Every variant describes an unbounded set exactly, with rational parameters.
-Membership, point-to-set distance, sphere slices, window decompositions and
-gap searches are all closed-form; nothing here samples. Magnitudes like
+Membership, point-to-set distance, sphere slices, gap listings and gap
+searches are all closed-form; nothing here samples. Magnitudes like
 q**200 stay exact on bigint rationals. Each kind declares its fields once,
 each with its codec (`Codec`): `model_from_dict`, `model_to_dict` and
 `scale_model` are generic loops over them.
@@ -19,9 +19,9 @@ integer n when n0 is None. GeometricPoints(q, c, n0) is the run
 (q, c, c, n0), its blocks single points (a is b), and
 GeometricBlocks(q, a, b) the run (q, a, b, None): it spans all integer
 scales (it is exactly self-similar under its base), so it accumulates at
-0; window decompositions that would have to list infinitely many tiny
-components report a truncation scale instead. The family has one cursor
-pair, one frame rule and one longest-gap closed form.
+0, where readers of its gaps stop at a truncation scale (`truncation`).
+The family has one cursor pair, one frame rule and one longest-gap closed
+form.
 
 Every 1-D query is derived from one component cursor per model kind:
 `components(model, x, +1)` yields the components with hi >= x in
@@ -30,7 +30,7 @@ decreasing order of hi. The contract:
 
 - A component is a closed hull (lo, hi), lo == hi for a point; a ray's
   open end is +-inf (a float). Components of different union parts may
-  overlap; window decompositions coalesce them.
+  overlap; `gaps` reads them with a running right end.
 - A finite modification drops a removed point only where it is an isolated
   component. A removed point inside or at the end of an interval leaves
   the hull as it is, which is what distances and complement endpoints see;
@@ -65,9 +65,8 @@ gives l(h0) and stops once no lower gap can win, and the ascent reads
 only the components past h0. Any other set is walked from 0. A set with
 a period p is walked only up to reach + 2p, where every gap length has
 shown; a larger horizon takes its trailing gap from one descending cursor
-step. Where the set accumulates at 0, each horizon h is read as its
-window [0, h] is: the components at 0, then those above the truncation
-scale trunc(h) (below h/2**20), and the search is inconclusive when the
+step. Where the set accumulates at 0, each horizon h is read under the
+truncation rule (`truncation`), and the search is inconclusive when the
 longest gap is shorter than trunc(h).
 """
 
@@ -656,9 +655,12 @@ def first_point(model, x, direction: int = 1):
 
 
 def gaps(model, x, end=INF):
-    """The open gaps (g1, g2) of a 1-D set in increasing order, from the
-    one that ends past x on, up to end: the last one, (g1, inf), opens
-    past end (or at +inf). An unbounded end is -inf or +inf. Union
+    """The open gaps (g1, g2) of a 1-D set in increasing order, up to end.
+    The first one is the gap just below the lowest component that reaches
+    x (hi >= x): the gap that holds x where x lies in one, else the gap
+    that ends at x or below it, at the lo of that component (for
+    Lattice(3/2, 0, plus) from 0 it is (-inf, 0)). The last one, (g1, inf),
+    opens past end (or at +inf). An unbounded end is -inf or +inf. Union
     parts may overlap, so g1 is the running right end. The listing stops
     after the gap that ends at an accumulation at 0 from above, since the
     blocks beyond it are not listed (see the module docstring); an
@@ -900,105 +902,6 @@ def scale_model(model, k):
 
 
 # ---------------------------------------------------------------------------
-# Window decompositions (1-D)
-
-
-@dataclass(frozen=True)
-class WindowStructure:
-    """E cap [lo, hi] as sorted disjoint closed intervals (degenerate ones
-    are points). truncated_below marks an accumulation tail in (0, scale]
-    whose infinitely many tiny components were omitted."""
-
-    intervals: tuple
-    truncated_below: object = None
-
-
-def _coalesce(items):
-    """Merge overlapping closed intervals, given in increasing order of lo."""
-    out = []
-    for lo, hi in items:
-        if out and lo <= out[-1][1]:
-            if hi > out[-1][1]:
-                out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def window_structure(model, lo, hi) -> WindowStructure:
-    """Exact interval decomposition of E cap [lo, hi].
-
-    Where the set accumulates at 0 inside the window, the components below
-    the scale (window end)/2**20 are summarized by truncated_below.
-    """
-    lo, hi = rat(lo), rat(hi)
-    if hi < lo:
-        raise InputError("empty window")
-    if ambient_dim(model) != 1:
-        raise UnsupportedGeometryError("window decomposition is 1-D only")
-    items, truncs, start = [], [], lo
-    if lo < 0 <= hi and _accumulates_below_zero(model):
-        # ascending from lo would never reach 0: read that side mirrored,
-        # where the accumulation is approached from above
-        got, trunc = _window(Reflected(model), ZERO, -lo)
-        items = sorted((-b, -a) for a, b in got)
-        truncs, start = [trunc], ZERO
-    got, trunc = _window(model, start, hi)
-    truncs = [t for t in truncs + [trunc] if t is not None]
-    merged = _coalesce(items + got)
-    # coalesced hulls are disjoint, so only the outer two can stick out
-    if merged:
-        merged[0] = (max(merged[0][0], lo), merged[0][1])
-        merged[-1] = (merged[-1][0], min(merged[-1][1], hi))
-    return WindowStructure(tuple(merged), max(truncs) if truncs else None)
-
-
-def _accumulates_below_zero(model) -> bool:
-    for c in components(model, ZERO, -1):
-        if c[1] < 0:
-            return c[1] is ZERO_BELOW
-    return False
-
-
-def _window(model, lo, hi):
-    """Components meeting [lo, hi] in increasing order of lo, unclipped,
-    and the truncation scale (None when nothing was summarized)."""
-    out, trunc = [], None
-    if _take(components(model, lo), hi, out):
-        start, trunc = _truncation(model, hi)
-        _take((c for c in components(model, start) if c[0] > 0), hi, out)
-    return out, trunc
-
-
-def _truncation(model, hi):
-    """(start, trunc) for a window up to hi over an accumulation at 0 from
-    above: the window lists exactly the components with hi >= start, the
-    lo of the lowest positive component reaching the scale hi/2**20, and
-    every component below them lies in (0, trunc]. A component with
-    hi < start has lo < start, so trunc is the first such hi from a cursor
-    at start, past the few components that hold start; one from the scale
-    would pass every lattice point between start and the scale."""
-    below = components(model, hi / 2**20, -1)
-    start = next(c for c in below if c[0] > 0)[0]
-    return start, next(c for c in components(model, start, -1)
-                        if c[1] < start)[1]
-
-
-def _take(comps, hi, out) -> bool:
-    """Append components up to hi; True when the accumulation marker
-    stopped the listing."""
-    for c in comps:
-        if c[0] > hi:
-            return False
-        if c[0] is ZERO_ABOVE:
-            return True
-        out.append(c)
-        if len(out) > WINDOW_CAP:
-            raise UnsupportedGeometryError("window structure too rich")
-    return False
-
-
-# ---------------------------------------------------------------------------
 # Frames
 
 
@@ -1110,17 +1013,27 @@ def _union_side(m: FiniteUnion, fs, side):
         max(rho_reach))
 
 
+def _flat_parts(m: FiniteUnion) -> tuple:
+    """The parts of a union, read through the unions nested in it."""
+    return tuple(q for p in m.parts
+                 for q in (_flat_parts(p) if type(p) is FiniteUnion else (p,)))
+
+
 def _periodic_parts_gap(m: FiniteUnion, fs, side):
     """The longest gap of the union S of m's parts that have a period, when
     there are two or more of them beside at least one without, and S lies
     on the side and reaches toward side * inf; else None, as when that
-    walk is too rich. fs are the parts' frames on the side. The parts' gap
-    bounds need not be met by the gaps of S (a lattice beside its shift by
-    half a step), and without a period the walk of `longest_gaps` stops
-    only at the gap bound. Past its reach R, S repeats with its period p
+    walk is too rich. The parts are read through nested unions; fs are
+    the frames of m's own parts on the side. The parts' gap bounds need
+    not be met by the gaps of S (a lattice beside its shift by half a
+    step), and without a period the walk of `longest_gaps` stops only at
+    the gap bound. Past its reach R, S repeats with its period p
     and reaches on, so no gap past R is longer than p, and one that starts
     past R + p repeats the one p before it: l(R + 2p) bounds every gap of
     S, and each gap of m lies in one of S."""
+    if FiniteUnion in map(type, m.parts):
+        m = FiniteUnion(_flat_parts(m))
+        fs = [frames(p)[side] for p in m.parts]
     periodic = tuple(p for p, f in zip(m.parts, fs) if f.period is not None)
     if not 1 < len(periodic) < len(m.parts):
         return None
@@ -1195,6 +1108,24 @@ def is_nonnegative_model(model) -> bool:
     return ambient_dim(model) == 1 and next(components(model, -INF))[0] >= 0
 
 
+def truncation(model, h):
+    """(start, trunc): the truncation rule for a 1-D set that accumulates
+    at 0 from above, read up to the horizon h. The components with
+    hi >= start are read and those below are left out: start is the lo of
+    the component that reaches highest among those with
+    0 < lo <= h/2**20, and every component left out lies in (0, trunc],
+    trunc < start the largest right end below start. Readers treat
+    (0, trunc] as unresolved (`longest_gaps`, and `line`'s complement
+    components). A component with hi < start has lo < start, so trunc is
+    the first such hi from a cursor at start, past the few components
+    that hold start; one from the scale would pass every lattice point
+    between start and the scale."""
+    below = components(model, h / 2**20, -1)
+    start = next(c for c in below if c[0] > 0)[0]
+    return start, next(c for c in components(model, start, -1)
+                        if c[1] < start)[1]
+
+
 def longest_gap(model, h) -> Fraction:
     """Length of the longest open interval inside [0, h] \\ E, exact."""
     h = rat(h)
@@ -1228,6 +1159,10 @@ def longest_gaps(model, hs) -> list:
     right end `prev_hi` from one horizon to the next. The loop starts in
     one of two ways.
 
+    The window [0, h] of a horizon lists the components that meet [0, h];
+    where the set accumulates at 0 from above, only those at 0 and those
+    with hi >= start(h) (`truncation`).
+
     Seeded at the first horizon h0, for a tree without a period or a gap
     bound whose windows list at most WINDOW_CAP components up to the last
     horizon (`_window_bound`; no horizon can then raise "too rich"). A
@@ -1254,14 +1189,13 @@ def longest_gaps(model, hs) -> list:
     bound, so every later h reads it. The walk raises "too rich" at the
     first h whose window would list more than WINDOW_CAP components.
 
-    Where the set accumulates at 0 from above, l(h) is read as on
-    `window_structure(model, 0, h)`: the components at 0 and those with
-    hi >= start(h), gaps counted from trunc(h) (see `_truncation`), and
-    "inconclusive" when l(h) < trunc(h). Both starts read from the start
+    Where the set accumulates at 0 from above, l(h) is read off the
+    window [0, h], its gaps counted from trunc(h), and "inconclusive"
+    when l(h) < trunc(h). Both starts read from the start
     of the smallest h, so for a larger h the loop also sees gaps below
     trunc(h); each is shorter than trunc(h), so it cannot change an
     answer that passes that check. As trunc(h) < h/2**20, the check reads
-    `_truncation` only for a horizon whose gap is below h/2**20.
+    `truncation` only for a horizon whose gap is below h/2**20.
     """
     hs = [rat(h) for h in hs]
     if any(b < a for a, b in zip(hs, hs[1:])):
@@ -1282,7 +1216,7 @@ def longest_gaps(model, hs) -> list:
         c = next(walk, None)
     start, acc = ZERO, c is not None and c[0] is ZERO_ABOVE
     if acc:
-        start, trunc = _truncation(model, hs[0])
+        start, trunc = truncation(model, hs[0])
         floor = max(floor, trunc)
     seeded = stop is None and bound is None \
         and _window_bound(model, hs[-1]) <= WINDOW_CAP
@@ -1310,7 +1244,7 @@ def longest_gaps(model, hs) -> list:
     listed, kept, out = at_zero, [], []
     for h in hs:
         if moving:
-            start = _truncation(model, h)[0]
+            start = truncation(model, h)[0]
             while kept and kept[0] < start:
                 heapq.heappop(kept)
         end = h if stop is None else min(h, stop)
@@ -1329,7 +1263,7 @@ def longest_gaps(model, hs) -> list:
         if end < h:
             prev_hi = next(components(model, h, -1))[1]
         gap = best if best == bound else max(best, h - min(prev_hi, h))
-        if acc and gap * 2**20 < h and gap < _truncation(model, h)[1]:
+        if acc and gap * 2**20 < h and gap < truncation(model, h)[1]:
             raise UnsupportedGeometryError(
                 "gap search inconclusive below the truncation scale"
             )

@@ -77,6 +77,17 @@ def test_classification_rejects_bad_factors():
         classify_line_subspace(HalfPlaneStrip(F(-1), F(2)))
 
 
+def test_covered_window_keeps_the_scale_of_the_blocks():
+    # (-inf, 6] u [9, 18] u ...: the window [-6, 6] is covered edge to edge
+    # and the gap (6, 9) opens just past it, so only the blocks' scale
+    # keeps the empty complement from reading as the line
+    model = FiniteUnion((Ray(F(3), -1), GeometricBlocks(F(3), F(1), F(2))))
+    assert required_window(model) == F(6)
+    got = classify_line_subspace(model)
+    assert got.status == "fails_condition_with"
+    assert (got.k, got.witness) == (F(2), F(3, 2))
+
+
 # -- isometry between subsets ---------------------------------------------
 
 
@@ -165,6 +176,39 @@ def test_blocks_complement_truncates_near_zero():
         assert lo >= rep.truncated_below
         assert hi == 2 * lo  # every gap runs from a block top to 2x it
     assert rep.unbounded == ()
+
+
+def test_blocks_under_the_full_line_keep_their_scale():
+    rep = complement_components(FiniteUnion((FullLine(), GB412)), F(8))
+    assert rep.bounded == () and rep.unbounded == ()
+    assert rep.truncated_below is not None
+
+
+def test_hull_at_zero_that_ends_below_the_scale():
+    # [-1, t] u [3, 4 + t] u ... beside GB(4, 1, 2): the window [-9, 9]
+    # reads the blocks from start = 2**-18, so the gap below start opens
+    # at t, and it is kept only where t is the truncation scale itself
+    def report(t):
+        hull = PeriodicBlocks(F(4), ((F(0), 1 + t),), F(-1))
+        return complement_components(FiniteUnion((hull, GB412)), F(9))
+    low = report(F(1, 2**30))
+    assert low.truncated_below == F(1, 2**19)
+    assert low.bounded[0] == (F(1, 2**17), F(1, 2**16))
+    at_scale = report(F(3, 2**20))
+    assert at_scale.truncated_below == F(3, 2**20)
+    assert at_scale.bounded[0] == (F(3, 2**20), F(1, 2**18))
+
+
+def test_window_without_set_points_names_the_next_point():
+    # the prefix ends at 21, yet the points left are 30, 40, ...
+    model = FiniteModification(Lattice(F(10), F(0), "plus"), (),
+                               (F(0), F(10), F(20)))
+    assert required_window(model) == F(21)
+    with pytest.raises(WindowTooSmallError, match="no set points") as err:
+        complement_components(model, F(21))
+    assert err.value.required == F(31)
+    assert complement_components(model, F(31)).unbounded \
+        == (("left", F(30)),)
 
 
 def test_window_must_cover_the_structural_prefix():

@@ -137,6 +137,19 @@ def test_union_gap_bound_reads_its_periodic_parts(model):
     assert all(gap == F(1, 2) for _, gap, _ in r.trace)
 
 
+def test_union_gap_bound_reads_the_parts_of_nested_unions():
+    # the lattices one union deeper: their union is still read, and the
+    # walk stops at the first gap 1/2 (it ran on to WINDOW_CAP before)
+    model = FiniteUnion((
+        FiniteUnion((Lattice(F(1), F(0), "plus"),
+                     Lattice(F(1), F(1, 2), "plus"))),
+        GeometricPoints(F(2), F(1), 0)))
+    r = porosity_at_infinity(model)
+    assert (r.kind, r.value) == ("exact", 0)
+    assert r.notes == "all gaps bounded by 1/2"
+    assert len(r.trace) == 81
+
+
 def commensurable_nonneg_trees(rho, depth=2):
     sub = (geometric_leaves(rho) if depth == 1
            else commensurable_nonneg_trees(rho, depth - 1))
@@ -313,11 +326,11 @@ def test_a_double_reflection_keeps_the_critical_horizons(first, second,
 def test_truncation_is_read_once_per_probe(count_calls):
     # the walk from 0 read it at every horizon (63 calls); the seeded walk
     # reads it for the first horizon only, as no gap falls below h/2**20
-    calls = count_calls(setmodels, "_truncation")
+    calls = count_calls(setmodels, "truncation")
     model = FiniteUnion((GeometricPoints(F(5, 4), F(1), 0),
                          GeometricBlocks(F(3, 2), F(1), F(5, 4))))
     porosity_at_infinity(model, 188)
-    assert calls == {"_truncation": 1}
+    assert calls == {"truncation": 1}
 
 
 # ---------------------------------------------------------------------------

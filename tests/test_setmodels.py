@@ -29,6 +29,7 @@ from farfield import (
     Reflected,
     SphereSlice,
     UnsupportedGeometryError,
+    complement_components,
     contains,
     distance_to_set,
     longest_gap,
@@ -40,7 +41,6 @@ from farfield import (
     nearest_point,
     scale_model,
     sphere_slice,
-    window_structure,
 )
 from farfield import setmodels
 from farfield.setmodels import Segment, components, frames, model_to_dict
@@ -326,7 +326,7 @@ def test_longest_gap_rejects_two_sided_models():
 
 
 # ---------------------------------------------------------------------------
-# Windows
+# Complement components in a window [-h, h]
 
 
 @pytest.mark.parametrize(
@@ -336,39 +336,56 @@ def test_longest_gap_rejects_two_sided_models():
     ids=repr,
 )
 def test_window_structure_matches_enumeration(model):
-    lo, hi = (F(1, 8), F(18)) if isinstance(model, GeometricBlocks) \
-        else (F(-9), F(18))
-    ws = window_structure(model, lo, hi)
-    assert list(ws.intervals) == oracle_intervals(model, lo, hi)
+    # the complement in [-h, h], read off the set enumerated over
+    # [-3h, 3h] (above the accumulation scale for blocks at 0)
+    h = max(setmodels.required_window(model), F(18))
+    blocks = isinstance(model, GeometricBlocks)
+    lo = h / 2**10 if blocks else -3 * h
+    ivals = oracle_intervals(model, lo, 3 * h)
+    got = complement_components(model, h)
+    assert (got.truncated_below is not None) == blocks
+    assert [g for g in got.bounded if g[0] >= lo] == [
+        (b1, a2) for (_, b1), (a2, _) in zip(ivals, ivals[1:])
+        if a2 > -h and b1 < h]
+    # each set here that is bounded on one side ends inside [-h, h]
+    tails = [("left", ivals[0][0])] if not blocks and ivals[0][0] > -h \
+        else []
+    if ivals[-1][1] < h:
+        tails.append(("right", ivals[-1][1]))
+    assert list(got.unbounded) == tails
 
 
 def test_window_keeps_hull_on_interior_removal():
     m = FiniteModification(Ray(F(0), 1), removed=(F(2),))
-    ws = window_structure(m, F(0), F(5))
-    assert ws.intervals == ((F(0), F(5)),)
+    got = complement_components(m, F(5))
+    assert got.bounded == () and got.unbounded == (("left", F(0)),)
+    assert got.punctures == (F(2),)
 
 
 def test_window_drops_removed_isolated_point():
     m = FiniteModification(Lattice(F(1), F(0)), removed=(F(2),))
-    ws = window_structure(m, F(0), F(4))
-    assert (F(2), F(2)) not in ws.intervals
-    assert (F(1), F(1)) in ws.intervals and (F(3), F(3)) in ws.intervals
+    got = complement_components(m, F(4))
+    assert (F(1), F(3)) in got.bounded
+    assert (F(1), F(2)) not in got.bounded and (F(2), F(3)) not in got.bounded
+    assert got.punctures == ()
 
 
 def test_window_truncation_marker_for_accumulating_blocks():
     gb = GeometricBlocks(F(4), F(1), F(2))
-    ws = window_structure(gb, F(0), F(8))
-    assert ws.truncated_below is not None
-    assert ws.truncated_below <= F(1, 25)
-    # everything reported sits above the marker
-    assert all(lo > ws.truncated_below for lo, _ in ws.intervals)
+    got = complement_components(gb, F(8))
+    assert got.truncated_below is not None
+    assert got.truncated_below <= F(8) / 2**20
+    # every gap reported sits above the marker, and no tail runs into it
+    assert all(a >= got.truncated_below for a, _ in got.bounded)
+    assert got.bounded and got.unbounded == ()
 
 
 def test_window_intervals_sorted_disjoint():
     for model in SAMPLE_MODELS:
-        ws = window_structure(model, F(-4), F(10))
-        for (a1, b1), (a2, b2) in zip(ws.intervals, ws.intervals[1:]):
-            assert a1 <= b1 < a2 <= b2
+        got = complement_components(
+            model, max(setmodels.required_window(model), F(10)))
+        for (a1, b1), (a2, b2) in zip(got.bounded, got.bounded[1:]):
+            assert a1 < b1 <= a2 < b2
 
 
 # ---------------------------------------------------------------------------

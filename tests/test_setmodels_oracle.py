@@ -6,10 +6,11 @@ leaf's components by its index formula inside [-B, B] (GeometricBlocks down
 to the scale TINY, plus the side from which it accumulates at 0), applies
 the combinators to those finite lists and answers every query by scanning
 them; it never goes through the cursor. The porosity walk `longest_gaps` is
-also checked against per-horizon window decompositions on random
-nonnegative trees, and the fields of `frames` against the oracle past
-the reach. The same trees, with the planar kinds, check the JSON
-round trips and `scale_model` at the oracle's piece ends.
+also checked against per-horizon windows [0, h], read off the cursor one
+horizon at a time, on random nonnegative trees, and the fields of
+`frames` against the oracle past the reach. The same trees, with the
+planar kinds, check the JSON round trips and `scale_model` at the
+oracle's piece ends.
 """
 
 import math
@@ -49,12 +50,16 @@ from farfield import (
     prev_point_le,
     porosity_at_infinity,
     scale_model,
-    window_structure,
 )
 from farfield import setmodels
 from farfield.porosity import _grid
 from farfield.setmodels import (
+    INF,
+    ZERO_ABOVE,
+    ZERO_BELOW,
     ambient_dim,
+    components,
+    gaps,
     intersects_open_interval,
     is_nonnegative_model,
 )
@@ -212,15 +217,32 @@ def o_window(pieces, lo, hi):
                     for a, b in pieces if a <= hi and b >= lo)
 
 
-def beyond(intervals, r):
-    """The intervals cut down to |x| >= r."""
+def o_gaps(pieces, acc, x, end):
+    """gaps(model, x, end) read off the pieces, for a listing that does not
+    walk up into an accumulation at 0 from below: it stops at one from
+    above unless a piece at 0 reaches past 0. A piece end at the listing
+    bound +-B stands for +-inf; no query reaches one otherwise."""
+    def far(v):
+        return INF if v >= B else -INF if v <= -B else v
+
+    g1 = max([b for a, b in pieces if a <= x and b < x]
+             + ([ZERO_BELOW] if -1 in acc and x >= 0 else []), default=-INF)
     out = []
-    for a, b in intervals:
-        if b >= r:
-            out.append((max(a, r), b))
-        if a <= -r:
-            out.append((a, min(b, -r)))
-    return coalesce(out)
+    for a, marker, b in sorted([(a, 0, b) for a, b in pieces if b >= x]
+                               + ([ABOVE] if 1 in acc and x <= 0 else [])):
+        if marker:
+            if g1 <= 0:
+                return out + [(g1, ZERO_ABOVE)]
+            if g1 == INF:
+                break
+            continue
+        a, b = far(a), far(b)
+        if a > g1:
+            out.append((g1, a))
+        g1 = max(g1, b)
+        if g1 > end:
+            break
+    return out + [(g1, INF)]
 
 
 def o_longest_gap(pieces, acc, h):
@@ -332,16 +354,15 @@ def test_derived_queries_match_the_oracle(model, xs, spans):
     for lo, hi in spans:
         assert intersects_open_interval(model, lo, hi) \
             == o_intersects(pieces, acc, lo, hi), (lo, hi)
-        ws = window_structure(model, lo, hi)
-        expected = o_window(pieces, lo, hi)
-        assert (ws.truncated_below is not None) == o_meets(acc, lo, hi)
-        if ws.truncated_below is None:
-            assert list(ws.intervals) == expected, (lo, hi)
-        else:
-            # exact beyond the scale; below it only the marker remains
-            r = max(-lo, hi) / 2**20
-            assert 0 < ws.truncated_below < r
-            assert beyond(ws.intervals, r) == beyond(expected, r), (lo, hi)
+        # a walk up into an accumulation from below would never end
+        if not (-1 in acc and lo < 0 <= hi):
+            listed = list(gaps(model, lo, hi))
+            assert listed == o_gaps(pieces, acc, lo, hi), (lo, hi)
+            if not o_meets(acc, lo, hi):
+                window = o_window(pieces, lo, hi)
+                assert [g for g in listed if lo <= g[0] and g[1] <= hi] \
+                    == [(b1, a2) for (_, b1), (a2, _)
+                        in zip(window, window[1:])], (lo, hi)
         if is_nonnegative_model(model) and hi > 0:
             try:
                 gap = longest_gap(model, hi)
@@ -388,17 +409,33 @@ def nonneg_trees(depth):
     )
 
 
+def window_components(model, h):
+    """(components, trunc): the components that a window [0, h] lists, in
+    order and uncoalesced, and its truncation scale (None without one):
+    those from 0 up to an accumulation at 0 from above, then those with
+    hi >= start(h) (`setmodels.truncation`); "too rich" past WINDOW_CAP."""
+    out, trunc = [], None
+    walk = components(model, F(0))
+    while (c := next(walk, None)) is not None and c[0] <= h:
+        if c[0] is ZERO_ABOVE:
+            start, trunc = setmodels.truncation(model, h)
+            walk = (k for k in components(model, start) if k[0] > 0)
+            continue
+        out.append(c)
+        if len(out) > setmodels.WINDOW_CAP:
+            raise UnsupportedGeometryError("window structure too rich")
+    return out, trunc
+
+
 def window_gap(model, h):
-    """l(h) read off the window decomposition of [0, h], one window per
-    horizon: gaps counted from the truncation scale, inconclusive below
-    it."""
-    ws = window_structure(model, F(0), h)
-    trunc = ws.truncated_below
+    """l(h) read off the window [0, h], one window per horizon: gaps
+    counted from the truncation scale, inconclusive below it."""
+    listed, trunc = window_components(model, h)
     best = F(0)
     prev = F(0) if trunc is None else trunc
-    for lo, hi in ws.intervals:
+    for lo, hi in listed:
         best = max(best, lo - prev)
-        prev = max(prev, hi)
+        prev = max(prev, min(hi, h))
     best = max(best, h - prev)
     if trunc is not None and best < trunc:
         raise UnsupportedGeometryError(
@@ -514,7 +551,7 @@ def test_seeded_walk_matches_the_windows_and_the_oracle(model, hs):
     size = setmodels._window_bound(model, hs[-1])
     assert size <= setmodels.WINDOW_CAP
     for h in hs:  # the components each window lists, uncoalesced
-        assert len(setmodels._window(model, F(0), h)[0]) <= size, h
+        assert len(window_components(model, h)[0]) <= size, h
     gaps, message = assert_walk_matches_windows(model, hs)
     pieces, acc = oracle(model, B=hs[-1])
     for h, gap in zip(hs, gaps):
@@ -739,7 +776,7 @@ def test_truncation_reads_few_components_under_a_ray(monkeypatch):
             yield c
 
     monkeypatch.setattr(setmodels, "components", bounded)
-    assert setmodels._truncation(model, F(2) ** 60) == (F(1), F(3, 4))
+    assert setmodels.truncation(model, F(2) ** 60) == (F(1), F(3, 4))
 
 
 @pytest.mark.parametrize("model", [
@@ -750,11 +787,11 @@ def test_longest_gaps_rejects_descending_horizons(model):
 
 
 def test_porosity_of_the_pinned_union_lists_no_window(count_calls):
-    calls = count_calls(setmodels, "window_structure", "longest_gaps")
+    calls = count_calls(setmodels, "longest_gaps")
     model = FiniteUnion((GeometricPoints(F(12, 11), F(1), 0),
                          GeometricPoints(F(12, 11), F(23, 22), 0)))
     result = porosity_at_infinity(model, 180)
-    assert calls == {"window_structure": 0, "longest_gaps": 1}
+    assert calls == {"longest_gaps": 1}
     assert result.value == F(1, 23) and len(result.trace) == 100
 
 
