@@ -77,6 +77,11 @@ def _json_key(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
+class _Text(str):
+    """JSON text that `_json_text` emits as it stands: a piece rendered
+    ahead of time, at the indent of the place where it is spliced."""
+
+
 def _json_text(value, indent: str = "") -> str:
     """The text of json.dumps(value, sort_keys=True, indent=2).
 
@@ -85,9 +90,13 @@ def _json_text(value, indent: str = "") -> str:
     Strings are quoted by the same function json.dumps uses (inline for
     the str items and keys of a container), and every other scalar but
     the frequent None is rendered by json.dumps itself.
+
+    A `_Text` is spliced verbatim. It keeps the bytes of json.dumps only
+    when it holds the text of its value rendered at the indent where it
+    lands: `_json_text(v, indent)` for the indent of that item.
     """
     if isinstance(value, str):
-        return _quote(value)
+        return value if type(value) is _Text else _quote(value)
     if value is None:
         return "null"
     if isinstance(value, (list, tuple)):
@@ -114,7 +123,9 @@ def _json_text(value, indent: str = "") -> str:
 
 def write_json(path: Path, payload) -> None:
     """JSON with sorted keys and an indent of 2: the bytes of
-    json.dumps(payload, sort_keys=True, indent=2) plus a newline."""
+    json.dumps(payload, sort_keys=True, indent=2) plus a newline, as long
+    as every `_Text` in the payload holds the text of its value rendered
+    at the indent where it lands (see `_json_text`)."""
     path.write_bytes((_json_text(payload) + "\n").encode("utf-8"))
 
 
@@ -328,22 +339,49 @@ def _cmd_lab(cfg, args, out: Path) -> int:
             "blocks": [[label, block] for label, block
                        in report.member_blocks],
         })
-    # every push reads its "before" column off the graph's own table, so
-    # the payload of that column is built once
-    before = [_limit_payload(res) for res in graph.limits + graph.pairs]
+    # A push check is {"after", "before", "kind", "labels"}. Its "before",
+    # "kind" and "labels" come from the graph's table, the same in every
+    # push, and its "after" is one of a few distinct limits. So each
+    # distinct limit payload and each check's fixed tail are rendered
+    # once per job, at the indent of a check's values in the report
+    # (payload["pushes"][p]["checks"] sits at 6 spaces, each check at 8),
+    # and each push's "checks" list is joined from those texts alone.
+    # "after" sorts first, so a check is its "after" head and text, then
+    # its tail.
+    check, inner = " " * 8, " " * 10
+    head = "{\n" + inner + '"after": '
+    lead, close = ",\n" + check + head, "\n" + " " * 6 + "]"
+    texts, tails = {}, None
+
+    def limit_text(res):
+        # fmt renders equal values alike, so equal keys give equal text
+        key = res.status, res.value, res.clusters
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = _json_text(_limit_payload(res), inner)
+        return text
+
     for entry in cfg.get("index_maps", ()):
         stride = _require(entry, "stride", "index_maps entry")
         push = sl.subsequence_push(family, scaling, integer(stride),
                                    integer(entry.get("offset", 0)), graph)
+        if tails is None:
+            # a check's dict without "after", its "{" turned into a comma
+            tails = ["," + _json_text({
+                "before": _Text(limit_text(before)),
+                "kind": kind,
+                "labels": list(labels),
+            }, check)[1:] for kind, labels, before, _ in push.checks]
+        parts = []
+        for (_, _, _, after), tail in zip(push.checks, tails):
+            parts += lead, limit_text(after), tail
+        if parts:  # the first check opens the list
+            parts[0] = "[\n" + check + head
+            parts.append(close)
         payload["pushes"].append({
             "stride": push.stride,
             "offset": push.offset,
-            "checks": [{
-                "kind": kind,
-                "labels": list(labels),
-                "before": was,
-                "after": _limit_payload(after),
-            } for (kind, labels, _, after), was in zip(push.checks, before)],
+            "checks": _Text("".join(parts)) if parts else [],
         })
     write_json(out / "lab_report.json", payload)
     return 0

@@ -114,32 +114,38 @@ def is_structural_subset(a, b) -> bool:
     Decides the cases the library can see through structurally; a False
     answer means "not shown", never "shown not".
     """
+    return _subset(a, b, {})
+
+
+def _subset(a, b, frame_sups) -> bool:
+    """`is_structural_subset`, with the `_frame_sup` pairs read so far in
+    the dict frame_sups."""
     if ambient_dim(a) != ambient_dim(b):
         return False
     if a == b:
         return True
     if isinstance(a, FiniteUnion):
-        return all(is_structural_subset(p, b) for p in a.parts)
+        return all(_subset(p, b, frame_sups) for p in a.parts)
     if isinstance(b, FiniteUnion):
-        if any(is_structural_subset(a, p) for p in b.parts):
+        if any(_subset(a, p, frame_sups) for p in b.parts):
             return True
     if isinstance(b, FiniteModification) and not b.removed:
-        if is_structural_subset(a, b.base):
+        if _subset(a, b.base, frame_sups):
             return True
     if isinstance(a, FiniteModification):
-        if (is_structural_subset(a.base, b)
+        if (_subset(a.base, b, frame_sups)
                 and all(contains(b, pt) for pt in a.added)):
             return True
     if ambient_dim(a) == 1:
-        return _frame_subset(a, b)
+        return _frame_subset(a, b, frame_sups)
     pairs = setmodels.factors(a), setmodels.factors(b)
     return None not in pairs and all(map(is_structural_subset, *pairs))
 
 
-def _frame_subset(a, b) -> bool:
+def _frame_subset(a, b, frame_sups) -> bool:
     """a inside b when the walks of `_frame_sup` find every point of a in
     b's hulls, and no point removed inside those hulls is a point of a."""
-    sup, apart = _frame_sup(a, b)
+    sup, apart = _read_frame_sup(a, b, frame_sups)
     return sup == _VALUE0 and not apart and all(
         contains(b, x) for x in setmodels.holes(b) if contains(a, x))
 
@@ -298,12 +304,12 @@ def _worst(sups) -> SupDistance:
     return SupDistance("value", best)
 
 
-def _flattened_sup(source, target) -> SupDistance:
+def _flattened_sup(source, target, frame_sups) -> SupDistance:
     """sup over a union or modification source, reflected or not, as the
     largest over its finite points and its leaves, each by `sup_distance`
     (None for any other source); removing points can only lower a sup, so
     a leaf with points removed above it and a positive sup is read again
-    by its frame without them."""
+    by its frame without them. frame_sups is the dict of `_sup`."""
     sign = 1
     while isinstance(source, Reflected):
         source, sign = source.base, -sign
@@ -313,10 +319,11 @@ def _flattened_sup(source, target) -> SupDistance:
     sups = [SupDistance("value", max(
         (distance_to_set(target, pt) for pt in points), default=ZERO))]
     for leaf, removed in leaves:
-        got = sup_distance(leaf, target)
+        got = _sup(leaf, target, frame_sups)
         if removed and got.finite and got.value:
-            got = _frame_sup(FiniteModification(leaf, (), tuple(removed)),
-                             target)[0]
+            got = _read_frame_sup(
+                FiniteModification(leaf, (), tuple(removed)), target,
+                frame_sups)[0]
         sups.append(got)
     return _worst(sups)
 
@@ -355,21 +362,38 @@ def _geometric_mod_sup(source, target, frame, top, period):
 def sup_distance(source, target) -> SupDistance:
     """Exact sup_{x in source} dist(x, target) for structurally supported
     pairs; "infinite" and "unknown" are explicit outcomes."""
+    return _sup(source, target, {})
+
+
+def _sup(source, target, frame_sups) -> SupDistance:
+    """`sup_distance`, with the `_frame_sup` pairs read so far in the dict
+    frame_sups: the subset test and the reads of a union's parts and of a
+    source's leaves meet the pairs of one call again."""
     if ambient_dim(source) != ambient_dim(target):
         raise InputError("cannot compare sets in different ambient spaces")
     if source == target:
         return _VALUE0
-    got = (_frame_sup(source, target)[0] if ambient_dim(source) == 1
+    got = (_read_frame_sup(source, target, frame_sups)[0]
+           if ambient_dim(source) == 1
            else _sup_distance_2d(source, target))
-    if got.kind == "unknown" and is_structural_subset(source, target):
+    if got.kind == "unknown" and _subset(source, target, frame_sups):
         return _VALUE0
     if got.kind == "unknown":
-        got = _flattened_sup(source, target) or got
+        got = _flattened_sup(source, target, frame_sups) or got
     if got.kind == "unknown" and isinstance(target, FiniteUnion) and any(
-            sup_distance(source, part) == _VALUE0 for part in target.parts):
+            _sup(source, part, frame_sups) == _VALUE0
+            for part in target.parts):
         # distance to a union is <= distance to any part, so only the
         # zero case transfers exactly; anything else would overstate
         return _VALUE0
+    return got
+
+
+def _read_frame_sup(source, target, frame_sups):
+    """`_frame_sup` of the pair, computed once per dict frame_sups."""
+    got = frame_sups.get((source, target))
+    if got is None:
+        got = frame_sups[source, target] = _frame_sup(source, target)
     return got
 
 

@@ -382,6 +382,12 @@ def scaling_self_similarity(model, k, window=None) -> ScalingVerdict:
     its regular part, which makes the windowed length repertoire the
     global one for these grammars.
     """
+    return _self_similarity(model, k, window, {})
+
+
+def _self_similarity(model, k, window, reports) -> ScalingVerdict:
+    """`scaling_self_similarity`, reading each complement report through
+    the dict `reports` (see `_report`)."""
     k = rat(k)
     if k <= 0:
         raise InputError("scaling factor must be positive")
@@ -392,8 +398,8 @@ def scaling_self_similarity(model, k, window=None) -> ScalingVerdict:
     other = scale_model(model, 1 / k)
     h = rat(window) if window is not None else max(
         required_window(model), required_window(other))
-    ra = complement_components(model, h)
-    rb = complement_components(other, h)
+    ra = _report(reports, model, h)
+    rb = _report(reports, other, h)
 
     threshold = _length_threshold(ra, rb)
     la, lb = _filtered_lengths(ra, threshold), _filtered_lengths(rb, threshold)
@@ -408,6 +414,16 @@ def scaling_self_similarity(model, k, window=None) -> ScalingVerdict:
         return ScalingVerdict("refuted", k, None, None,
                               "puncture counts differ")
     return ScalingVerdict("consistent", k)
+
+
+def _report(reports, model, h) -> ComponentReport:
+    """`complement_components(model, h)`, computed once per dict
+    `reports`: the factors of one classification compare the model with
+    its images over windows that often coincide."""
+    got = reports.get((model, h))
+    if got is None:
+        got = reports[model, h] = complement_components(model, h)
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +459,8 @@ def classify_line_subspace(model, k_samples=None, window=None) \
         if k <= 0:
             raise InputError("scaling factors must be positive")
     h0 = rat(window) if window is not None else required_window(model)
-    rep = complement_components(model, h0)
+    reports = {}  # one classification's reports, shared by its factors
+    rep = _report(reports, model, h0)
     if not rep.bounded and not rep.punctures \
             and rep.truncated_below is None:
         if not rep.unbounded:
@@ -451,7 +468,7 @@ def classify_line_subspace(model, k_samples=None, window=None) \
         if len(rep.unbounded) == 1:
             return LineClassification("isometric_to_R_plus")
     for k in ks:
-        verdict = scaling_self_similarity(model, k, window)
+        verdict = _self_similarity(model, k, window, reports)
         if not verdict.is_consistent:
             return LineClassification("fails_condition_with", k,
                                       verdict.witness,

@@ -1,15 +1,17 @@
 """Batch runner: config handling, file formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from farfield import setmodels
-from farfield.cli import build_parser, main, write_json
+from farfield import seqlab, setmodels
+from farfield.cli import _Text, build_parser, main, write_json
 
 GP2 = {"kind": "geometric_points", "q": "2", "c": "1", "n0": 0}
 GP3 = {"kind": "geometric_points", "q": "3", "c": "1", "n0": 0}
@@ -363,6 +365,161 @@ def test_lab_bad_configs_exit_two(tmp_path, changes):
     assert not (out / "lab_report.json").exists()
 
 
+def _plain_lab_report(cfg) -> bytes:
+    """The bytes `farfield lab` should write for cfg: its report built as
+    plain dicts and lists, the pushes read without the graph, and rendered
+    by json.dumps."""
+    family = [(item["label"], seqlab.spec_from_dict(item["spec"]))
+              for item in cfg["families"]]
+    scaling = seqlab.scaling_from_dict(cfg["scaling"])
+    graph = seqlab.stability_graph(family, scaling)
+    cliques = seqlab.maximal_self_stable(graph)
+
+    def text(value):
+        return str(Fraction(value))
+
+    def limit(res):
+        return {"status": res.status,
+                "value": None if res.value is None else text(res.value),
+                "clusters": [[name, text(v)] for name, v in res.clusters]
+                or None}
+
+    pretangent = []
+    for clique in cliques:
+        report = seqlab.pretangent_space(graph, clique)
+        space = report.space.space
+        pretangent.append({
+            "members": list(clique),
+            "points": list(space.labels),
+            "table": [[text(v) for v in row] for row in space.dist],
+            "distinguished": report.distinguished,
+            "blocks": [list(pair) for pair in report.member_blocks],
+        })
+    pushes = []
+    for entry in cfg.get("index_maps", ()):
+        push = seqlab.subsequence_push(family, scaling, entry["stride"],
+                                       entry.get("offset", 0))
+        pushes.append({
+            "stride": push.stride,
+            "offset": push.offset,
+            "checks": [{"kind": kind, "labels": list(labels),
+                        "before": limit(before), "after": limit(after)}
+                       for kind, labels, before, after in push.checks],
+        })
+    payload = {
+        "tilde": {label: text(v) for label, v in zip(graph.labels,
+                                                      graph.tilde)},
+        "edges": [[graph.labels[i], graph.labels[j], text(v)]
+                  for (i, j), v in graph.edges],
+        "maximal_families": [list(c) for c in cliques],
+        "pretangent": pretangent,
+        "pushes": pushes,
+    }
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+
+def _lab_statuses(report_bytes, side):
+    return {check[side]["status"]
+            for push in json.loads(report_bytes)["pushes"]
+            for check in push["checks"]}
+
+
+INDEX_MAPS = {
+    0: [],
+    1: [{"stride": 3, "offset": 1}],
+    3: [{"stride": 2, "offset": 0}, {"stride": 2, "offset": 1},
+        {"stride": 3, "offset": 2}],
+}
+HALF_LATTICE = {"kind": "lattice", "step": "1/2", "offset": "0",
+                "half": "full"}
+EXACT_FAMILY = LAB_CONFIG["families"] + [
+    {"label": "xs", "spec": {"kind": "affine", "a": "2/3", "sub": "sqrt",
+                             "b": "5"}},
+    {"label": "xg", "spec": {"kind": "in_set", "model": GP2, "a": "5/4"}},
+    {"label": "xh", "spec": {"kind": "in_set", "model": HALF_LATTICE,
+                             "a": "-3/4", "a_odd": "3/4"}},
+]
+
+
+@pytest.mark.parametrize("maps", sorted(INDEX_MAPS))
+def test_lab_report_is_the_bytes_of_json_dumps(tmp_path, maps):
+    # the pushes are spliced from pieces rendered once per job: exact
+    # limits and no_limit pairs with Fraction clusters, before and after
+    cfg = dict(LAB_CONFIG, families=EXACT_FAMILY,
+               index_maps=INDEX_MAPS[maps])
+    code, out = run(tmp_path, "lab", cfg)
+    assert code == 0
+    got = (out / "lab_report.json").read_bytes()
+    assert got == _plain_lab_report(cfg)
+    assert len(json.loads(got)["pushes"]) == maps
+    if maps:
+        assert _lab_statuses(got, "before") == {"exact", "no_limit"}
+        assert _lab_statuses(got, "after") == {"exact", "no_limit"}
+
+
+def test_lab_report_of_numeric_pushes_is_the_bytes_of_json_dumps(
+        tmp_path, monkeypatch):
+    # a pair without a limit may get one in a push, by any rung: here the
+    # numeric probe reads every such pair after the push, which gives
+    # float values and clusters, and unsettled probes
+    original = seqlab.subsequence_push
+    uncertified = seqlab.PhaseForm(Fraction(0), Fraction(0), "inconclusive")
+
+    def probed_where_split(*args, **kwargs):
+        push = original(*args, **kwargs)
+        return dataclasses.replace(push, checks=tuple(
+            (kind, labels, before, after if before.exists else seqlab._pair(
+                push.pushed(labels[0]), uncertified,
+                push.pushed(labels[1]), uncertified, push.scaling))
+            for kind, labels, before, after in push.checks))
+
+    monkeypatch.setattr(seqlab, "subsequence_push", probed_where_split)
+    families = [
+        {"label": "x0", "spec": {"kind": "closed_form", "terms": {}}},
+        {"label": "xa", "spec": {"kind": "closed_form",
+                                 "terms": {"alt_r": "1/3"}}},
+        {"label": "xq", "spec": {"kind": "closed_form",
+                                 "terms": {"alt_r": "1/3", "sqrt_r": "1"}}},
+        {"label": "xr", "spec": {"kind": "closed_form",
+                                 "terms": {"r": "1/3"}}},
+    ]
+    cfg = {"families": families,
+           "scaling": {"kind": "polynomial", "degree": 1},
+           "index_maps": INDEX_MAPS[3]}
+    code, out = run(tmp_path, "lab", cfg)
+    assert code == 0
+    got = (out / "lab_report.json").read_bytes()
+    assert got == _plain_lab_report(cfg)
+    assert _lab_statuses(got, "after") == {"exact", "estimated",
+                                           "inconclusive", "no_limit"}
+    # 2/3 read as a float, in the report as its exact binary fraction
+    assert str(Fraction(2 / 3)).encode() in got
+
+
+@pytest.mark.parametrize("maps", [0, 3])
+def test_lab_report_of_one_member_is_the_bytes_of_json_dumps(tmp_path,
+                                                             maps):
+    # a one-member family has no pairs: each push checks one limit
+    cfg = dict(LAB_CONFIG, families=EXACT_FAMILY[2:3],
+               index_maps=INDEX_MAPS[maps])
+    code, out = run(tmp_path, "lab", cfg)
+    assert code == 0
+    got = (out / "lab_report.json").read_bytes()
+    assert got == _plain_lab_report(cfg)
+    for push in json.loads(got)["pushes"]:
+        assert [check["kind"] for check in push["checks"]] == ["tilde_d"]
+
+
+def test_lab_report_of_no_member_is_the_bytes_of_json_dumps(tmp_path):
+    # an empty family is read too: each push checks nothing
+    cfg = dict(LAB_CONFIG, families=[], index_maps=INDEX_MAPS[1])
+    code, out = run(tmp_path, "lab", cfg)
+    assert code == 0
+    got = (out / "lab_report.json").read_bytes()
+    assert got == _plain_lab_report(cfg)
+    assert json.loads(got)["pushes"][0]["checks"] == []
+
+
 # -- line classification --------------------------------------------------------
 
 
@@ -706,11 +863,30 @@ def _json_containers(children):
         st.dictionaries(st.none(), children, max_size=1))
 
 
+def _spliced(value, depth, indent=""):
+    """value with each item `depth` levels down replaced by a `_Text` of
+    its json.dumps text, indented to where it lands (a JSON text holds no
+    raw newline but those of its layout)."""
+    if depth == 0:
+        return _Text(json.dumps(value, sort_keys=True, indent=2)
+                     .replace("\n", "\n" + indent))
+    inner = indent + "  "
+    if isinstance(value, dict):
+        return {k: _spliced(v, depth - 1, inner) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spliced(v, depth - 1, inner) for v in value]
+    return value
+
+
 @settings(max_examples=300, deadline=None)
-@given(payload=st.recursive(JSON_SCALARS, _json_containers, max_leaves=30))
+@given(payload=st.recursive(JSON_SCALARS, _json_containers, max_leaves=30),
+       depth=st.integers(min_value=0, max_value=3))
 def test_write_json_writes_the_bytes_of_json_dumps(tmp_path_factory,
-                                                   payload):
+                                                   payload, depth):
     path = tmp_path_factory.mktemp("json") / "payload.json"
     write_json(path, payload)
     expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+    # pre-rendered text spliced in at its own indent keeps the bytes
+    write_json(path, _spliced(payload, depth))
     assert path.read_bytes() == expected.encode("utf-8")

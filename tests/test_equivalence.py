@@ -581,6 +581,21 @@ def test_sup_distance_regressions(source, target, expected):
     assert got.value == expected
 
 
+def test_sup_distance_reads_each_frame_pair_once(count_calls):
+    # the subset test and the reads of the target's parts meet the pairs
+    # the sup read itself: (source, union), (source, lattice) and
+    # (source, GP(2)) are each walked once, not twice
+    calls = count_calls(equivalence, "_frame_sup")
+    source = Lattice(F(1), F(1, 2), "plus")
+    target = FiniteUnion((Lattice(F(1), F(0), "plus"),
+                          GeometricPoints(F(2), F(1), 0)))
+    assert sup_distance(source, target) == SupDistance("unknown")
+    assert calls["_frame_sup"] == 3
+    # a new call reads its pairs afresh
+    assert sup_distance(source, target) == SupDistance("unknown")
+    assert calls["_frame_sup"] == 6
+
+
 def test_long_runs_read_no_cover_off_a_modification_target():
     # far out the source meets the lattice's gaps, 1/4 wide at most, but
     # the lattice point 0 of the source is 1/2 from the target

@@ -1,5 +1,6 @@
 """Complement components, affine isometry search, and line classification."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -24,7 +25,9 @@ from farfield import (
     required_window,
     scaling_self_similarity,
 )
+from farfield import line
 from farfield.errors import InputError, WindowTooSmallError
+from farfield.line import DEFAULT_K_SAMPLES
 
 GB412 = GeometricBlocks(F(4), F(1), F(2))
 UNIT_LATTICE = Lattice(F(1), F(0))
@@ -68,6 +71,32 @@ def test_punctured_line_stays_inconclusive():
     got = classify_line_subspace(punctured_line(F(3)))
     assert got.status == "inconclusive"
     assert "no sampled factor" in got.note
+
+
+def test_classification_reads_each_complement_report_once(monkeypatch):
+    # the sampled factors compare the model with its images over windows
+    # that often coincide; one classification reads each (model, window)
+    # once, where it used to read 11 reports of 7 pairs
+    model = punctured_line(F(2))
+    seen = Counter()
+    original = line.complement_components
+
+    def counted(m, h):
+        seen[m, h] += 1
+        return original(m, h)
+
+    monkeypatch.setattr(line, "complement_components", counted)
+    got = classify_line_subspace(model)
+    assert got.status == "inconclusive"
+    assert len(seen) == 7
+    assert set(seen.values()) == {1}
+    # the shared reports give each factor the verdict it gets alone
+    for k in DEFAULT_K_SAMPLES:
+        assert scaling_self_similarity(model, k).is_consistent
+    # and nothing is kept across calls
+    seen.clear()
+    classify_line_subspace(model)
+    assert len(seen) == 7
 
 
 def test_classification_rejects_bad_factors():

@@ -1,5 +1,5 @@
-"""Compare the benchmark jobs' outputs of this checkout with those of a
-git revision.
+"""Compare the benchmark jobs' outputs and the demos' stdout of this
+checkout with those of a git revision.
 
 Run from anywhere inside the repository:
 
@@ -13,8 +13,14 @@ own every job of the `porosity_sweep` and `query_mix` workloads for seeds
 CLI job's record is its exit code, what it printed to stdout and stderr,
 and the bytes of every file it wrote; a search job's record is the
 `repr` of its result. A job that raises is recorded by its exception.
-The jobs whose records differ are printed, and the exit code is 1 when
-any does, else 0.
+Each checkout then runs every one of its `demos/*.py` in a subprocess
+under `-W error` against its own sources. A demo's record is its exit code
+and its stdout, with the "scratch directory:" line of `batch_runner`
+masked, since that path is random.
+
+The jobs and demos whose records differ are printed, and so are the
+demos that exit nonzero in this working tree. The exit code is 1 when
+any job or demo differs or such a demo fails, else 0.
 
 Everything is written under the temporary directory, which is removed at
 the end: no bytecode, configs or outputs land in either checkout.
@@ -27,7 +33,9 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import pickle
+import re
 import subprocess
 import sys
 import tarfile
@@ -39,6 +47,7 @@ WORKLOADS = ("porosity_sweep", "query_mix")
 SEEDS = range(1, 6)
 LAYERS = ("cli", "porosity", "equivalence", "line", "spectra", "seqlab",
           "pseudometric", "setmodels", "rationals")
+SCRATCH_LINE = re.compile(r"^scratch directory: .*$", re.MULTILINE)
 
 
 def run_jobs(checkout: Path, work: Path) -> dict:
@@ -84,6 +93,24 @@ def _record(ff, job, folder: Path):
     return result, stdout.getvalue(), stderr.getvalue(), files
 
 
+def run_demos(checkout: Path, work: Path) -> dict:
+    """{demo name: (exit code, stdout)} for every demos/*.py of the
+    checkout, each run under -W error with the checkout's sources and a
+    temp directory of its own under work."""
+    checkout, records = checkout.resolve(), {}
+    for demo in sorted(checkout.glob("demos/*.py")):
+        tmp = work / demo.stem
+        tmp.mkdir(parents=True)
+        env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+                   TMPDIR=str(tmp))
+        done = subprocess.run([sys.executable, "-B", "-W", "error",
+                               str(demo)], capture_output=True, text=True,
+                              cwd=tmp, env=env)
+        records[demo.name] = (done.returncode, SCRATCH_LINE.sub(
+            "scratch directory: (masked)", done.stdout))
+    return records
+
+
 def export(repo: Path, rev: str, dest: Path):
     """Extract the tree of rev into dest with `git archive`."""
     archive = subprocess.run(["git", "archive", "--format=tar", rev],
@@ -122,13 +149,31 @@ def main(argv=None) -> int:
             return 2
         records = {name: pickle.loads((tmp / f"{name}.pickle").read_bytes())
                    for name in checkouts}
-    differ = sorted(key for key in records["rev"].keys() | records["here"]
-                    if records["rev"].get(key) != records["here"].get(key))
+        demos = {name: run_demos(checkout, tmp / "demos" / name)
+                 for name, checkout in checkouts.items()}
+    differ = _differing(records)
     for key in differ:
         print("differs:", "/".join(map(str, key)))
     print(f"{len(differ)} of {len(records['here'])} jobs differ from "
           f"{args.rev}")
-    return 1 if differ else 0
+    demos_differ = _differing(demos)
+    for name in demos_differ:
+        print("differs: demos/" + name)
+    print(f"{len(demos_differ)} of {len(demos['here'])} demos differ from "
+          f"{args.rev}")
+    failed = [(name, code) for name, (code, _) in demos["here"].items()
+              if code]
+    for name, code in failed:
+        print(f"failed: demos/{name} exited {code}")
+    return 1 if differ or demos_differ or failed else 0
+
+
+def _differing(records) -> list:
+    """The keys whose records differ between "rev" and "here", or that
+    only one of them has."""
+    rev, here = records["rev"], records["here"]
+    return sorted(key for key in rev.keys() | here
+                  if rev.get(key) != here.get(key))
 
 
 if __name__ == "__main__":
