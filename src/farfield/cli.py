@@ -313,9 +313,13 @@ def _lab_label(item) -> str:
 
 
 def _cmd_lab(cfg, args, out: Path) -> int:
+    items = _read(cfg, "families", _listed)
+    if not items:  # no member, no limit to push
+        raise InputError("config key 'families' must list at least one "
+                         "member")
     family = [(_lab_label(item),
                sl.spec_from_dict(_require(item, "spec", "lab family item")))
-              for item in _require(cfg, "families")]
+              for item in items]
     scaling = sl.scaling_from_dict(_require(cfg, "scaling"))
     graph = sl.stability_graph(family, scaling)
     cliques = sl.maximal_self_stable(graph)

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (InputError, InternalInvariantError,
                      UnsupportedGeometryError)
@@ -154,8 +155,7 @@ def _frame_subset(a, b, frame_sups) -> bool:
 # Exact one-sided suprema sup_{x in A} dist(x, B)
 
 
-@dataclass(frozen=True)
-class SupDistance:
+class SupDistance(NamedTuple):
     """kind "value" with the sup as value, "infinite", or "unknown" with
     a bound on the sup as value when one is known (else None)."""
 
@@ -541,8 +541,7 @@ def epsilon_t(y_model, z_model, p, t, arcs=None):
             _slice_sup(y_slice, z_model, arcs))
 
 
-@dataclass(frozen=True)
-class EpsilonCurve:
+class EpsilonCurve(NamedTuple):
     """Exact eps(t) samples: rows (t, eps_ZY, eps_YZ, eps, eps/t)."""
 
     samples: tuple
@@ -598,8 +597,7 @@ class WitnessFamily:
         return self.coef * self.q ** m + self.shift
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(NamedTuple):
     """status: equivalent_exact (bound set), not_equivalent (witness set),
     equivalent_numerical (max_ratio set, non-certified), or inconclusive."""
 
@@ -780,8 +778,7 @@ def _numeric_verdict(y_model, z_model, p, growth, horizon, threshold):
 # Conditional Hausdorff distance
 
 
-@dataclass(frozen=True)
-class HausdorffResult:
+class HausdorffResult(NamedTuple):
     value: object = None
     infinite: bool = False
 
@@ -835,8 +832,7 @@ def conditional_hausdorff(a_like, b_like, y_model, z_model) -> HausdorffResult:
 # Mutual eps-net check
 
 
-@dataclass(frozen=True)
-class EpsNetVerdict:
+class EpsNetVerdict(NamedTuple):
     """status: certified | counterexample | inconclusive.  A counterexample
     carries the concrete point, its distance, and which set it came from."""
 
@@ -917,15 +913,13 @@ def check_eps_net(y_model, z_model, epsilon, budget: int = 40) -> EpsNetVerdict:
 # Nearest-point maps and their rescaled residuals
 
 
-@dataclass(frozen=True)
-class ResidualEntry:
+class ResidualEntry(NamedTuple):
     label: str
     residual: object  # LimitResult
     zero: bool
 
 
-@dataclass(frozen=True)
-class NearestPointMaps:
+class NearestPointMaps(NamedTuple):
     """Evaluators phi: Y -> Z and psi: Z -> Y by (near-)nearest points,
     with rescaled residuals on the supplied sample sequences."""
 

@@ -19,9 +19,9 @@ map down. That is why candidate maps are searched only in that family.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import (InputError, InternalInvariantError,
                      UnsupportedGeometryError, WindowTooSmallError)
@@ -72,8 +72,7 @@ def prev_point_le(model, x):
 # Complement components
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     """Complement structure of a line subset within [-H, H].
 
     bounded: open intervals (lo, hi) with true endpoints; a gap straddling
@@ -222,8 +221,7 @@ def _multiset_witness(ca: Counter, cb: Counter):
 # Isometry testing
 
 
-@dataclass(frozen=True)
-class LineIsometryVerdict:
+class LineIsometryVerdict(NamedTuple):
     status: str  # isometric | not_isometric
     eps: object = None
     shift: object = None
@@ -359,8 +357,7 @@ def line_isometry_test(a_model, b_model, window=None) -> LineIsometryVerdict:
 # Scaling self-similarity
 
 
-@dataclass(frozen=True)
-class ScalingVerdict:
+class ScalingVerdict(NamedTuple):
     status: str  # consistent | refuted
     k: Fraction
     witness: object = None
@@ -430,8 +427,7 @@ def _report(reports, model, h) -> ComponentReport:
 # Classification
 
 
-@dataclass(frozen=True)
-class LineClassification:
+class LineClassification(NamedTuple):
     status: str  # isometric_to_R | isometric_to_R_plus |
     #              fails_condition_with | inconclusive
     k: object = None

@@ -45,8 +45,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError, UnsupportedGeometryError
 from .rationals import rat
@@ -58,8 +58,7 @@ _QUARTER_FACTORS = (Fraction(1), Fraction(119, 100),
                     Fraction(141, 100), Fraction(168, 100))
 
 
-@dataclass(frozen=True)
-class PorosityResult:
+class PorosityResult(NamedTuple):
     value: Fraction
     kind: str  # exact | horizon_estimate
     witness_h: tuple
@@ -67,8 +66,7 @@ class PorosityResult:
     notes: str = ""
 
 
-@dataclass(frozen=True)
-class PorosityVerdict:
+class PorosityVerdict(NamedTuple):
     status: str  # porous | nonporous_certified | inconclusive_at_horizon
     witness_h: object = None
     witness_ratio: object = None

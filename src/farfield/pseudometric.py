@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError, SearchBudgetExceeded
 from .rationals import fmt, rat
@@ -46,14 +47,12 @@ class FinitePseudometricSpace:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class QuotientMetricSpace:
+class QuotientMetricSpace(NamedTuple):
     """Metric identification: blocks are zero classes of the source."""
 
     space: FinitePseudometricSpace

@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError
 from .pseudometric import make_space, metric_identify
@@ -342,8 +343,7 @@ def spec_ratio_float(spec, scaling, n: int) -> float:
 # Phase classification
 
 
-@dataclass(frozen=True)
-class PhaseForm:
+class PhaseForm(NamedTuple):
     """Certified normal form: x_n = phase * r_n + o(r_n), phase split by
     parity of n."""
 
@@ -454,8 +454,7 @@ def _geometric_selector_phase(model, anchor, scaling, parity, frame):
 # Limit results
 
 
-@dataclass(frozen=True)
-class LimitResult:
+class LimitResult(NamedTuple):
     """Outcome of a rescaled limit.
 
     status "exact": `value` is the limit, as a Fraction.
@@ -600,8 +599,7 @@ def _numeric_limit(fn, note) -> LimitResult:
 # Stability graph and maximal self-stable families
 
 
-@dataclass(frozen=True)
-class StabilityGraph:
+class StabilityGraph(NamedTuple):
     """Vertices are labeled sequences; an edge means the pairwise rescaled
     limit exists, and carries its exact value.
 
@@ -701,8 +699,7 @@ def maximal_self_stable(graph: StabilityGraph):
 # Pretangent space over a self-stable family
 
 
-@dataclass(frozen=True)
-class PretangentReport:
+class PretangentReport(NamedTuple):
     space: object            # QuotientMetricSpace
     distinguished: object    # block label holding the vanishing members
     member_blocks: tuple     # (family label, block label)
@@ -750,8 +747,7 @@ def pretangent_space(graph: StabilityGraph, clique) -> PretangentReport:
 # Subsequence pushes
 
 
-@dataclass(frozen=True)
-class PushReport:
+class PushReport(NamedTuple):
     stride: int
     offset: int
     scaling: object
@@ -864,8 +860,7 @@ def _push(items, scaling, limits, pairs, stride, offset):
 # Tangency probe
 
 
-@dataclass(frozen=True)
-class ProbeOutcome:
+class ProbeOutcome(NamedTuple):
     stride: int
     offset: int
     status: str           # "extension_witness" | "no_extension_found"
@@ -939,8 +934,7 @@ def _extension_note(label, spec, form, members, scaling):
 # Projection onto a subspace
 
 
-@dataclass(frozen=True)
-class ProjectionEntry:
+class ProjectionEntry(NamedTuple):
     label: str
     projected: InSetSpec
     residual: LimitResult

@@ -111,8 +111,7 @@ def point_dim(value) -> int:
 # JSON fields
 
 
-@dataclass(frozen=True)
-class Codec:
+class Codec(NamedTuple):
     """How one dataclass field travels through JSON, declared once on the
     field with `codec(...)`: `read` turns the JSON value into the field's
     value and raises on a wrong one, `write` turns it back, and
@@ -133,13 +132,14 @@ class Kinds:
     over the codecs of each kind's fields. A field missing from the JSON
     takes the dataclass default, a field written back as None is left out,
     and a wrong value or an unknown key raises InputError naming the kind
-    and the field or key."""
+    and the field or key. Each kind's fields are read once, here."""
 
     def __init__(self, what: str, table: dict):
         self.what, self.table = what, table
         self.names = {cls: name for name, cls in table.items()}
-        self.keys = {cls: {f.name for f in fields(cls)} | {"kind"}
-                     for cls in self.names}
+        self.fields = {cls: fields(cls) for cls in self.names}
+        self.keys = {cls: {f.name for f in fs} | {"kind"}
+                     for cls, fs in self.fields.items()}
 
     def read(self, data):
         if not isinstance(data, dict):
@@ -153,7 +153,7 @@ class Kinds:
             raise InputError(f"{kind} {self.what} JSON has unknown keys "
                              f"{sorted(unknown)}")
         values = {}
-        for f in fields(cls):
+        for f in self.fields[cls]:
             if f.name in data:
                 try:
                     values[f.name] = f.metadata["codec"].read(data[f.name])
@@ -169,7 +169,7 @@ class Kinds:
         if type(obj) not in self.names:
             raise InputError(f"not a {self.what}: {obj!r}")
         out = {"kind": self.names[type(obj)]}
-        for f in fields(obj):
+        for f in self.fields[type(obj)]:
             value = getattr(obj, f.name)
             if value is not None:
                 out[f.name] = f.metadata["codec"].write(value)
@@ -490,7 +490,6 @@ class _ZeroSide(Fraction):
 
 ZERO_ABOVE = _ZeroSide(1)
 ZERO_BELOW = _ZeroSide(-1)
-_MIRROR_HALF = {"full": "full", "plus": "minus", "minus": "plus"}
 
 
 def _lattice_up(m: Lattice, x):
@@ -511,8 +510,20 @@ def _lattice_up(m: Lattice, x):
 
 
 def _lattice_down(m: Lattice, x):
-    mirror = Lattice(m.step, -m.offset, _MIRROR_HALF[m.half])
-    return _negated(_lattice_up(mirror, -x))
+    if type(x) is float:  # from +inf
+        if m.half != "minus":
+            yield (x, x)
+            return
+        k = 0
+    else:
+        k = math.floor((x - m.offset) / m.step)
+        if m.half == "minus":
+            k = min(k, 0)
+    p = m.point(k)
+    while k >= 0 or m.half != "plus":
+        yield (p, p)
+        p -= m.step
+        k -= 1
 
 
 def _interval_up(m, x):  # one of INTERVALS
@@ -837,8 +848,7 @@ def nearest_point(model, point, eps: Fraction = ZERO):
 # Sphere slices
 
 
-@dataclass(frozen=True)
-class SphereSlice:
+class SphereSlice(NamedTuple):
     """S(p, t) intersected with a model: a finite point set, or for a strip
     an arc described by its reachable second-coordinate range."""
 
@@ -898,7 +908,8 @@ def scale_model(model, k):
         raise InputError(f"not a set model: {model!r}")
     return replace(model, **{
         f.name: f.metadata["codec"].scale(getattr(model, f.name), k)
-        for f in fields(model) if f.metadata["codec"].scale})
+        for f in _MODEL_KINDS.fields[type(model)]
+        if f.metadata["codec"].scale})
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ hits exactly when (t+eps)r exceeds the distance from p to the set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError, UnsupportedGeometryError
 from .equivalence import is_structural_subset
@@ -116,8 +116,7 @@ def _distance_set_plane(model, p):
 # Window probes
 
 
-@dataclass(frozen=True)
-class SpectrumVerdict:
+class SpectrumVerdict(NamedTuple):
     status: str  # present | absent_at_horizon
     t: Fraction
     hits: tuple  # indices n with a window hit
@@ -204,8 +203,7 @@ def spectrum_contains(model, p, t, epsilon, scaling,
     return SpectrumVerdict(status, rat(t), hits, horizon, persistence)
 
 
-@dataclass(frozen=True)
-class SpectrumComparison:
+class SpectrumComparison(NamedTuple):
     rows: tuple  # (t, status_1, status_2, first_divergent_index or None)
     differing_t: tuple
 

@@ -1,6 +1,5 @@
 """Batch runner: config handling, file formats, exit codes, determinism."""
 
-import dataclasses
 import json
 import subprocess
 import sys
@@ -467,7 +466,7 @@ def test_lab_report_of_numeric_pushes_is_the_bytes_of_json_dumps(
 
     def probed_where_split(*args, **kwargs):
         push = original(*args, **kwargs)
-        return dataclasses.replace(push, checks=tuple(
+        return push._replace(checks=tuple(
             (kind, labels, before, after if before.exists else seqlab._pair(
                 push.pushed(labels[0]), uncertified,
                 push.pushed(labels[1]), uncertified, push.scaling))
@@ -510,14 +509,18 @@ def test_lab_report_of_one_member_is_the_bytes_of_json_dumps(tmp_path,
         assert [check["kind"] for check in push["checks"]] == ["tilde_d"]
 
 
-def test_lab_report_of_no_member_is_the_bytes_of_json_dumps(tmp_path):
-    # an empty family is read too: each push checks nothing
-    cfg = dict(LAB_CONFIG, families=[], index_maps=INDEX_MAPS[1])
+@pytest.mark.parametrize("families", [[], {}, "x0"],
+                         ids=["empty", "object", "string"])
+def test_lab_without_members_exits_two(tmp_path, capsys, families):
+    # a family without members has no limits to push, and a value that is
+    # not a JSON list would be read by its keys or characters
+    cfg = dict(LAB_CONFIG, families=families, index_maps=INDEX_MAPS[1])
     code, out = run(tmp_path, "lab", cfg)
-    assert code == 0
-    got = (out / "lab_report.json").read_bytes()
-    assert got == _plain_lab_report(cfg)
-    assert json.loads(got)["pushes"][0]["checks"] == []
+    assert code == 2
+    assert not any(out.iterdir())
+    message = capsys.readouterr().err
+    assert message.startswith("error: "), message
+    assert "'families'" in message, message
 
 
 # -- line classification --------------------------------------------------------

@@ -15,6 +15,7 @@ oracle's piece ends.
 
 import math
 from fractions import Fraction as F
+from itertools import islice, takewhile
 
 import pytest
 from hypothesis import example, given, settings
@@ -262,9 +263,11 @@ def fractions(lo, hi, den):
     return st.integers(lo * den, hi * den).map(lambda k: F(k, den))
 
 
+LATTICES = st.builds(Lattice, st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)]),
+                     fractions(-2, 2, 4),
+                     st.sampled_from(["full", "plus", "minus"]))
 LEAVES = st.one_of(
-    st.builds(Lattice, st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)]),
-              fractions(-2, 2, 4), st.sampled_from(["full", "plus", "minus"])),
+    LATTICES,
     st.builds(Ray, fractions(-3, 3, 2), st.sampled_from([1, -1])),
     st.just(FullLine()),
     st.builds(GeometricPoints, st.sampled_from([F(3, 2), F(2), F(3)]),
@@ -370,6 +373,27 @@ def test_derived_queries_match_the_oracle(model, xs, spans):
                 assert acc, "only a truncated window may stay inconclusive"
             else:
                 assert gap == o_longest_gap(pieces, acc, hi), hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=LATTICES, x=st.one_of(POINTS, st.just(INF)), n=st.integers(1, 12))
+def test_descending_lattice_cursor_matches_the_listing_and_the_ascent(m, x,
+                                                                      n):
+    # the descending cursor lists the points <= x from the top, as the
+    # ascending cursor lists them from below
+    down = list(islice(components(m, x, -1), n))
+    if x == INF and m.half != "minus":
+        assert down == [(INF, INF)]
+        return
+    pieces, _ = oracle(m)
+    assert down == sorted((c for c in pieces if c[1] <= x), reverse=True)[:n]
+    if down:
+        up = components(m, down[-1][0], 1)
+        assert list(takewhile(lambda c: c[0] <= x, up)) == down[::-1]
+    # a reflected lattice ascends through it
+    pieces, _ = oracle(Reflected(m))
+    assert list(islice(components(Reflected(m), -x, 1), n)) \
+        == sorted(c for c in pieces if c[0] >= -x)[:n]
 
 
 # ---------------------------------------------------------------------------
