@@ -20,14 +20,12 @@ from .pseudometric import (
     FinitePseudometricSpace,
     QuotientMetricSpace,
     ValidationReport,
-    closure_of_subset,
     exists_isometry,
     exists_pseudoisometry,
     is_pseudoisometry,
     make_space,
     metric_identify,
     space_from_json,
-    space_from_points,
     space_to_json,
     validate_pseudometric,
     zero_classes,
@@ -74,10 +72,8 @@ from .porosity import (
 )
 from .spectra import (
     SpectrumComparison,
-    SpectrumVerdict,
     compare_spectra,
     distance_set,
-    spectrum_contains,
     window_hits,
 )
 from .seqlab import (
@@ -91,22 +87,15 @@ from .seqlab import (
     PolynomialScaling,
     PretangentReport,
     ProbeOutcome,
-    ProjectionEntry,
     PushReport,
-    SpecDerivedScaling,
     StabilityGraph,
     SubsequenceScaling,
     classify,
     d_r,
-    d_up,
-    eval_scaling,
     eval_spec,
-    in_sequence_set,
     maximal_self_stable,
     pretangent_space,
-    project_family_to_subspace,
     scaling_from_dict,
-    scaling_from_spec,
     scaling_to_dict,
     spec_from_dict,
     spec_to_dict,
@@ -119,13 +108,9 @@ from .equivalence import (
     EpsilonCurve,
     EquivalenceVerdict,
     EpsNetVerdict,
-    HausdorffResult,
-    NearestPointMaps,
     SupDistance,
     WitnessFamily,
-    build_nearest_point_maps,
     check_eps_net,
-    conditional_hausdorff,
     decide_strong_equivalence,
     epsilon_curve,
     epsilon_t,
@@ -140,8 +125,6 @@ from .line import (
     classify_line_subspace,
     complement_components,
     line_isometry_test,
-    next_point_ge,
-    prev_point_le,
     scaling_self_similarity,
 )
 

@@ -95,30 +95,32 @@ def _json_text(value, indent: str = "") -> str:
     when it holds the text of its value rendered at the indent where it
     lands: `_json_text(v, indent)` for the indent of that item.
     """
-    if isinstance(value, str):
-        return value if type(value) is _Text else _quote(value)
-    if value is None:
-        return "null"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        return ("[\n" + inner
-                + (",\n" + inner).join([
-                    _quote(v) if type(v) is str else _json_text(v, inner)
-                    for v in value])
-                + "\n" + indent + "]")
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        return ("{\n" + inner
-                + (",\n" + inner).join([
-                    (_quote(k) if type(k) is str else _json_key(k)) + ": "
-                    + (_quote(v) if type(v) is str else _json_text(v, inner))
-                    for k, v in sorted(value.items())])
-                + "\n" + indent + "}")
-    return json.dumps(value)
+    out = []
+
+    def emit(value, indent):
+        # appends the pieces to one list, joined once at the end
+        if isinstance(value, str):
+            out.append(value if type(value) is _Text else _quote(value))
+        elif not value or not isinstance(value, (list, tuple, dict)):
+            out.append("null" if value is None else json.dumps(value))
+        else:
+            keyed, inner = isinstance(value, dict), indent + "  "
+            sep = ("{\n" if keyed else "[\n") + inner
+            for item in sorted(value.items()) if keyed else value:
+                if keyed:
+                    k, item = item
+                    sep += (_quote(k) if type(k) is str
+                            else _json_key(k)) + ": "
+                if type(item) is str:
+                    out.append(sep + _quote(item))
+                else:
+                    out.append(sep)
+                    emit(item, inner)
+                sep = ",\n" + inner
+            out.append("\n" + indent + ("}" if keyed else "]"))
+
+    emit(value, indent)
+    return "".join(out)
 
 
 def write_json(path: Path, payload) -> None:

@@ -720,7 +720,8 @@ def decide_strong_equivalence(y_model, z_model, p=None,
     """Decide strong asymptotic equivalence of two unbounded sets.
 
     Tries, in order: an exact constant bound on eps(t) (covering-style
-    suprema, valid for every t at once), an exact diverging witness
+    suprema, or proven bounds on them, valid for every t at once), an
+    exact diverging witness
     family with eps(t_m) >= c*t_m, and finally a numeric decay probe of
     eps(t)/t below threshold (> 0) at the last RUNG_RADII = 10 radii
     growth**(horizon - 9) .. growth**horizon only (`_numeric_verdict`):
@@ -742,11 +743,15 @@ def decide_strong_equivalence(y_model, z_model, p=None,
 
     to_y = sup_distance(z_model, y_model)
     to_z = sup_distance(y_model, z_model)
-    if to_y.finite and to_z.finite:
-        bound = max(to_y.value, to_z.value)
+    # an "unknown" sup with a value carries a proven bound on the sup, and
+    # eps(t) is at most the larger of the two sups
+    if None not in (to_y.value, to_z.value):
+        exact = to_y.finite and to_z.finite
         return EquivalenceVerdict(
-            "equivalent_exact", bound=bound,
-            note="constant covering bound; eps(t)/t <= B/t -> 0")
+            "equivalent_exact", bound=max(to_y.value, to_z.value),
+            note="constant covering bound; eps(t)/t <= B/t -> 0" if exact
+            else "constant covering bound B, a bound on the sup rather than"
+                 " the sup; eps(t)/t <= B/t -> 0")
 
     for gapped, other in ((y_model, z_model), (z_model, y_model)):
         witness = _witness_against(gapped, other, p)
@@ -772,60 +777,6 @@ def _numeric_verdict(y_model, z_model, p, growth, horizon, threshold):
     return EquivalenceVerdict(
         "inconclusive", max_ratio=worst,
         note="no exact bound, no structural witness, no numeric decay")
-
-
-# ---------------------------------------------------------------------------
-# Conditional Hausdorff distance
-
-
-class HausdorffResult(NamedTuple):
-    value: object = None
-    infinite: bool = False
-
-    def __repr__(self):
-        return "HausdorffResult(inf)" if self.infinite else \
-            f"HausdorffResult({self.value!r})"
-
-
-def _one_sided(a_like, target) -> SupDistance:
-    if isinstance(a_like, setmodels.SphereSlice):
-        return SupDistance("value", _slice_sup(a_like, target, {}))
-    if isinstance(a_like, (list, tuple)):
-        if not a_like:
-            return _VALUE0
-        return SupDistance("value",
-                           max(distance_to_set(target, pt) for pt in a_like))
-    return sup_distance(a_like, target)
-
-
-def conditional_hausdorff(a_like, b_like, y_model, z_model) -> HausdorffResult:
-    """max(sup_{b in B} dist(b, Y), sup_{a in A} dist(a, Z)) for subsets
-    A of Y and B of Z.
-
-    A and B may be set models, explicit point lists, or sphere slices.
-    With A = B = the whole sets this is the ordinary Hausdorff distance;
-    with t-sphere slices it reproduces the sphere defect eps(t).
-    """
-    for part, whole, name in ((a_like, y_model, "A"), (b_like, z_model, "B")):
-        if isinstance(part, setmodels.SphereSlice):
-            continue
-        if isinstance(part, (list, tuple)):
-            for pt in part:
-                if not contains(whole, pt):
-                    raise InputError(
-                        f"{name} contains a point outside its ambient set")
-            continue
-        if not is_structural_subset(part, whole):
-            raise InputError(
-                f"{name} is not structurally a subset of its ambient set")
-    left = _one_sided(b_like, y_model)
-    right = _one_sided(a_like, z_model)
-    if left.kind == "unknown" or right.kind == "unknown":
-        raise UnsupportedGeometryError(
-            "no closed-form supremum for this pair")
-    if left.kind == "infinite" or right.kind == "infinite":
-        return HausdorffResult(infinite=True)
-    return HausdorffResult(value=max(left.value, right.value))
 
 
 # ---------------------------------------------------------------------------
@@ -907,57 +858,3 @@ def check_eps_net(y_model, z_model, epsilon, budget: int = 40) -> EpsNetVerdict:
             note="covering radius exceeds epsilon; no witness constructed")
     return EpsNetVerdict("inconclusive", epsilon,
                          note="no closed-form covering bound for this pair")
-
-
-# ---------------------------------------------------------------------------
-# Nearest-point maps and their rescaled residuals
-
-
-class ResidualEntry(NamedTuple):
-    label: str
-    residual: object  # LimitResult
-    zero: bool
-
-
-class NearestPointMaps(NamedTuple):
-    """Evaluators phi: Y -> Z and psi: Z -> Y by (near-)nearest points,
-    with rescaled residuals on the supplied sample sequences."""
-
-    phi: object
-    psi: object
-    eps1: Fraction
-    residuals: tuple
-
-
-def build_nearest_point_maps(y_model, z_model, eps1=Fraction(1, 10 ** 6),
-                             samples=()) -> NearestPointMaps:
-    """Point maps realizing the asymptotic comparison constructively.
-
-    phi sends a query point of Y to a point of Z within eps1 of the true
-    infimum (exactly nearest when attained); psi goes the other way.  For
-    each sample (label, spec, scaling) the rescaled residual
-    limsup |phi(y_n) - y_n| / r_n is evaluated symbolically; equivalent
-    pairs must report zero.
-    """
-    from .seqlab import _project
-
-    eps1 = rat(eps1)
-    if eps1 <= 0:
-        raise InputError("eps1 must be positive")
-
-    def phi(point):
-        return nearest_point(z_model, point, eps=eps1)
-
-    def psi(point):
-        return nearest_point(y_model, point, eps=eps1)
-
-    entries = []
-    for label, spec, scaling in samples:
-        got = _project(spec, scaling, z_model)
-        if got is None:
-            raise InputError(
-                f"sample {label!r} has no certified phase form")
-        _, residual = got
-        zero = residual.exists and residual.value == 0
-        entries.append(ResidualEntry(label, residual, zero))
-    return NearestPointMaps(phi, psi, eps1, tuple(entries))

@@ -51,24 +51,6 @@ MAX_MAP_CANDIDATES = 4096
 
 
 # ---------------------------------------------------------------------------
-# Exact next/previous set point
-#
-# For continuum variants the returned value is the infimum (supremum) of set
-# points on the requested side, which is exactly what a complement component
-# endpoint is; finitely many removed points never move it.
-
-
-def next_point_ge(model, x):
-    """Smallest set point >= x, or None when there is none on that side."""
-    return first_point(model, rat(x), 1)
-
-
-def prev_point_le(model, x):
-    """Largest set point <= x, or None when there is none on that side."""
-    return first_point(model, rat(x), -1)
-
-
-# ---------------------------------------------------------------------------
 # Complement components
 
 
@@ -153,7 +135,9 @@ def complement_components(model, window) -> ComponentReport:
     above, up = _gaps_from_zero(model, h)
     below, down = _gaps_from_zero(Reflected(model), h)
     if above[0][0] < -h and above[0][1] > h:
-        near = (next_point_ge(model, h), prev_point_le(model, -h))
+        # the nearest set points beyond the window on either side (for a
+        # continuum, the infimum or supremum of its points there)
+        near = (first_point(model, h, 1), first_point(model, -h, -1))
         cands = [abs(v) + 1 for v in near if v is not None]
         if cands:
             raise WindowTooSmallError(

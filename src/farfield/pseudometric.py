@@ -113,14 +113,6 @@ def make_space(labels, table) -> FinitePseudometricSpace:
     return FinitePseudometricSpace(labels, table)
 
 
-def space_from_points(points: dict) -> FinitePseudometricSpace:
-    """Space from labeled points on the rational line (handy in tests)."""
-    labels = tuple(points)
-    vals = [rat(points[k]) for k in labels]
-    table = tuple(tuple(abs(u - v) for v in vals) for u in vals)
-    return FinitePseudometricSpace(labels, table)
-
-
 # ---------------------------------------------------------------------------
 # Zero classes and metric identification
 
@@ -187,21 +179,6 @@ def metric_identify(space: FinitePseudometricSpace) -> QuotientMetricSpace:
         for member in block:
             projection[member] = _block_label(block)
     return QuotientMetricSpace(quotient, blocks, projection)
-
-
-def closure_of_subset(space: FinitePseudometricSpace, subset) -> tuple[str, ...]:
-    """Closure of a label subset = union of the zero classes it meets."""
-    subset = tuple(subset)
-    if not subset:
-        raise InputError("closure of empty subset")
-    for s in subset:
-        space.index(s)
-    out = [
-        x
-        for x in space.labels
-        if any(space.d(x, s) == 0 for s in subset)
-    ]
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

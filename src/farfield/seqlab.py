@@ -7,8 +7,8 @@ described symbolically, and every supported description reduces to
 
 where phase(n) takes one value on even n and one on odd n (both exact
 rationals) and sub(n) is negligible next to r_n.  All the rescaled
-quantities (the normalized distance to the basepoint, pairwise rescaled
-limits, the limsup form) are then functions of the two phase values alone,
+quantities (the normalized distance to the basepoint and the pairwise
+rescaled limits) are then functions of the two phase values alone,
 so they come out exact.  Sequences that do not reduce this way (set-valued
 selectors over sets we cannot certify) fall back to a numeric probe and are
 reported as estimates, never silently mixed with exact results.
@@ -243,7 +243,7 @@ class InSetSpec:
     """x_n = a nearest point of `model` to anchor * r_n.
 
     The anchor may differ between even and odd indices (a_odd defaults to
-    the even value); this arises when projecting an alternating sequence.
+    the even value), as for a selector that follows an alternating sequence.
     Ties at equal distance take the smaller point, deterministically.
     """
 
@@ -273,10 +273,6 @@ def _spec_terms(spec):
 
 # ---------------------------------------------------------------------------
 # Exact evaluation
-
-
-def eval_scaling(scaling, n: int) -> Fraction:
-    return scaling.eval(n)
 
 
 def eval_spec(spec, scaling, n: int):
@@ -534,16 +530,6 @@ def _pair_table(specs, forms, scaling) -> tuple:
     return tuple(table)
 
 
-def _limsup(x, fx, y, fy, scaling) -> LimitResult:
-    res = _pair(x, fx, y, fy, scaling)
-    if res.status != "no_limit":
-        return res
-    top = max(v for _, v in res.clusters)
-    if fx.ok and fy.ok:
-        return LimitResult("exact", top)
-    return LimitResult("estimated", top, note="numeric probe")
-
-
 def tilde_d(spec, scaling) -> LimitResult:
     """Normalized distance to the basepoint: lim |x_n - p| / r_n, which no
     basepoint p moves."""
@@ -553,18 +539,6 @@ def tilde_d(spec, scaling) -> LimitResult:
 def d_r(x, y, scaling) -> LimitResult:
     """Pairwise rescaled limit lim |x_n - y_n| / r_n, when it exists."""
     return _pair(x, classify(x, scaling), y, classify(y, scaling), scaling)
-
-
-def d_up(x, y, scaling) -> LimitResult:
-    """limsup |x_n - y_n| / r_n.  Always defined; exact whenever both
-    sequences classify."""
-    return _limsup(x, classify(x, scaling), y, classify(y, scaling), scaling)
-
-
-def in_sequence_set(spec, scaling) -> bool:
-    """Whether the sequence admits a finite normalized distance limit,
-    i.e. belongs to the scaling's admissible set."""
-    return tilde_d(spec, scaling).exists
 
 
 # ---------------------------------------------------------------------------
@@ -928,98 +902,6 @@ def _extension_note(label, spec, form, members, scaling):
     if 0 in distances:
         return f"{label}: collapses onto a member"
     return None
-
-
-# ---------------------------------------------------------------------------
-# Projection onto a subspace
-
-
-class ProjectionEntry(NamedTuple):
-    label: str
-    projected: InSetSpec
-    residual: LimitResult
-    moved: bool
-
-
-def project_family_to_subspace(family, scaling, model):
-    """Replace each member by a nearest-point selector over `model`
-    anchored at the member's phase, and measure what the replacement costs
-    in the limsup-rescaled sense.
-
-    A zero residual means the subspace carries an equivalent copy of the
-    member; a positive one quantifies the defect (members whose phase
-    falls inside a gap of the set cannot be tracked for free).
-    """
-    entries = []
-    for label, spec in _items(family):
-        got = _project(spec, scaling, model)
-        if got is None:
-            raise InputError(
-                f"cannot project {label!r}: phase form not certified")
-        projected, residual = got
-        moved = not (residual.exists and residual.value == 0)
-        entries.append(ProjectionEntry(label, projected, residual, moved))
-    return tuple(entries)
-
-
-def _project(spec, scaling, model):
-    """The nearest-point selector over `model` anchored at the spec's phase,
-    and limsup |x_n - selector_n| / r_n; None without an exact phase form."""
-    form = classify(spec, scaling)
-    if not form.ok:
-        return None
-    projected = InSetSpec(model, form.even,
-                          None if form.odd == form.even else form.odd)
-    return projected, _limsup(spec, form, projected,
-                              classify(projected, scaling), scaling)
-
-
-# ---------------------------------------------------------------------------
-# Deriving a scaling from a drifting sequence
-
-
-@dataclass(frozen=True)
-class SpecDerivedScaling:
-    """r_n = |x_n - p| for a rational closed-form sequence with a nonzero
-    phase on both parities.  Indices where the value would vanish are
-    rejected at evaluation."""
-
-    spec: object
-    base: object
-    p: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", rat(self.p))
-
-    def eval(self, n: int) -> Fraction:
-        _check_index(n)
-        value = eval_spec(self.spec, self.base, n)
-        if not isinstance(value, Fraction):
-            raise InputError("derived scalings need rational closed forms")
-        r = abs(value - self.p)
-        if r == 0:
-            raise InputError(
-                f"derived scaling vanishes at index {n}; choose another"
-                " basepoint")
-        return r
-
-
-def scaling_from_spec(spec, base_scaling, p=0) -> SpecDerivedScaling:
-    """Turn a drifting sequence into a scaling sequence via r_n = d(x_n, p).
-
-    Requires an exact phase form with nonzero phases, so divergence is
-    structural rather than sampled.
-    """
-    form = classify(spec, base_scaling)
-    if not form.ok:
-        raise InputError("cannot derive a scaling: phase form not certified")
-    if form.even == 0 or form.odd == 0:
-        raise InputError(
-            "cannot derive a scaling from a sequence with a vanishing phase")
-    derived = SpecDerivedScaling(spec, base_scaling, rat(p))
-    for n in range(1, 9):
-        derived.eval(n)
-    return derived
 
 
 # ---------------------------------------------------------------------------

@@ -1371,16 +1371,6 @@ def max_element(model):
 SEEK_AFTER = 4  # components one window may step over before a re-seek
 
 
-def intersects_open_interval(model, lo, hi) -> bool:
-    """Does E meet the open interval (lo, hi)? Exact for 1-D models: the
-    first component from lo that ends past lo must start below hi."""
-    lo, hi = rat(lo), rat(hi)
-    if hi <= lo:
-        return False
-    c = next((c for c in components(model, lo) if c[1] > lo), None)
-    return c is not None and c[0] < hi
-
-
 def grid_hits(model, p, t_grid, epsilon, radii) -> list:
     """For each t of t_grid (in any order, repeats allowed), the positions
     i, ascending, of the radii r_i whose open window

@@ -116,14 +116,6 @@ def _distance_set_plane(model, p):
 # Window probes
 
 
-class SpectrumVerdict(NamedTuple):
-    status: str  # present | absent_at_horizon
-    t: Fraction
-    hits: tuple  # indices n with a window hit
-    horizon: int
-    persistence: int
-
-
 def window_hits(model, p, t, epsilon, scaling, horizon: int) -> tuple:
     """Indices n (1-based) whose window ((t-eps)r_n, (t+eps)r_n) meets Sp."""
     t_grid, epsilon, probe = _window_probe(model, p, [t], epsilon, horizon)
@@ -190,17 +182,6 @@ def _scan(probe, t_grid, epsilon, radii) -> list:
         else:
             out.append(tuple(i + 1 for i in far[t]))
     return out
-
-
-def spectrum_contains(model, p, t, epsilon, scaling,
-                      horizon: int = DEFAULT_HORIZON,
-                      persistence: int = DEFAULT_PERSISTENCE) -> SpectrumVerdict:
-    """Window-evidence verdict for t in the rescaled spectrum."""
-    if persistence < 1:
-        raise InputError("persistence must be at least 1")
-    hits = window_hits(model, p, t, epsilon, scaling, horizon)
-    status = "present" if len(hits) >= persistence else "absent_at_horizon"
-    return SpectrumVerdict(status, rat(t), hits, horizon, persistence)
 
 
 class SpectrumComparison(NamedTuple):

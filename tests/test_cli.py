@@ -257,6 +257,8 @@ def test_equiv_strip_or_ray_against_the_ray(tmp_path, y_model, z_model):
 HALF_PLANE = {"kind": "product", "x": RAY, "y": LINE}
 HALF_PLANE_ROWS = {"kind": "product", "x": RAY, "y": LATTICE}
 STRIP = {"kind": "half_plane_strip", "c1": "-1", "c2": "2"}
+PLANE = {"kind": "product", "x": LINE, "y": LINE}
+GRID = {"kind": "product", "x": LATTICE, "y": LATTICE}
 TWO_STRIPS = {"kind": "finite_union", "parts": [
     {"kind": "half_plane_strip", "c1": "-1", "c2": "1"},
     {"kind": "half_plane_strip", "c1": "-2", "c2": "1/2"}]}
@@ -270,6 +272,10 @@ TWO_STRIPS = {"kind": "finite_union", "parts": [
     # above it
     (STRIP, TWO_STRIPS, "1"),
     (TWO_STRIPS, STRIP, "1"),
+    # the plane lies within sqrt(2)/2 of Z x Z, an irrational sup: its
+    # bound 1/2 + 1/2 certifies
+    (PLANE, GRID, "1"),
+    (GRID, PLANE, "1"),
 ])
 def test_equiv_products_and_strip_unions_are_exact(tmp_path, y_model,
                                                    z_model, bound):

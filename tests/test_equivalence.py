@@ -5,7 +5,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from farfield import (
@@ -22,15 +22,12 @@ from farfield import (
     Ray,
     Reflected,
     SupDistance,
-    build_nearest_point_maps,
     check_eps_net,
-    conditional_hausdorff,
     contains,
     decide_strong_equivalence,
     distance_to_set,
     epsilon_curve,
     epsilon_t,
-    sphere_slice,
     sup_distance,
 )
 from farfield import equivalence, setmodels
@@ -45,7 +42,6 @@ from farfield.equivalence import (
 )
 from farfield.errors import InputError, InternalInvariantError
 from farfield.rationals import common_power
-from farfield.seqlab import ClosedFormSpec, GeometricScaling
 from test_setmodels_oracle import (
     COMMENSURABLE_PAIRS,
     LEAVES,
@@ -225,16 +221,80 @@ def test_verdict_status_is_symmetric_in_the_arguments():
                 == decide_strong_equivalence(z, y).status)
 
 
+# -- exact verdicts from proven bounds on unknown sups ---------------------
+
+
+def test_a_bounded_unknown_sup_certifies_with_its_bound():
+    # the extra points 1/5*(3/2)**n come within 1/2 of the lattice, but
+    # none walked reaches 1/2 and the ratio 3/2 keeps no residue orbit, so
+    # the sup is unknown, yet at most 1/2
+    union = FiniteUnion((UNIT_LATTICE, GeometricPoints(F(3, 2), F(1, 5), 0)))
+    assert sup_distance(union, UNIT_LATTICE) \
+        == SupDistance("unknown", F(1, 2))
+    verdict = decide_strong_equivalence(UNIT_LATTICE, union)
+    assert (verdict.status, verdict.bound) == ("equivalent_exact", F(1, 2))
+    assert "a bound on the sup rather than the sup" in verdict.note
+    # the plane lies within sqrt(2)/2 of Z x Z: irrational, at most 1
+    plane = Product2D(FullLine(), FullLine())
+    grid = Product2D(UNIT_LATTICE, UNIT_LATTICE)
+    assert sup_distance(plane, grid) == SupDistance("unknown", F(1))
+    verdict = decide_strong_equivalence(plane, grid)
+    assert (verdict.status, verdict.bound) == ("equivalent_exact", F(1))
+    assert "a bound on the sup" in verdict.note
+
+
+STEPS = st.sampled_from([F(1), F(1, 2), F(3, 2), F(2)])
+
+
+@st.composite
+def bounded_unknown_pairs(draw):
+    """(Y, Z), either way round: a lattice against itself with the powers
+    of a ratio that keeps no residue orbit added, or the plane against a
+    grid."""
+    step = draw(STEPS)
+    if draw(st.booleans()):
+        lattice = Lattice(step, draw(st.sampled_from([F(0), step / 3])))
+        sparse = GeometricPoints(draw(st.sampled_from([F(3, 2), F(5, 3)])),
+                                 draw(st.sampled_from([F(1, 5), F(2, 7)])), 0)
+        pair = [lattice, FiniteUnion((lattice, sparse))]
+    else:
+        pair = [Product2D(FullLine(), FullLine()),
+                Product2D(Lattice(step, F(0)), Lattice(draw(STEPS), F(0)))]
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+@given(pair=bounded_unknown_pairs(),
+       t=st.fractions(1, 10 ** 4, max_denominator=60),
+       m=st.fractions(-1, 1, max_denominator=60))
+@settings(max_examples=60, deadline=None)
+def test_eps_stays_within_a_bound_from_an_unknown_sup(pair, t, m):
+    y, z = pair
+    sups = [sup_distance(z, y), sup_distance(y, z)]
+    assume("unknown" in [sup.kind for sup in sups])
+    verdict = decide_strong_equivalence(y, z)
+    assert verdict.status == "equivalent_exact"
+    bound = verdict.bound
+    assert bound == max(sup.value for sup in sups)
+    if setmodels.ambient_dim(y) == 1:
+        assert max(epsilon_t(y, z, None, t)) <= bound
+        return
+    # the plane's t-circle at its rational point (t*(1 - m*m), 2*t*m) /
+    # (1 + m*m), against the grid; the grid's points lie in the plane
+    grid = z if y == Product2D(FullLine(), FullLine()) else y
+    u, v = t * (1 - m * m) / (1 + m * m), 2 * t * m / (1 + m * m)
+    du, dv = distance_to_set(grid.x, u), distance_to_set(grid.y, v)
+    assert du * du + dv * dv <= bound * bound
+
+
 # -- the two numeric rungs of the ladder ----------------------------------
 
 
 def test_numeric_decay_is_reported_but_not_certified():
-    # the extra points 1/5*(3/2)**n come within 1/2 of the lattice, but
-    # none walked reaches 1/2 and the ratio 3/2 keeps no residue orbit, so
-    # only the grid decides
-    sparse = GeometricPoints(F(3, 2), F(1, 5), 0)
+    # a lattice beside a geometric part has neither a period nor a factor,
+    # so neither sup has a bound, and only the grid decides
+    sparse = [GeometricPoints(q, F(1, 5), 0) for q in (F(3, 2), F(5, 4))]
     verdict = decide_strong_equivalence(
-        UNIT_LATTICE, FiniteUnion((UNIT_LATTICE, sparse)))
+        *(FiniteUnion((UNIT_LATTICE, part)) for part in sparse))
     assert verdict.status == "equivalent_numerical"
     assert verdict.max_ratio == 0
     assert verdict.bound is None and verdict.witness is None
@@ -404,7 +464,8 @@ def test_sup_distance_into_geometric_blocks(source, target):
 def test_a_union_with_points_inside_blocks_is_exact():
     union = FiniteUnion((B_BLOCKS, GP2))
     assert is_structural_subset(GP2, B_BLOCKS)
-    assert conditional_hausdorff(B_BLOCKS, union, B_BLOCKS, union).value == 0
+    assert sup_distance(union, B_BLOCKS) == sup_distance(B_BLOCKS, union) \
+        == SupDistance("value", F(0))
     verdict = decide_strong_equivalence(B_BLOCKS, union)
     assert (verdict.status, verdict.bound) == ("equivalent_exact", 0)
 
@@ -632,8 +693,8 @@ def test_sup_distance_against_a_geometric_target(source, target, expected):
 
 
 def test_geometric_target_with_finitely_many_extra_points():
-    assert conditional_hausdorff(GP2_PLUS_3, GP2, GP2_PLUS_3, GP2).value \
-        == F(1)
+    assert sup_distance(GP2, GP2_PLUS_3) == SupDistance("value", F(0))
+    assert sup_distance(GP2_PLUS_3, GP2) == SupDistance("value", F(1))
     verdict = decide_strong_equivalence(GP2, GP2_PLUS_3)
     assert verdict.status == "equivalent_exact" and verdict.bound == F(1)
     # a leaf outside the target still diverges
@@ -767,43 +828,6 @@ def test_base_point_must_match_the_dimension():
         epsilon_t(FullLine(), UNIT_LATTICE, (F(0), F(0)), F(2))
 
 
-# -- conditional Hausdorff distances --------------------------------------
-
-
-def test_conditional_hausdorff_whole_sets():
-    got = conditional_hausdorff(FullLine(), UNIT_LATTICE,
-                                FullLine(), UNIT_LATTICE)
-    assert (got.value, got.infinite) == (F(1, 2), False)
-
-
-def test_conditional_hausdorff_point_lists():
-    got = conditional_hausdorff([F(0), F(1, 2)], [F(0)],
-                                FullLine(), UNIT_LATTICE)
-    assert got.value == F(1, 2)
-
-
-def test_conditional_hausdorff_on_sphere_slices_reproduces_epsilon():
-    for t in (F(3, 2), F(7, 3), F(4)):
-        a = sphere_slice(FullLine(), F(0), t)
-        b = sphere_slice(UNIT_LATTICE, F(0), t)
-        got = conditional_hausdorff(a, b, FullLine(), UNIT_LATTICE)
-        assert got.value == max(epsilon_t(FullLine(), UNIT_LATTICE, None, t))
-
-
-def test_conditional_hausdorff_infinite_side():
-    got = conditional_hausdorff(FullLine(), Ray(F(0), 1),
-                                FullLine(), Ray(F(0), 1))
-    assert got.infinite and got.value is None
-
-
-def test_conditional_hausdorff_validates_the_subsets():
-    with pytest.raises(InputError):
-        conditional_hausdorff([F(1, 3)], [F(0)], UNIT_LATTICE, UNIT_LATTICE)
-    with pytest.raises(InputError):
-        conditional_hausdorff(UNIT_LATTICE, UNIT_LATTICE,
-                              Lattice(F(2), F(0)), UNIT_LATTICE)
-
-
 # -- eps-net checks --------------------------------------------------------
 
 
@@ -852,50 +876,6 @@ def test_eps_net_between_planar_sets_has_no_side_to_probe():
 def test_eps_net_rejects_nonpositive_epsilon():
     with pytest.raises(InputError):
         check_eps_net(FullLine(), FullLine(), F(0))
-
-
-# -- nearest point maps ----------------------------------------------------
-
-
-def test_nearest_point_maps_round_to_the_lattice():
-    maps = build_nearest_point_maps(FullLine(), UNIT_LATTICE)
-    assert maps.phi(F(7, 3)) == F(2)
-    assert maps.phi(F(5, 2)) == F(2)  # ties resolve downward
-    assert maps.psi(F(2)) == F(2)
-    assert maps.eps1 == F(1, 10 ** 6)
-
-
-def test_nearest_point_maps_in_the_plane():
-    maps = build_nearest_point_maps(PlanarRay(), HalfPlaneStrip(F(-1), F(2)))
-    assert maps.phi((F(4), F(0))) == (F(4), F(0))
-    assert maps.psi((F(5), F(7))) == (F(5), F(0))
-
-
-def test_residuals_vanish_for_an_equivalent_pair():
-    samples = [
-        ("lin", ClosedFormSpec({"r": F(1)}), GeometricScaling(F(2), F(1))),
-        ("mid", ClosedFormSpec({"r": F(3, 2)}), GeometricScaling(F(2), F(1))),
-    ]
-    maps = build_nearest_point_maps(FullLine(), UNIT_LATTICE, samples=samples)
-    assert [e.label for e in maps.residuals] == ["lin", "mid"]
-    for entry in maps.residuals:
-        assert entry.zero
-        assert entry.residual.status == "exact"
-        assert entry.residual.value == 0
-
-
-def test_residuals_survive_for_a_sparse_target():
-    samples = [("mid", ClosedFormSpec({"r": F(3, 2)}),
-                GeometricScaling(F(2), F(1)))]
-    maps = build_nearest_point_maps(FullLine(), GP2, samples=samples)
-    entry = maps.residuals[0]
-    assert not entry.zero
-    assert entry.residual.value == F(1, 2)
-
-
-def test_nearest_point_maps_reject_nonpositive_tolerance():
-    with pytest.raises(InputError):
-        build_nearest_point_maps(FullLine(), FullLine(), eps1=F(0))
 
 
 # -- commensurable geometric trees against a brute-force scan ---------------

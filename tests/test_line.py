@@ -20,12 +20,11 @@ from farfield import (
     complement_components,
     contains,
     line_isometry_test,
-    next_point_ge,
-    prev_point_le,
     required_window,
     scaling_self_similarity,
 )
 from farfield import line
+from farfield.setmodels import first_point
 from farfield.errors import InputError, WindowTooSmallError
 from farfield.line import DEFAULT_K_SAMPLES
 
@@ -255,18 +254,18 @@ def test_window_must_cover_the_structural_prefix():
 
 
 def test_next_and_previous_points():
-    assert next_point_ge(UNIT_LATTICE, F(1, 2)) == F(1)
-    assert prev_point_le(UNIT_LATTICE, F(1, 2)) == F(0)
+    assert first_point(UNIT_LATTICE, F(1, 2), 1) == F(1)
+    assert first_point(UNIT_LATTICE, F(1, 2), -1) == F(0)
     gp = GeometricPoints(F(2), F(1), 0)
-    assert prev_point_le(gp, F(5)) == F(4)
-    assert next_point_ge(gp, F(5)) == F(8)
-    assert next_point_ge(Ray(F(0), -1), F(-3)) == F(-3)
-    assert next_point_ge(Ray(F(0), -1), F(1)) is None
-    assert prev_point_le(Ray(F(0), 1), F(-1)) is None
-    assert prev_point_le(Ray(F(0), 1), F(7, 2)) == F(7, 2)
+    assert first_point(gp, F(5), -1) == F(4)
+    assert first_point(gp, F(5), 1) == F(8)
+    assert first_point(Ray(F(0), -1), F(-3), 1) == F(-3)
+    assert first_point(Ray(F(0), -1), F(1), 1) is None
+    assert first_point(Ray(F(0), 1), F(-1), -1) is None
+    assert first_point(Ray(F(0), 1), F(7, 2), -1) == F(7, 2)
     minus = Lattice(F(1), F(0), half="minus")
-    assert next_point_ge(minus, F(1, 2)) is None
-    assert prev_point_le(minus, F(1, 2)) == F(0)
+    assert first_point(minus, F(1, 2), 1) is None
+    assert first_point(minus, F(1, 2), -1) == F(0)
 
 
 def test_returned_points_are_set_members():
@@ -275,10 +274,10 @@ def test_returned_points_are_set_members():
     for model in models:
         for k in range(-12, 13):
             x = F(k, 3)
-            up = next_point_ge(model, x)
+            up = first_point(model, x, 1)
             if up is not None:
                 assert up >= x and contains(model, up)
-            down = prev_point_le(model, x)
+            down = first_point(model, x, -1)
             if down is not None:
                 assert down <= x and contains(model, down)
 

@@ -19,14 +19,12 @@ from farfield import (
     FinitePseudometricSpace,
     InputError,
     SearchBudgetExceeded,
-    closure_of_subset,
     exists_isometry,
     exists_pseudoisometry,
     is_pseudoisometry,
     make_space,
     metric_identify,
     space_from_json,
-    space_from_points,
     space_to_json,
     validate_pseudometric,
     zero_classes,
@@ -35,6 +33,14 @@ from farfield import (
 
 # ---------------------------------------------------------------------------
 # Generators
+
+
+def space_from_points(points: dict) -> FinitePseudometricSpace:
+    """Space from labeled points on the rational line."""
+    labels = tuple(points)
+    vals = [Fraction(points[k]) for k in labels]
+    table = tuple(tuple(abs(u - v) for v in vals) for u in vals)
+    return FinitePseudometricSpace(labels, table)
 
 
 def random_pseudometric(rng, max_points=5, zero_bias=3):
@@ -277,30 +283,6 @@ def test_projection_covers_every_label():
     assert q.projection["a"] == q.projection["b"]
     assert q.projection["c"] != q.projection["a"]
     assert len(q.space) == 2
-
-
-def test_closure_matches_min_distance_oracle():
-    rng = random.Random(777)
-    for _ in range(60):
-        space = random_pseudometric(rng)
-        k = rng.randint(1, len(space))
-        subset = rng.sample(list(space.labels), k)
-        got = set(closure_of_subset(space, subset))
-        want = {
-            y for y in space.labels
-            if min(space.d(y, s) for s in subset) == 0
-        }
-        assert got == want
-
-
-def test_closure_is_idempotent():
-    rng = random.Random(1234)
-    for _ in range(40):
-        space = random_pseudometric(rng)
-        subset = [space.labels[0]]
-        once = closure_of_subset(space, subset)
-        twice = closure_of_subset(space, once)
-        assert sorted(once) == sorted(twice)
 
 
 # ---------------------------------------------------------------------------

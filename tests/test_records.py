@@ -2,9 +2,8 @@
 
 Each record has a fixed field order and defaults, for positional and
 keyword construction alike; equal records hash equal; no field can be
-assigned; the reprs read `Name(field=value, ...)`. A record is a tuple,
-so every branch that tells a point list from another argument by
-`isinstance(..., tuple)` must look for the record first.
+assigned; the reprs read `Name(field=value, ...)`. A sphere slice is a
+record too, and `epsilon_t` reads it as a slice.
 """
 
 from fractions import Fraction as F
@@ -13,7 +12,6 @@ import pytest
 
 from farfield import equivalence, line, porosity, pseudometric, seqlab
 from farfield import setmodels, spectra
-from farfield.equivalence import HausdorffResult, SupDistance
 from farfield.setmodels import HalfPlaneStrip, PlanarRay, SphereSlice
 
 # (record, its fields in order, the defaults of the trailing ones)
@@ -23,13 +21,9 @@ RECORDS = [
     (equivalence.EquivalenceVerdict,
      ("status", "bound", "witness", "max_ratio", "note"),
      {"bound": None, "witness": None, "max_ratio": None, "note": ""}),
-    (equivalence.HausdorffResult, ("value", "infinite"),
-     {"value": None, "infinite": False}),
     (equivalence.EpsNetVerdict,
      ("status", "epsilon", "point", "distance", "from_side", "note"),
      {"point": None, "distance": None, "from_side": "", "note": ""}),
-    (equivalence.ResidualEntry, ("label", "residual", "zero"), {}),
-    (equivalence.NearestPointMaps, ("phi", "psi", "eps1", "residuals"), {}),
     (line.ComponentReport,
      ("window", "bounded", "unbounded", "punctures", "truncated_below"),
      {"truncated_below": None}),
@@ -58,12 +52,9 @@ RECORDS = [
      {}),
     (seqlab.ProbeOutcome, ("stride", "offset", "status", "witness",
                            "detail"), {"witness": None, "detail": ""}),
-    (seqlab.ProjectionEntry, ("label", "projected", "residual", "moved"), {}),
     (setmodels.Codec, ("read", "write", "scale"), {"scale": None}),
     (setmodels.SphereSlice, ("kind", "points", "v_lo", "v_hi"),
      {"points": (), "v_lo": F(0), "v_hi": F(0)}),
-    (spectra.SpectrumVerdict, ("status", "t", "hits", "horizon",
-                               "persistence"), {}),
     (spectra.SpectrumComparison, ("rows", "differing_t"), {}),
 ]
 
@@ -76,7 +67,7 @@ def _required(names, defaults):
 
 
 def test_every_result_record_is_listed_once():
-    assert len({cls for cls, _, _ in RECORDS}) == len(RECORDS) == 26
+    assert len({cls for cls, _, _ in RECORDS}) == len(RECORDS) == 21
 
 
 @pytest.mark.parametrize("cls, names, defaults", RECORDS,
@@ -103,8 +94,6 @@ def test_record_reprs_read_as_before():
         ("even", F(0)), ("odd", F(2))), note="split")) == (
         "LimitResult(status='no_limit', value=None, clusters=(('even', "
         "Fraction(0, 1)), ('odd', Fraction(2, 1))), note='split')")
-    assert repr(HausdorffResult(F(3))) == "HausdorffResult(Fraction(3, 1))"
-    assert repr(HausdorffResult(infinite=True)) == "HausdorffResult(inf)"
 
 
 STRIP = HalfPlaneStrip(F(-1), F(1))
@@ -112,17 +101,13 @@ BASE = (F(0), F(0))
 
 
 def test_sphere_slices_take_the_slice_branch(count_calls):
-    # a slice is a tuple too: the (list, tuple) point-list branch must not
-    # read its fields as points
-    eps = max(equivalence.epsilon_t(PlanarRay(), STRIP, BASE, F(3)))
+    # a slice is a tuple too, and each side of eps(t) reads its own slice
     calls = count_calls(equivalence, "_slice_sup")
     arc = setmodels.sphere_slice(STRIP, BASE, F(3))
     axis = setmodels.sphere_slice(PlanarRay(), BASE, F(3))
     assert (arc.kind, axis.kind) == ("arc", "points")
-    got = equivalence.conditional_hausdorff(axis, arc, PlanarRay(), STRIP)
+    assert equivalence.epsilon_t(PlanarRay(), STRIP, BASE, F(3)) == (1, 0)
     assert calls["_slice_sup"] == 2
-    assert got == HausdorffResult(eps) and eps == 1
-    # an empty slice is no empty point list, yet sups to 0 all the same
-    assert equivalence._one_sided(SphereSlice("points"), STRIP) \
-        == SupDistance("value", 0)
+    # an empty slice sups to 0
+    assert equivalence._slice_sup(SphereSlice("points"), STRIP, {}) == 0
     assert calls["_slice_sup"] == 3

@@ -33,17 +33,12 @@ from farfield import (
     PolynomialScaling,
     SubsequenceScaling,
     d_r,
-    d_up,
-    eval_scaling,
     eval_spec,
     exists_isometry,
-    in_sequence_set,
     make_space,
     maximal_self_stable,
     pretangent_space,
-    project_family_to_subspace,
     scaling_from_dict,
-    scaling_from_spec,
     scaling_to_dict,
     spec_from_dict,
     spec_to_dict,
@@ -135,9 +130,9 @@ def law_corpus(seed, count):
 def test_membership_iff_stable_against_zero_sequences():
     for scaling, x, _, _, z, w, _ in law_corpus(1101, 60):
         assert tilde_d(z, scaling).value == 0
-        assert in_sequence_set(x, scaling)
+        assert tilde_d(x, scaling).exists
         assert d_r(x, z, scaling).exists
-        assert not in_sequence_set(w, scaling)
+        assert not tilde_d(w, scaling).exists
         assert not d_r(w, z, scaling).exists
 
 
@@ -169,34 +164,7 @@ def test_zero_distance_transfers_membership():
     for scaling, x, _, _, _, _, rng in law_corpus(1104, 60):
         t = perturb(x, rng)
         assert d_r(x, t, scaling).value == 0
-        assert in_sequence_set(t, scaling)
-
-
-def test_limsup_distance_is_a_pseudometric():
-    for scaling, x, y, v, z, _, _ in law_corpus(1105, 60):
-        pool = (x, y, v, z)
-        for a in pool:
-            assert d_up(a, a, scaling).value == 0
-        for a, b in itertools.combinations(pool, 2):
-            ab = d_up(a, b, scaling)
-            assert ab.status == "exact"
-            assert ab.value == d_up(b, a, scaling).value
-            assert ab.value <= tilde_d(a, scaling).value \
-                + tilde_d(b, scaling).value
-        for a, b, c in itertools.permutations(pool, 3):
-            assert d_up(a, c, scaling).value <= \
-                d_up(a, b, scaling).value + d_up(b, c, scaling).value
-
-
-def test_limsup_dominates_and_extends_the_limit():
-    for scaling, x, y, _, _, w, _ in law_corpus(1106, 60):
-        pair = d_r(x, y, scaling)
-        if pair.exists:
-            assert d_up(x, y, scaling).value == pair.value
-        split = d_r(x, w, scaling)
-        if split.status == "no_limit":
-            values = [v for _, v in split.clusters]
-            assert d_up(x, w, scaling).value == max(values)
+        assert tilde_d(t, scaling).exists
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +176,7 @@ def test_eval_matches_limit_for_rational_forms():
     spec = ClosedFormSpec({"r": F(7, 3), "one": F(-4)})
     for n in (1, 5, 30):
         assert eval_spec(spec, scaling, n) == F(7, 3) * F(2) ** n - 4
-    deep = eval_spec(spec, scaling, 40) / eval_scaling(scaling, 40)
+    deep = eval_spec(spec, scaling, 40) / scaling.eval(40)
     assert abs(deep - tilde_d(spec, scaling).value) < F(1, 2) ** 30
 
 
@@ -289,7 +257,7 @@ def test_graph_edges_match_pairwise_limits(case, members_only):
     scaling, fam = case
     if members_only:
         fam = [(label, spec) for label, spec in fam
-               if in_sequence_set(spec, scaling)]
+               if tilde_d(spec, scaling).exists]
     tilde = [tilde_d(spec, scaling) for _, spec in fam]
     if not all(res.exists for res in tilde):
         with pytest.raises(InputError):
@@ -401,7 +369,7 @@ def reference_probe(graph, clique, index_maps, pool):
 def test_probe_matches_public_limits(case, extra, index_maps, data):
     scaling, specs = case
     fam = [(label, spec) for label, spec in specs
-           if in_sequence_set(spec, scaling)]
+           if tilde_d(spec, scaling).exists]
     assume(fam)
     g = stability_graph(fam, scaling)
     clique = data.draw(st.sampled_from(maximal_self_stable(g)))
@@ -498,7 +466,7 @@ def test_lab_report_pushes_match_standalone_pushes(tmp_path_factory, case,
     # own, and both must report the same checks
     scaling, fam = case
     fam = [(label, spec) for label, spec in fam
-           if in_sequence_set(spec, scaling)]
+           if tilde_d(spec, scaling).exists]
     assume(fam)
     folder = tmp_path_factory.mktemp("lab")
     cfg = folder / "lab.json"
@@ -753,51 +721,7 @@ def test_probe_pushes_alternating_candidates():
 
 
 # ---------------------------------------------------------------------------
-# Projection onto subspaces
-
-
-def test_projection_onto_full_line_is_free():
-    from farfield import FullLine
-
-    scaling = GeometricScaling(F(2))
-    fam = {"a": ClosedFormSpec({"r": F(5, 3)}),
-           "b": ClosedFormSpec({"r": F(-2), "sqrt_r": F(1)})}
-    entries = project_family_to_subspace(fam, scaling, FullLine())
-    for e in entries:
-        assert e.residual.value == 0
-        assert not e.moved
-
-
-def test_projection_onto_lattice_costs_nothing():
-    scaling = GeometricScaling(F(2))
-    fam = {"a": ClosedFormSpec({"r": F(7, 5)})}
-    (entry,) = project_family_to_subspace(fam, scaling, Lattice(F(1), F(0)))
-    assert entry.residual.value == 0
-
-
-def test_projection_onto_sparse_points_pays_the_gap():
-    # anchor 3/2 sits mid-gap between powers of two: both neighbors are
-    # (1/2)*2**n away, so the rescaled residual is exactly 1/2
-    scaling = GeometricScaling(F(2))
-    fam = {"mid": ClosedFormSpec({"r": F(3, 2)})}
-    (entry,) = project_family_to_subspace(
-        fam, scaling, GeometricPoints(F(2), F(1), 0))
-    assert entry.residual.value == F(1, 2)
-    assert entry.moved
-
-
-# ---------------------------------------------------------------------------
-# Derived scalings and serialization
-
-
-def test_scaling_from_spec_roundtrip():
-    base = GeometricScaling(F(2))
-    spec = ClosedFormSpec({"r": F(3)})
-    derived = scaling_from_spec(spec, base)
-    for n in (1, 4, 9):
-        assert derived.eval(n) == 3 * F(2) ** n
-    with pytest.raises(InputError):
-        scaling_from_spec(ClosedFormSpec({"one": F(1)}), base)
+# Serialization
 
 
 def test_serialization_roundtrips():

@@ -47,8 +47,6 @@ from farfield import (
     model_to_dict,
     model_to_json,
     nearest_point,
-    next_point_ge,
-    prev_point_le,
     porosity_at_infinity,
     scale_model,
 )
@@ -60,14 +58,24 @@ from farfield.setmodels import (
     ZERO_BELOW,
     ambient_dim,
     components,
+    first_point,
     gaps,
-    intersects_open_interval,
     is_nonnegative_model,
 )
 
 B = F(200)
 TINY = F(1, 10**12)
 QUERY_SPAN = 12  # query points and windows stay inside [-12, 12]
+
+
+def intersects_open_interval(model, lo, hi) -> bool:
+    """Does the 1-D model meet the open interval (lo, hi)? One cursor
+    query per window: the first component from lo that ends past lo must
+    start below hi. The reference that `grid_hits` is checked against."""
+    if hi <= lo:
+        return False
+    c = next((c for c in components(model, lo) if c[1] > lo), None)
+    return c is not None and c[0] < hi
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +352,8 @@ def test_derived_queries_match_the_oracle(model, xs, spans):
         assert contains(model, x) == member(model, x), x
         d = o_distance(pieces, acc, x)
         assert distance_to_set(model, x) == d, x
-        assert next_point_ge(model, x) == o_next(pieces, acc, x), x
-        assert prev_point_le(model, x) == o_prev(pieces, acc, x), x
+        assert first_point(model, x, 1) == o_next(pieces, acc, x), x
+        assert first_point(model, x, -1) == o_prev(pieces, acc, x), x
         attained = [c for c in (x - d, x + d) if member(model, c)]
         if attained:
             assert nearest_point(model, x) == attained[0], x

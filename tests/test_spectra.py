@@ -31,11 +31,10 @@ from farfield import (
     compare_spectra,
     contains,
     distance_set,
-    spectrum_contains,
     window_hits,
 )
 from farfield import setmodels
-from test_setmodels_oracle import fractions, trees
+from test_setmodels_oracle import fractions, intersects_open_interval, trees
 
 F = Fraction
 
@@ -157,21 +156,7 @@ def test_window_hit_input_guards():
     with pytest.raises(InputError):
         window_hits(lat, F(0), F(1), F(1, 10), scaling, 0)
     with pytest.raises(InputError):
-        spectrum_contains(lat, F(0), F(1), F(1, 10), scaling, persistence=0)
-
-
-def test_spectrum_verdict_thresholds():
-    gb = GeometricBlocks(F(4), F(1), F(2))
-    s1 = GeometricScaling(F(4), F(4))       # r_n = 4**(n+1)
-    s2 = GeometricScaling(F(4), F(2))       # r_n = 2*4**n
-    # windows (3/4 +- eps) * 2 * 4**n sit inside the blocks [4**m, 2*4**m]
-    inside = spectrum_contains(gb, F(0), F(3, 4), F(1, 100), s2)
-    assert inside.status == "present"
-    assert len(inside.hits) >= inside.persistence
-    gap = spectrum_contains(gb, F(0), F(3, 4), F(1, 100), s1)
-    assert gap.status == "absent_at_horizon"
-    # the window sits inside the doubling gap for every index
-    assert gap.hits == ()
+        compare_spectra(lat, F(0), scaling, scaling, [F(1)], F(1, 10), 10, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +283,10 @@ def per_window_hits(model, p, t, eps, scaling, horizon):
         if hi <= 0:
             continue
         if lo < 0:
-            hit = setmodels.intersects_open_interval(model, p - hi, p + hi)
+            hit = intersects_open_interval(model, p - hi, p + hi)
         else:
-            hit = (setmodels.intersects_open_interval(model, p + lo, p + hi)
-                   or setmodels.intersects_open_interval(model, p - hi,
-                                                         p - lo))
+            hit = (intersects_open_interval(model, p + lo, p + hi)
+                   or intersects_open_interval(model, p - hi, p - lo))
         if hit:
             hits.append(n)
     return tuple(hits)
@@ -352,8 +336,7 @@ def test_sweep_matches_one_query_per_window(model, p, scaling):
 
 
 def test_union_grid_sweeps_instead_of_querying_each_window(count_calls):
-    calls = count_calls(setmodels, "intersects_open_interval",
-                        "ipow_floor_log")
+    calls = count_calls(setmodels, "ipow_floor_log")
     # the union spectrum slot of the benchmark's query mix
     model = FiniteUnion((GP2, GeometricPoints(F(3), F(3, 2), 0)))
     s1 = PolynomialScaling(2, F(3, 2))
@@ -361,13 +344,11 @@ def test_union_grid_sweeps_instead_of_querying_each_window(count_calls):
                            GeometricScaling(F(3), F(3)))
     grid = [F(k, 8) for k in range(33)]
     compare_spectra(model, F(0), s1, s2, grid, F(1, 50), 50, 8)
-    assert calls["intersects_open_interval"] == 0
     assert calls["ipow_floor_log"] <= 2000
 
 
 def test_cover_rule_marks_a_dense_grid_without_a_walk(count_calls):
-    calls = count_calls(setmodels, "components",
-                        "intersects_open_interval", "ipow_floor_log")
+    calls = count_calls(setmodels, "components", "ipow_floor_log")
     # the lattice spectrum slot of the benchmark's query mix: from r = 4**2
     # on, 2*eps*r exceeds the step, and from r = 4**4 on every window lies
     # past the reach 2, where each one meets a lattice point
@@ -379,7 +360,6 @@ def test_cover_rule_marks_a_dense_grid_without_a_walk(count_calls):
     # two for the distance from p (t = 0 < eps), then at most one walk for
     # each radius
     assert calls["components"] <= 2 + 2 * horizon
-    assert calls["intersects_open_interval"] == 0
     assert calls["ipow_floor_log"] <= 2000
     for t, status_1, status_2, first in comp.rows:
         hits = [set(per_window_hits(model, F(0), t, eps, scaling, horizon))
