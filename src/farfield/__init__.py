@@ -73,7 +73,6 @@ from .porosity import (
 from .spectra import (
     SpectrumComparison,
     compare_spectra,
-    distance_set,
     window_hits,
 )
 from .seqlab import (

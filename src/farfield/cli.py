@@ -252,6 +252,8 @@ def _cmd_equiv(cfg, args, out: Path) -> int:
     threshold = _positive(cfg, "threshold", eq.DEFAULT_THRESHOLD)
     verdict = eq.decide_strong_equivalence(
         y, z, p, growth=growth, horizon=horizon, threshold=threshold)
+    # the curve before any file, so that a run that fails writes nothing
+    curve = None if grid is None else eq.epsilon_curve(y, z, p, grid)
     write_json(out / "equiv_verdict.json", {
         "status": verdict.status,
         "bound": _fmt_or_none(verdict.bound),
@@ -261,8 +263,7 @@ def _cmd_equiv(cfg, args, out: Path) -> int:
                       else dec(verdict.max_ratio)),
         "note": verdict.note,
     })
-    if grid is not None:
-        curve = eq.epsilon_curve(y, z, p, grid)
+    if curve is not None:
         write_curve(out / "epsilon_curve.csv", _EPS_COLUMNS, curve.samples)
     if args.assert_ and verdict.status not in ("equivalent_exact",
                                                "equivalent_numerical"):

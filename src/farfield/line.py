@@ -179,26 +179,27 @@ def complement_components(model, window) -> ComponentReport:
 # Shift-invariant comparison data
 
 
-def _length_threshold(*reports) -> Fraction:
-    t = ZERO
-    for rep in reports:
-        if rep.truncated_below is not None:
-            t = max(t, 2 * rep.truncated_below)
-    return t
+def _refutation(ra, rb):
+    """(witness, kind) for the first length statistic in which two
+    complement reports differ, else None. The statistics, in order: the
+    bounded gap lengths above twice the larger truncation scale
+    ("gap_length"), then the distances between punctures ("puncture_gap").
+    The witness is the least length in the symmetric difference of the
+    two multisets."""
+    threshold = max([ZERO, *(2 * r.truncated_below for r in (ra, rb)
+                             if r.truncated_below is not None)])
 
+    def gap_length(r):
+        return Counter(hi - lo for lo, hi in r.bounded if hi - lo > threshold)
 
-def _filtered_lengths(report, threshold) -> Counter:
-    return Counter(hi - lo for lo, hi in report.bounded
-                   if hi - lo > threshold)
+    def puncture_gap(r):
+        return Counter(b - a for a, b in combinations(r.punctures, 2))
 
-
-def _puncture_gaps(report) -> Counter:
-    return Counter(b - a for a, b in combinations(report.punctures, 2))
-
-
-def _multiset_witness(ca: Counter, cb: Counter):
-    diff = (ca - cb) + (cb - ca)
-    return min(diff) if diff else None
+    for stat in (gap_length, puncture_gap):
+        ca, cb = stat(ra), stat(rb)
+        if ca != cb:
+            return min((ca - cb) + (cb - ca)), stat.__name__
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +279,10 @@ def _feature_positions(report):
     return sorted(out)
 
 
+_STATISTICS = {"gap_length": "bounded component length multisets differ",
+               "puncture_gap": "puncture spacing multisets differ"}
+
+
 def line_isometry_test(a_model, b_model, window=None) -> LineIsometryVerdict:
     """Decide whether two line subsets are isometric via t -> eps*t + s.
 
@@ -315,20 +320,11 @@ def line_isometry_test(a_model, b_model, window=None) -> LineIsometryVerdict:
             if _map_matches(ra, rb, eps, s, h):
                 return LineIsometryVerdict("isometric", eps, s)
 
-    threshold = _length_threshold(ra, rb)
-    la, lb = _filtered_lengths(ra, threshold), _filtered_lengths(rb, threshold)
-    if la != lb:
-        w = _multiset_witness(la, lb)
-        return LineIsometryVerdict(
-            "not_isometric",
-            statistic="bounded component length multisets differ",
-            witness=w)
-    pa, pb = _puncture_gaps(ra), _puncture_gaps(rb)
-    if pa != pb:
-        return LineIsometryVerdict(
-            "not_isometric",
-            statistic="puncture spacing multisets differ",
-            witness=_multiset_witness(pa, pb))
+    found = _refutation(ra, rb)
+    if found is not None:
+        return LineIsometryVerdict("not_isometric",
+                                   statistic=_STATISTICS[found[1]],
+                                   witness=found[0])
     if sorted(k for k, _ in ra.unbounded) != sorted(k for k, _ in rb.unbounded):
         return LineIsometryVerdict(
             "not_isometric", statistic="tail structure differs")
@@ -382,15 +378,9 @@ def _self_similarity(model, k, window, reports) -> ScalingVerdict:
     ra = _report(reports, model, h)
     rb = _report(reports, other, h)
 
-    threshold = _length_threshold(ra, rb)
-    la, lb = _filtered_lengths(ra, threshold), _filtered_lengths(rb, threshold)
-    if la != lb:
-        return ScalingVerdict("refuted", k, _multiset_witness(la, lb),
-                              "gap_length")
-    pa, pb = _puncture_gaps(ra), _puncture_gaps(rb)
-    if pa != pb:
-        return ScalingVerdict("refuted", k, _multiset_witness(pa, pb),
-                              "puncture_gap")
+    found = _refutation(ra, rb)
+    if found is not None:
+        return ScalingVerdict("refuted", k, *found)
     if len(ra.punctures) != len(rb.punctures):
         return ScalingVerdict("refuted", k, None, None,
                               "puncture counts differ")

@@ -59,10 +59,21 @@ ZERO = Fraction(0)
 
 MAX_GRAPH_VERTICES = 20
 
-# Atoms a closed-form sequence may combine.  Each is a function of r_n and
-# the parity sign (-1)^n only, which is what keeps subsequence pushes exact.
-ATOMS = ("r", "alt_r", "sqrt_r", "alt_sqrt_r", "log_r", "alt_log_r",
-         "one", "alt_one")
+# The base atoms a closed-form sequence may combine, each a function of r_n
+# alone: whether it is exact (a rational function of r_n), its term
+# value(c, r) and its term over r_n, ratio(c, r, lg) with lg = log(r_n),
+# for a coefficient c (a float where the atom is not exact).  Each base b
+# also comes as alt_b, b times the parity sign (-1)^n; that nothing else
+# enters is what keeps subsequence pushes exact.
+_BASES = {
+    "r": (True, lambda c, r: c * r, lambda c, r, lg: c),
+    "sqrt_r": (False, lambda c, r: c * math.exp(flog(r) / 2),
+               lambda c, r, lg: c * math.exp(-lg / 2)),
+    "log_r": (False, lambda c, r: c * flog(1 + r),
+              lambda c, r, lg: c * flog(1 + r) * math.exp(-lg)),
+    "one": (True, lambda c, r: c, lambda c, r, lg: c * math.exp(-lg)),
+}
+ATOMS = tuple(a for base in _BASES for a in (base, "alt_" + base))
 
 
 def _read_terms(value):
@@ -275,30 +286,31 @@ def _spec_terms(spec):
 # Exact evaluation
 
 
+def _signed_terms(terms, n):
+    """(atom, base, coef) for each term of x_n, the coefficient of an alt_
+    atom negated at odd n."""
+    odd = n % 2
+    for atom, coef in terms.items():
+        base = atom.removeprefix("alt_")
+        yield atom, base, -coef if odd and base != atom else coef
+
+
 def eval_spec(spec, scaling, n: int):
     """Value of x_n.  Exact Fraction when the description is rational;
     float when a sqrt/log atom is involved."""
     r = scaling.eval(n)
     terms = _spec_terms(spec)
     if terms is not None:
-        sign = -1 if n % 2 else 1
         exact = ZERO
         approx = 0.0
         has_float = False
-        for atom, coef in terms.items():
-            alt = atom.startswith("alt_")
-            base = atom[4:] if alt else atom
-            s = sign if alt else 1
-            if base == "r":
-                exact += coef * s * r
-            elif base == "one":
-                exact += coef * s
-            elif base == "sqrt_r":
+        for _, base, coef in _signed_terms(terms, n):
+            is_exact, value, _ = _BASES[base]
+            if is_exact:
+                exact += value(coef, r)
+            else:
                 has_float = True
-                approx += float(coef) * s * math.exp(flog(r) / 2)
-            elif base == "log_r":
-                has_float = True
-                approx += float(coef) * s * flog(1 + r)
+                approx += value(float(coef), r)
         if has_float:
             return float(exact) + approx
         return exact
@@ -314,21 +326,11 @@ def spec_ratio_float(spec, scaling, n: int) -> float:
     r = scaling.eval(n)
     terms = _spec_terms(spec)
     if terms is not None:
-        sign = -1 if n % 2 else 1
         total = 0.0
         lg = flog(r)
-        for atom, coef in terms.items():
-            alt = atom.startswith("alt_")
-            base = atom[4:] if alt else atom
-            s = sign if alt else 1
-            if base == "r":
-                total += float(coef) * s
-            elif base == "one":
-                total += float(coef) * s * math.exp(-lg)
-            elif base == "sqrt_r":
-                total += float(coef) * s * math.exp(-lg / 2)
-            elif base == "log_r":
-                total += float(coef) * s * flog(1 + r) * math.exp(-lg)
+        # a loop, not sum(): from Python 3.12 sum() of floats compensates
+        for _, base, coef in _signed_terms(terms, n):
+            total += _BASES[base][2](float(coef), r, lg)
         return total
     if isinstance(spec, InSetSpec):
         return float(eval_spec(spec, scaling, n) / r)
@@ -743,17 +745,10 @@ def _push_terms(terms, stride, offset):
     with a possible flip).  Atom magnitudes follow the pushed scaling, so
     coefficients are otherwise untouched.
     """
-    sign = -1 if offset % 2 else 1
     out = {}
-    for atom, coef in terms.items():
-        if not atom.startswith("alt_"):
-            out[atom] = out.get(atom, ZERO) + coef
-            continue
-        base = atom[4:]
-        if stride % 2 == 0:
-            out[base] = out.get(base, ZERO) + coef * sign
-        else:
-            out[atom] = out.get(atom, ZERO) + coef * sign
+    for atom, base, coef in _signed_terms(terms, offset):
+        atom = base if stride % 2 == 0 else atom
+        out[atom] = out.get(atom, ZERO) + coef
     return {k: v for k, v in out.items() if v != 0}
 
 

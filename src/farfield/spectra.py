@@ -5,11 +5,13 @@ whether ((t-eps)*r_n, (t+eps)*r_n) meets Sp(X) for at least `persistence`
 indices n up to a horizon; a point can only be declared present, or absent
 at the probed horizon, never absent outright.
 
-The window check never materializes Sp(X): a distance |x - p| lands in the
-open interval (lo, hi) exactly when x lands in (p + lo, p + hi) or -x lands
-in (lo - p, hi - p), which the set models decide exactly. distance_set
-itself returns a structured model and supports a deliberately small
-(model, p) matrix; everything else raises rather than approximating.
+Sp(X) is never built as a set of its own. On the line it is read through
+the set and its mirror image: a distance |x - p| lands in the open interval
+(lo, hi) exactly when x lands in (p + lo, p + hi) or -x lands in
+(lo - p, hi - p), which the set models decide exactly. In the plane it is
+the half line [0, inf), for a set that holds the axis ray [0, inf) x {0}
+and a base point on that ray; every other planar (model, p) pair raises
+rather than approximating.
 
 A scan checks its inputs and builds its probe once per call, and evaluates
 each scaling's radii once. For t >= eps each side is one
@@ -24,7 +26,6 @@ hits exactly when (t+eps)r exceeds the distance from p to the set.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -35,81 +36,6 @@ from . import setmodels as sm
 
 DEFAULT_PERSISTENCE = 10
 DEFAULT_HORIZON = 50
-
-
-# ---------------------------------------------------------------------------
-# Distance sets
-
-
-def distance_set(model, p):
-    """Sp(X) as a structured model, for the supported (model, p) pairs."""
-    dim = sm.ambient_dim(model)
-    p = sm.as_rat_point(p)
-    if sm.point_dim(p) != dim:
-        raise InputError("base point dimension mismatch")
-    if dim == 1:
-        return _distance_set_line(model, p)
-    return _distance_set_plane(model, p)
-
-
-def _distance_set_line(model, p):
-    if p == 0 and sm.is_nonnegative_model(model):
-        return model
-    if isinstance(model, (sm.Ray, sm.FullLine)):
-        return sm.Ray(sm.distance_to_set(model, p))
-    if isinstance(model, sm.Lattice):
-        return _lattice_distance_set(model, p)
-    if isinstance(model, sm.FiniteUnion):
-        return sm.FiniteUnion(tuple(_distance_set_line(part, p)
-                                    for part in model.parts))
-    if isinstance(model, sm.FiniteModification) and not model.removed:
-        base = _distance_set_line(model.base, p)
-        return sm.FiniteModification(base,
-                                     tuple(abs(a - p) for a in model.added),
-                                     ())
-    raise UnsupportedGeometryError(
-        "distance set unsupported for this (model, p) pair"
-    )
-
-
-def _lattice_distance_set(model: sm.Lattice, p):
-    step, beta = model.step, model.offset
-    if model.half == "full":
-        delta = (beta - p) % step  # distance up to the next point above p
-        if delta == 0:
-            return sm.Lattice(step, Fraction(0), "plus")
-        return sm.FiniteUnion((
-            sm.Lattice(step, delta, "plus"),
-            sm.Lattice(step, step - delta, "plus"),
-        ))
-    if model.half == "plus":
-        if p <= beta:
-            return sm.Lattice(step, beta - p, "plus")
-        k_max = math.floor((p - beta) / step)
-        if k_max > 10_000:
-            raise UnsupportedGeometryError("too many points below base point")
-        below = tuple(p - (beta + step * k) for k in range(0, k_max + 1))
-        delta = (beta - p) % step
-        up = sm.Lattice(step, delta, "plus")
-        return sm.FiniteModification(up, below, ())
-    raise UnsupportedGeometryError("distance set for descending lattices")
-
-
-def _distance_set_plane(model, p):
-    u0, v0 = p
-    if v0 != 0 or u0 < 0:
-        raise UnsupportedGeometryError(
-            "plane distance sets need a base point on the nonnegative axis"
-        )
-    x, y = sm.factors(model) or (None, None)
-    if x is not None and is_structural_subset(sm.HALF_LINE, x) \
-            and sm.contains(y, 0):
-        # the set holds the axis ray [0, inf) x {0}, and p lies on it, so
-        # every t >= 0 occurs
-        return sm.HALF_LINE
-    raise UnsupportedGeometryError(
-        "distance set unsupported for this (model, p) pair"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +69,30 @@ def _window_probe(model, p, t_grid, epsilon, horizon: int):
     if sm.point_dim(p) != dim:
         raise InputError("base point dimension mismatch")
     if dim == 2:
-        model = distance_set(model, p)  # 1-D set of distances
+        model = _plane_distances(model, p)  # 1-D set of distances
         p = Fraction(0)
     one_sided = p == 0 and sm.is_nonnegative_model(model)
     mirror = None if one_sided else sm.Reflected(model)
     dist = sm.distance_to_set(model, p) if t_min < epsilon else None
     return t_grid, epsilon, (model, mirror, p, dist)
+
+
+def _plane_distances(model, p):
+    """Sp(X) from a planar base point, as a 1-D model: the half line when
+    the set holds the axis ray [0, inf) x {0} and p lies on it, which puts
+    every t >= 0 in Sp(X); every other (model, p) pair raises."""
+    u0, v0 = p
+    if v0 != 0 or u0 < 0:
+        raise UnsupportedGeometryError(
+            "plane distance sets need a base point on the nonnegative axis"
+        )
+    x, y = sm.factors(model) or (None, None)
+    if x is not None and is_structural_subset(sm.HALF_LINE, x) \
+            and sm.contains(y, 0):
+        return sm.HALF_LINE
+    raise UnsupportedGeometryError(
+        "distance set unsupported for this (model, p) pair"
+    )
 
 
 def _radii(scaling, horizon: int) -> list:

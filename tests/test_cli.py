@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from farfield import seqlab, setmodels
+from farfield import InputError, seqlab, setmodels
 from farfield.cli import _Text, build_parser, main, write_json
 
 GP2 = {"kind": "geometric_points", "q": "2", "c": "1", "n0": 0}
@@ -287,6 +287,17 @@ def test_equiv_products_and_strip_unions_are_exact(tmp_path, y_model,
     verdict = json.loads((out / "equiv_verdict.json").read_text())
     assert (verdict["status"], verdict["bound"]) == ("equivalent_exact",
                                                      bound)
+
+
+def test_equiv_whose_curve_fails_writes_no_verdict(tmp_path, capsys):
+    # the verdict is exact (bound 1), but the eps curve of the plane
+    # against Z x Z needs a sphere slice that the grid has not: the run
+    # exits 2 and leaves no verdict behind
+    code, out = run(tmp_path, "equiv", {"y_model": PLANE, "z_model": GRID,
+                                        "t_grid": ["1", "2"]})
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(out.iterdir())
 
 
 # -- spectra ---------------------------------------------------------------------
@@ -728,6 +739,70 @@ def test_unknown_scaling_kind_exits_two(tmp_path):
     cfg["scaling_1"] = {"kind": "mystery"}
     code, _ = run(tmp_path, "spectrum", cfg)
     assert code == 2
+
+
+PLANAR_RAY = {"kind": "planar_ray"}
+GEOMETRIC = {"kind": "geometric", "q": "2", "c": "1"}
+REFUSED = [
+    # models, read by `farfield porosity`
+    ("model", dict(LATTICE, half="x")),
+    ("model", dict(LATTICE, step="0")),
+    ("model", dict(GP2, c="0")),
+    ("model", dict(GP2, c="-1")),
+    ("model", {"kind": "geometric_blocks", "q": "1", "a": "1", "b": "2"}),
+    ("model", {"kind": "periodic_blocks", "period": "0",
+               "blocks": [["0", "1"]]}),
+    ("model", {"kind": "periodic_blocks", "period": "2", "blocks": []}),
+    ("model", {"kind": "periodic_blocks", "period": "4",
+               "blocks": [["0", "2"], ["1", "3"]]}),
+    ("model", {"kind": "finite_union", "parts": []}),
+    ("model", {"kind": "finite_union", "parts": [LINE, PLANAR_RAY]}),
+    ("model", {"kind": "finite_modification", "base": PLANAR_RAY}),
+    ("model", {"kind": "reflected", "base": PLANAR_RAY}),
+    ("model", {"kind": "product", "x": PLANAR_RAY, "y": LINE}),
+    ("model", dict(RAY, direction="up")),
+    # scalings and specs, read by `farfield lab`
+    ("scaling", {"kind": "geometric", "q": "1"}),
+    ("scaling", dict(GEOMETRIC, c="0")),
+    ("scaling", {"kind": "polynomial", "degree": 0}),
+    ("scaling", {"kind": "polynomial", "degree": 1, "c": "-1"}),
+    ("scaling", {"kind": "subsequence", "base": GEOMETRIC, "stride": 0}),
+    ("scaling", {"kind": "subsequence", "base": GEOMETRIC, "stride": 1,
+                 "offset": -1}),
+    ("scaling", {"kind": "interleave", "first": {"kind": "mystery"},
+                 "second": GEOMETRIC}),
+    ("spec", {"kind": "affine", "a": "1", "sub": "cube"}),
+    ("spec", {"kind": "affine", "a": "1", "sign": "minus"}),
+    ("spec", {"kind": "closed_form", "terms": {"cube_r": "1"}}),
+    ("spec", {"kind": "closed_form", "terms": [["r", "1"]]}),
+    ("spec", {"kind": "in_set", "model": PLANAR_RAY, "a": "1"}),
+]
+
+
+@pytest.mark.parametrize("what, data", REFUSED,
+                         ids=[f"{what}{i}" for i, (what, _) in
+                              enumerate(REFUSED)])
+def test_refused_inputs_exit_two(tmp_path, capsys, what, data):
+    reader, command, cfg = {
+        "model": (setmodels.model_from_dict, "porosity", {"model": data}),
+        "scaling": (seqlab.scaling_from_dict, "lab",
+                    dict(LAB_CONFIG, scaling=data)),
+        "spec": (seqlab.spec_from_dict, "lab",
+                 dict(LAB_CONFIG, families=[{"label": "x0", "spec": data}])),
+    }[what]
+    with pytest.raises(InputError):
+        reader(data)
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    assert not any(out.iterdir())
+    message = capsys.readouterr().err
+    assert message.startswith("error: ") and message.count("\n") == 1, \
+        message
+
+
+def test_closed_form_refuses_a_repeated_atom():
+    with pytest.raises(InputError):
+        seqlab.ClosedFormSpec((("r", 1), ("r", 2)))
 
 
 # -- determinism across reruns ---------------------------------------------------

@@ -172,6 +172,33 @@ def test_puncture_spacings_rule_maps_out():
     assert got.witness == F(1)
 
 
+def test_a_lone_point_against_a_ray_differs_in_its_tails():
+    # the ray [0, inf) with -3 added, against (-inf, -3] u [0, inf): both
+    # complements hold the gap (-3, 0) and no puncture, but only the first
+    # has a left tail
+    got = line_isometry_test(
+        FiniteModification(Ray(F(0), 1), added=(F(-3),)),
+        FiniteUnion((Ray(F(-3), -1), Ray(F(0), 1))))
+    assert got.status == "not_isometric"
+    assert got.statistic == "tail structure differs"
+    assert got.witness is None
+
+
+def test_homometric_punctures_match_no_alignment():
+    # {0, 1, 4, 10, 12, 17} and {0, 1, 8, 11, 13, 17} are homometric: the
+    # same multiset of differences, and neither is a translate or a mirror
+    # image of the other
+    a = (0, 1, 4, 10, 12, 17)
+    b = (0, 1, 8, 11, 13, 17)
+    assert Counter(y - x for x in a for y in a if y > x) \
+        == Counter(y - x for x in b for y in b if y > x)
+    got = line_isometry_test(punctured_line(*map(F, a)),
+                             punctured_line(*map(F, b)))
+    assert got.status == "not_isometric"
+    assert got.statistic == "no slope +1 or -1 alignment matches the windows"
+    assert got.witness is None
+
+
 def test_puncture_against_the_full_line():
     got = line_isometry_test(punctured_line(F(3)), FullLine())
     assert got.status == "not_isometric"
@@ -296,6 +323,17 @@ def test_lattice_scaling_is_refuted_with_the_gap_length():
     assert got.status == "refuted"
     assert (got.witness, got.witness_kind) == (F(1, 2), "gap_length")
     assert scaling_self_similarity(UNIT_LATTICE, F(4)).witness == F(1, 4)
+
+
+def test_two_punctures_are_refuted_by_their_spacing():
+    # the line minus {0, 1} against its image minus {0, 1/2}: no gap to
+    # compare, and the puncture spacings 1 and 1/2 differ
+    model = punctured_line(F(0), F(1))
+    got = scaling_self_similarity(model, 2)
+    assert got.status == "refuted"
+    assert (got.witness, got.witness_kind) == (F(1, 2), "puncture_gap")
+    assert classify_line_subspace(model) == (
+        "fails_condition_with", F(2), F(1, 2), "puncture_gap")
 
 
 def test_blocks_are_self_similar_exactly_at_their_own_base():

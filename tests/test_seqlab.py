@@ -11,6 +11,7 @@ families of closed forms, affine specs and set-valued selectors.
 import gc
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -49,6 +50,7 @@ from farfield import (
 )
 from farfield import seqlab, setmodels
 from farfield.cli import _limit_payload, main as cli_main
+from farfield.rationals import flog
 from farfield.seqlab import ATOMS, _push_spec
 from test_setmodels_oracle import trees
 
@@ -178,6 +180,64 @@ def test_eval_matches_limit_for_rational_forms():
         assert eval_spec(spec, scaling, n) == F(7, 3) * F(2) ** n - 4
     deep = eval_spec(spec, scaling, 40) / scaling.eval(40)
     assert abs(deep - tilde_d(spec, scaling).value) < F(1, 2) ** 30
+
+
+def reference_eval(terms, r, n):
+    """x_n by one formula per atom, each float operation in a fixed order:
+    the reference for `eval_spec` on closed forms."""
+    sign = -1 if n % 2 else 1
+    exact, approx, has_float = F(0), 0.0, False
+    for atom, coef in terms.items():
+        s = sign if atom.startswith("alt_") else 1
+        base = atom.removeprefix("alt_")
+        if base == "r":
+            exact += coef * s * r
+        elif base == "one":
+            exact += coef * s
+        elif base == "sqrt_r":
+            has_float = True
+            approx += float(coef) * s * math.exp(flog(r) / 2)
+        else:
+            has_float = True
+            approx += float(coef) * s * flog(1 + r)
+    return float(exact) + approx if has_float else exact
+
+
+def reference_ratio(terms, r, n):
+    """x_n / r_n likewise: the reference for `spec_ratio_float`."""
+    sign = -1 if n % 2 else 1
+    total, lg = 0.0, flog(r)
+    for atom, coef in terms.items():
+        s = sign if atom.startswith("alt_") else 1
+        base = atom.removeprefix("alt_")
+        if base == "r":
+            total += float(coef) * s
+        elif base == "one":
+            total += float(coef) * s * math.exp(-lg)
+        elif base == "sqrt_r":
+            total += float(coef) * s * math.exp(-lg / 2)
+        else:
+            total += float(coef) * s * flog(1 + r) * math.exp(-lg)
+    return total
+
+
+FLOAT_COEFS = st.builds(F, st.integers(-40, 40).filter(bool),
+                        st.sampled_from([1, 3, 7, 10, 12]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=st.dictionaries(st.sampled_from(ATOMS), FLOAT_COEFS,
+                             min_size=1, max_size=8),
+       scaling=st.sampled_from(SCALINGS), n=st.integers(1, 60))
+def test_closed_form_floats_match_the_per_atom_formulas(terms, scaling, n):
+    # n of either parity, so alt_ atoms enter with both signs; == on floats
+    spec = ClosedFormSpec(terms)
+    terms, r = spec.term_map(), scaling.eval(n)
+    want = reference_eval(terms, r, n)
+    got = eval_spec(spec, scaling, n)
+    assert (type(got), got) == (type(want), want)
+    assert seqlab.spec_ratio_float(spec, scaling, n) \
+        == reference_ratio(terms, r, n)
 
 
 def test_affine_spec_matches_closed_form():

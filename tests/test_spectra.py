@@ -1,12 +1,12 @@
-"""Distance-set models and scaled window probes.
+"""Distance sets and scaled window probes.
 
 The central identity: s belongs to the distance set from p exactly when
-p+s or p-s belongs to the original set, so every distance-set case is
-checked pointwise against raw membership. Window hits are cross-checked
-by enumerating the candidate set points inside the pulled-back interval.
+p+s or p-s belongs to the original set, so window hits on the line are
+cross-checked by enumerating the candidate set points inside the
+pulled-back interval on either side of p; in the plane the distance set is
+the half line, whose cases are pinned here.
 """
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -30,69 +30,25 @@ from farfield import (
     UnsupportedGeometryError,
     compare_spectra,
     contains,
-    distance_set,
     window_hits,
 )
 from farfield import setmodels
+from farfield.spectra import _plane_distances
 from test_setmodels_oracle import fractions, intersects_open_interval, trees
 
 F = Fraction
-
-
-def s_grid(hi, denom=4):
-    return [F(k, denom) for k in range(0, hi * denom + 1)]
 
 
 # ---------------------------------------------------------------------------
 # Distance sets
 
 
-DS_CASES = [
-    (FullLine(), F(7, 3)),
-    (Ray(F(0), 1), F(0)),
-    (Ray(F(0), 1), F(3)),
-    (Ray(F(2), 1), F(0)),
-    (Ray(F(1), -1), F(4)),
-    (Lattice(F(1), F(0)), F(0)),
-    (Lattice(F(1), F(0)), F(5)),
-    (Lattice(F(1), F(0)), F(1, 3)),
-    (Lattice(F(3, 2), F(1, 4)), F(2)),
-    (Lattice(F(1), F(0), "plus"), F(2)),
-    (Lattice(F(1), F(0), "plus"), F(-3)),
-    (GeometricBlocks(F(4), F(1), F(2)), F(0)),
-    (FiniteUnion((Ray(F(0), -1), Ray(F(1), 1))), F(0)),
-]
-
-
-@pytest.mark.parametrize("model,p", DS_CASES,
-                         ids=[f"case{i}" for i in range(len(DS_CASES))])
-def test_distance_set_matches_membership(model, p):
-    ds = distance_set(model, p)
-    for s in s_grid(12, denom=6):
-        want = contains(model, p + s) or contains(model, p - s)
-        assert contains(ds, s) == want, s
-
-
-def test_distance_set_structured_forms():
-    assert distance_set(FullLine(), F(9)) == Ray(F(0), 1)
-    assert distance_set(Ray(F(0), 1), F(3)) == Ray(F(0), 1)
-    assert distance_set(Lattice(F(1), F(0)), F(5)) \
-        == Lattice(F(1), F(0), "plus")
-    thirds = distance_set(Lattice(F(1), F(0)), F(1, 3))
-    assert isinstance(thirds, FiniteUnion) and len(thirds.parts) == 2
-
-
 def test_distance_set_plane_cases():
     strip = HalfPlaneStrip(F(-1), F(2))
-    assert distance_set(strip, (F(4), F(0))) == Ray(F(0), 1)
-    assert distance_set(PlanarRay(), (F(2), F(0))) == Ray(F(0), 1)
+    assert _plane_distances(strip, (F(4), F(0))) == Ray(F(0), 1)
+    assert _plane_distances(PlanarRay(), (F(2), F(0))) == Ray(F(0), 1)
     with pytest.raises(UnsupportedGeometryError):
-        distance_set(strip, (F(1), F(1)))
-
-
-def test_distance_set_dimension_guard():
-    with pytest.raises(InputError):
-        distance_set(FullLine(), (F(1), F(1)))
+        _plane_distances(strip, (F(1), F(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +111,8 @@ def test_window_hit_input_guards():
         window_hits(lat, F(0), F(1), F(0), scaling, 10)
     with pytest.raises(InputError):
         window_hits(lat, F(0), F(1), F(1, 10), scaling, 0)
+    with pytest.raises(InputError):  # a planar base point on the line
+        window_hits(FullLine(), (F(1), F(1)), F(1), F(1, 10), scaling, 10)
     with pytest.raises(InputError):
         compare_spectra(lat, F(0), scaling, scaling, [F(1)], F(1, 10), 10, 0)
 
@@ -275,7 +233,7 @@ def per_window_hits(model, p, t, eps, scaling, horizon):
     side, in index order, read off the original set (or its distance set
     in the plane)."""
     if isinstance(p, tuple):
-        model, p = distance_set(model, p), F(0)
+        model, p = _plane_distances(model, p), F(0)
     hits = []
     for n in range(1, horizon + 1):
         r = scaling.eval(n)
