@@ -51,6 +51,12 @@ def test_distance_set_plane_cases():
         _plane_distances(strip, (F(1), F(1)))
 
 
+def test_distance_set_dimension_guard():
+    scaling = GeometricScaling(F(2), F(1))
+    with pytest.raises(InputError):  # a planar base point on the line
+        window_hits(FullLine(), (F(1), F(1)), F(1), F(1, 10), scaling, 10)
+
+
 # ---------------------------------------------------------------------------
 # Window hits
 
@@ -111,8 +117,6 @@ def test_window_hit_input_guards():
         window_hits(lat, F(0), F(1), F(0), scaling, 10)
     with pytest.raises(InputError):
         window_hits(lat, F(0), F(1), F(1, 10), scaling, 0)
-    with pytest.raises(InputError):  # a planar base point on the line
-        window_hits(FullLine(), (F(1), F(1)), F(1), F(1, 10), scaling, 10)
     with pytest.raises(InputError):
         compare_spectra(lat, F(0), scaling, scaling, [F(1)], F(1, 10), 10, 0)
 
